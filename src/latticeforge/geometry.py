@@ -21,6 +21,7 @@ from . import lp
 from .errors import (
     DegeneratePolytopeError,
     DimensionMismatchError,
+    LatticeForgeError,
     ResourceLimitError,
 )
 from .linalg import IntMatrix, adjugate, determinant, rank_of_rows
@@ -271,7 +272,7 @@ def fourier_motzkin_facets(vertices: Sequence[Point], dim: int):
             lam_i, xc_i, rhs_i = _normalize_row(lam, xc, rhs, is_eq)
             if not any(lam_i) and not any(xc_i):
                 if rhs_i < 0:
-                    raise AssertionError("contradictory row while projecting a nonempty hull")
+                    raise LatticeForgeError("contradictory row while projecting a nonempty hull")
                 continue
             key = (lam_i, xc_i, rhs_i)
             if key in seen:
@@ -290,7 +291,8 @@ def fourier_motzkin_facets(vertices: Sequence[Point], dim: int):
 
     facets = set()
     for is_eq, lam, xc, rhs in rows:
-        assert not any(lam)
+        if any(lam):
+            raise LatticeForgeError("a multiplier survived Fourier-Motzkin elimination")
         a, b = _normalize_row((), xc, rhs, is_eq)[1:]
         if not any(a):
             continue

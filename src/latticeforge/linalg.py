@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, LatticeForgeError, SingularMatrixError
 
 #: Hard cap on matrix dimensions.  This is a desk-scale tool; the cap keeps
 #: accidental huge inputs from turning exact elimination into a hang.
@@ -250,7 +250,8 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     for j in range(n):
         e = [d if i == j else 0 for i in range(n)]
         x = solve_rational(m, e)
-        assert all(v.denominator == 1 for v in x)
+        if any(v.denominator != 1 for v in x):
+            raise LatticeForgeError("adjugate column is not integral")
         cols.append(tuple(int(v) for v in x))
     return IntMatrix.from_columns(cols)
 

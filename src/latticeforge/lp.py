@@ -3,7 +3,9 @@
 All arithmetic is over ``fractions.Fraction`` and pivoting follows Bland's
 rule, so the solver terminates and every verdict is exact.  It is sized for
 desk-scale systems (tens of rows): hull membership in dimensions >= 4 and
-the pairwise interior-disjointness test for simplicial covers.
+the fallback of the pairwise interior-disjointness test for simplicial
+covers, reached only by cell pairs that neither the bounding-box nor the
+separating-facet test in ``unimodular`` separates.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def solve_min(c: Sequence, a: Sequence[Sequence], b: Sequence):
         obj[j] = -sum(tab[i][j] for i in range(m))
     obj[-1] = -sum(tab[i][-1] for i in range(m))
     status = _minimize(tab, basis, obj, total)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if status != OPTIMAL:
+        raise LatticeForgeError("phase 1 reported unbounded, but it is bounded below by 0")
     if -obj[-1] != 0:
         return INFEASIBLE, None, None
 

@@ -8,7 +8,8 @@ any lattice point of the dilate by locating a containing cell.
 
 Certification is exact throughout: volumes are compared as integers
 (normalized volume = |det|), and pairwise interior disjointness is decided
-by an exact rational LP.
+by bounding-box and separating-facet tests on integer data, with an exact
+rational LP only as the fallback for pairs neither test separates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     CoverageError,
     DegeneratePolytopeError,
     DimensionMismatchError,
+    LatticeForgeError,
     NotUnimodularError,
     PointOutsideError,
 )
@@ -109,9 +111,11 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
         raise PointOutsideError(f"{pt} is not in the {h}-fold dilate of the simplex")
     target = vec_sub(pt, vec_scale(s.vertices[0], h))
     tail = integral_solution(s.difference_matrix, target)
-    assert tail is not None, "unimodular difference matrix must solve integrally"
+    if tail is None:
+        raise LatticeForgeError("unimodular difference matrix did not solve integrally")
     w = (h - sum(tail), *tail)
-    assert all(x >= 0 for x in w) and sum(w) == h
+    if any(x < 0 for x in w) or sum(w) != h:
+        raise LatticeForgeError(f"integral weights {w} are not a decomposition with sum {h}")
     parts = []
     for vertex, weight in zip(s.vertices, w):
         parts.extend([vertex] * weight)
@@ -164,7 +168,9 @@ def _placing_cells(points: Sequence[Point], dim: int):
     Points are inserted in the given order; a point strictly outside the
     current hull cones onto every strictly visible boundary facet.  Points
     inside or on the hull extend nothing (they simply do not become cell
-    vertices).  The output cells tile the hull with disjoint interiors.
+    vertices).  The cells, yielded as they are made, tile the hull with
+    disjoint interiors.  A yielded cell is never removed later, so a caller
+    may stop at the first cell it rejects.
     """
     start = []
     for p in points:
@@ -179,6 +185,7 @@ def _placing_cells(points: Sequence[Point], dim: int):
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     cells = [tuple(start)]
+    yield cells[0]
     starters = set(start)
     for p in points:
         if p in starters:
@@ -205,7 +212,7 @@ def _placing_cells(points: Sequence[Point], dim: int):
             if vec_dot(normal, p) > offset:
                 new_cells.append(fpts + (p,))
         cells.extend(new_cells)
-    return cells
+        yield from new_cells
 
 
 def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) -> SimplicialCover:
@@ -255,7 +262,24 @@ def _interior_inequalities(cell: LatticeSimplex):
     return rows
 
 
-def _interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
+def _separates(rows, vertices) -> bool:
+    """Does some facet row (a, b) of one cell have a.v <= b at every vertex v of the other?"""
+    return any(all(vec_dot(normal, v) <= offset for v in vertices) for normal, offset in rows)
+
+
+def _interiors_intersect(
+    a: LatticeSimplex, b: LatticeSimplex, rows_a=None, rows_b=None
+) -> bool:
+    """Exact test whether two full-dimensional simplices share an interior point.
+
+    Cheap integer tests come first: disjoint open bounding boxes, then a
+    facet hyperplane of one cell with the whole other cell on its closed
+    outer side.  Only pairs that neither separates go to the exact margin
+    LP, which is needed for completeness: in dimension >= 3 two cells may
+    be separated only by a plane through an edge of each.  `rows_a` and
+    `rows_b` are the cells' _interior_inequalities, when the caller has
+    them already.
+    """
     dim = a.dim
     for j in range(dim):
         a_lo = min(v[j] for v in a.vertices)
@@ -264,8 +288,13 @@ def _interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
         b_hi = max(v[j] for v in b.vertices)
         if a_hi <= b_lo or b_hi <= a_lo:
             return False
-    margin = lp.max_min_margin(_interior_inequalities(a) + _interior_inequalities(b), dim)
-    return margin > 0
+    if rows_a is None:
+        rows_a = _interior_inequalities(a)
+    if rows_b is None:
+        rows_b = _interior_inequalities(b)
+    if _separates(rows_a, b.vertices) or _separates(rows_b, a.vertices):
+        return False
+    return lp.max_min_margin(rows_a + rows_b, dim) > 0
 
 
 def verify_cover(cover: SimplicialCover) -> Certification:
@@ -281,12 +310,15 @@ def verify_cover(cover: SimplicialCover) -> Certification:
     target = cover.target
     if not cover.cells:
         problems.append("cover has no cells")
+    inside = {}  # vertex -> contains(target, vertex); cells share most vertices
     for i, cell in enumerate(cover.cells):
         if cell.dim != target.dim:
             problems.append(f"cell {i} has dimension {cell.dim}, target has {target.dim}")
             continue
         for v in cell.vertices:
-            if not contains(target, v):
+            if v not in inside:
+                inside[v] = contains(target, v)
+            if not inside[v]:
                 problems.append(f"cell {i} vertex {list(v)} lies outside the target")
                 break
         if not is_unimodular(cell):
@@ -303,9 +335,11 @@ def verify_cover(cover: SimplicialCover) -> Certification:
             problems.append(
                 f"cell volumes sum to {total} but the target has normalized volume {vol}"
             )
-        for i in range(len(cover.cells)):
-            for j in range(i + 1, len(cover.cells)):
-                if _interiors_intersect(cover.cells[i], cover.cells[j]):
+        cells = cover.cells
+        rows = [_interior_inequalities(c) for c in cells]
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
                     problems.append(f"cells {i} and {j} share an interior point")
     status = "certified" if not problems else "uncertified"
     return Certification(status=status, problems=tuple(problems))
@@ -317,6 +351,8 @@ def find_unimodular_triangulation(
     """Search for a certified all-unimodular placing triangulation.
 
     Tries the lexicographic insertion order first, then seeded shuffles.
+    An order is abandoned at its first non-unimodular cell: placing only
+    adds cells, so that cell would stay in the finished triangulation.
     Returns the first certified cover, or None.  None only proves
     nonexistence when the lattice points admit a single triangulation
     (see has_unique_triangulation); otherwise it just means "not found".
@@ -324,16 +360,23 @@ def find_unimodular_triangulation(
     if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
         raise ValueError(f"attempts must be a positive integer, got {attempts!r}")
     pts = list(lattice_points(p))
+    if not p.is_full_dimensional():
+        raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
     for k in range(attempts):
         if k == 0:
             order = pts
         else:
             order = pts[:]
             random.Random(f"{seed}:{k}").shuffle(order)
-        cover = placing_triangulation(p, order)
-        if all(is_unimodular(c) for c in cover.cells):
-            cert = verify_cover(cover)
-            if cert.status == "certified":
+        cells = []
+        for vertices in _placing_cells(order, p.dim):
+            cell = LatticeSimplex(vertices)
+            if not is_unimodular(cell):
+                break
+            cells.append(cell)
+        else:
+            cover = SimplicialCover(target=p, cells=tuple(cells))
+            if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")
     return None
 

@@ -7,9 +7,18 @@ multiset enumeration.  They are slow and obviously correct.
 """
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
-from latticeforge import LatticePolytope, LatticeSimplex
+from latticeforge import (
+    LatticePolytope,
+    LatticeSimplex,
+    is_unimodular,
+    lattice_points,
+    placing_triangulation,
+    verify_cover,
+)
 
 
 def cofactor_determinant(rows):
@@ -181,3 +190,25 @@ def triangle_overlap_area2(t1, t2):
         if not region:
             return Fraction(0)
     return abs(shoelace_area2(region))
+
+
+def full_placing_search(p, attempts=20, seed=0):
+    """find_unimodular_triangulation without its early abort.
+
+    Builds the whole placing triangulation for each insertion order (the
+    same orders: lexicographic, then seeded shuffles) and only then checks
+    that every cell is unimodular.  Returns the first certified cover, or
+    None.
+    """
+    pts = list(lattice_points(p))
+    for k in range(attempts):
+        if k == 0:
+            order = pts
+        else:
+            order = pts[:]
+            random.Random(f"{seed}:{k}").shuffle(order)
+        cover = placing_triangulation(p, order)
+        if all(is_unimodular(c) for c in cover.cells):
+            if verify_cover(cover).status == "certified":
+                return replace(cover, certified="certified")
+    return None

@@ -23,9 +23,11 @@ from latticeforge import (
     placing_triangulation,
     verify_cover,
 )
+from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import _hull_feasible
-from latticeforge.unimodular import _interiors_intersect
+from latticeforge.lp import max_min_margin
+from latticeforge.unimodular import _interior_inequalities, _interiors_intersect
 
 
 class TestInteriorDisjointnessOracle:
@@ -68,6 +70,47 @@ class TestInteriorDisjointnessOracle:
             b = LatticeSimplex(vb)
             assert _interiors_intersect(a, b) == expected, (va, vb)
             assert (triangle_overlap_area2(va, vb) > 0) == expected
+
+
+class TestDisjointnessPrefilterAgainstLP:
+    """Bounding-box and separating-facet tests, with their LP fallback,
+    against the bare margin LP on every pair, in dimensions 3 and 4."""
+
+    def _random_simplex(self, rng, dim):
+        while True:
+            pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 1)]
+            try:
+                return LatticeSimplex(pts)
+            except DegeneratePolytopeError:
+                continue
+
+    def _check(self, monkeypatch, dim, seed, pairs=300):
+        fallbacks = []
+        original = lp.max_min_margin
+
+        def counting(ineqs, n):
+            fallbacks.append(n)
+            return original(ineqs, n)
+
+        monkeypatch.setattr(lp, "max_min_margin", counting)
+        rng = random.Random(seed)
+        overlaps = 0
+        for _ in range(pairs):
+            a = self._random_simplex(rng, dim)
+            b = self._random_simplex(rng, dim)
+            rows = _interior_inequalities(a) + _interior_inequalities(b)
+            expected = max_min_margin(rows, dim) > 0
+            assert _interiors_intersect(a, b) == expected, (a, b)
+            overlaps += expected
+        # both branches run: some pairs are settled before the LP, some after
+        assert 0 < len(fallbacks) < pairs
+        assert 0 < overlaps < len(fallbacks)
+
+    def test_random_pairs_dim3(self, monkeypatch):
+        self._check(monkeypatch, 3, seed=2718)
+
+    def test_random_pairs_dim4(self, monkeypatch):
+        self._check(monkeypatch, 4, seed=1618)
 
 
 class TestFacetSystemsOnLargerHulls:

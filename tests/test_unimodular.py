@@ -1,9 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import multiset_decompositions, random_polytope, random_unimodular_simplex
+from helpers import (
+    full_placing_search,
+    multiset_decompositions,
+    random_polytope,
+    random_unimodular_simplex,
+)
 from latticeforge import (
     CoverageError,
     LatticePolytope,
@@ -25,10 +31,11 @@ from latticeforge import (
     placing_triangulation,
     verify_cover,
 )
-from latticeforge.errors import DegeneratePolytopeError
+from latticeforge import lp, unimodular
+from latticeforge.errors import DegeneratePolytopeError, LatticeForgeError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent
-from latticeforge.unimodular import has_unique_triangulation
+from latticeforge.unimodular import _interiors_intersect, has_unique_triangulation
 
 
 def simplex_of(p: LatticePolytope) -> LatticeSimplex:
@@ -88,6 +95,12 @@ class TestDecomposeInSimplex:
         assert [w for _, w in d.weights] == [1, 1, 1]
         # exhaustive oracle over all 3-multisets of the vertices
         assert multiset_decompositions(s.vertices, (2, 1), 3) == [d.parts]
+
+    def test_failed_integral_solve_is_an_error(self, monkeypatch):
+        # must raise even under python -O, which strips assert statements
+        monkeypatch.setattr(unimodular, "integral_solution", lambda m, b: None)
+        with pytest.raises(LatticeForgeError, match="integrally"):
+            decompose_in_simplex(STD3, (1, 0, 0), 1)
 
     def test_not_unimodular_rejected(self):
         with pytest.raises(NotUnimodularError):
@@ -292,6 +305,75 @@ class TestFindUnimodularTriangulation:
     def test_attempts_validated(self):
         with pytest.raises(ValueError):
             find_unimodular_triangulation(unit_square(), attempts=0)
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegeneratePolytopeError, match="full-dimensional"):
+            find_unimodular_triangulation(LatticePolytope([(0, 0), (1, 1), (2, 2)]))
+
+
+class TestSearchEarlyAbortOracle:
+    """The search that stops at the first non-unimodular cell against one
+    that builds every placing triangulation in full before judging it."""
+
+    @staticmethod
+    def _outcome(search, p, **kwargs):
+        try:
+            cover = search(p, **kwargs)
+        except DegeneratePolytopeError:
+            return "degenerate"
+        return None if cover is None else (cover.cells, cover.certified)
+
+    def test_random_polytopes(self):
+        rng = random.Random(8128)
+        found = 0
+        for trial in range(40):
+            p = random_polytope(rng, rng.choice((2, 3)), bound=2, max_points=7)
+            kwargs = {"attempts": 6, "seed": trial}
+            expected = self._outcome(full_placing_search, p, **kwargs)
+            assert self._outcome(find_unimodular_triangulation, p, **kwargs) == expected, p
+            found += isinstance(expected, tuple)
+        assert 0 < found < 40
+
+    def test_reeve_dilates(self):
+        for ell in (1, 2, 3):
+            p = dilate(reeve_simplex(), ell)
+            expected = self._outcome(full_placing_search, p, seed=ell)
+            assert self._outcome(find_unimodular_triangulation, p, seed=ell) == expected
+
+
+class TestMarginLPCount:
+    """Exact count of margin LPs: the separating-facet test settles every
+    cell pair of these placing triangulations, so none reaches the LP."""
+
+    @pytest.fixture
+    def margin_calls(self, monkeypatch):
+        calls = []
+        original = lp.max_min_margin
+
+        def counting(ineqs, n):
+            value = original(ineqs, n)
+            calls.append(value)
+            return value
+
+        monkeypatch.setattr(lp, "max_min_margin", counting)
+        return calls
+
+    def test_no_margin_lp_in_cube_searches(self, margin_calls):
+        for p in (unit_cube(3), unit_cube(4), dilate(unit_cube(3), 2)):
+            cover = find_unimodular_triangulation(p)
+            assert cover is not None and cover.certified == "certified"
+            assert len(cover.cells) == normalized_volume(p)
+        assert margin_calls == []
+
+    def test_pair_no_facet_separates_takes_one_lp(self, margin_calls):
+        # Unimodular tetrahedra with overlapping bounding boxes and no
+        # facet of either separating them; the LP margin -1/16 proves the
+        # interiors disjoint.
+        a = LatticeSimplex([(0, 1, 0), (0, 1, 1), (-1, -1, -1), (-1, 0, 0)])
+        b = LatticeSimplex([(0, -1, 0), (-1, 0, 1), (-1, -1, 1), (1, 1, 0)])
+        assert is_unimodular(a) and is_unimodular(b)
+        assert not _interiors_intersect(a, b)
+        assert margin_calls == [Fraction(-1, 16)]
 
 
 class TestDecompose:
