@@ -28,6 +28,7 @@ from .geometry import (
     dilate,
     is_affinely_independent,
     lattice_points,
+    normalized_volume,
 )
 from .linalg import (
     IntMatrix,
@@ -50,7 +51,6 @@ from .unimodular import (
     hnf_diagonal,
     is_unimodular,
     lattice_index,
-    normalized_volume,
     placing_triangulation,
     verify_cover,
 )

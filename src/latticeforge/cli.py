@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -293,6 +294,16 @@ def _cmd_idp_check(args, poly: LatticePolytope):
     return result, (EXIT_OK if all_hold else EXIT_NEGATIVE), summary
 
 
+def _verify_cover_file(path: str, poly: LatticePolytope) -> tuple:
+    """Load a cover file over `poly` and certify it: (cover, certification)."""
+    cover_data = parse_cover_data(parse_strict_json(_read_file(path)))
+    if cover_data["dim"] != poly.dim:
+        raise PolytopeFileError("cover dimension does not match the polytope")
+    cells = tuple(LatticeSimplex(c) for c in cover_data["cells"])
+    cover = SimplicialCover(target=poly, cells=cells, kind=cover_data["kind"])
+    return cover, verify_cover(cover)
+
+
 def _cmd_decompose(args, poly: LatticePolytope):
     point = _parse_point(args.point)
     h = _positive(args.h, "--h")
@@ -304,15 +315,10 @@ def _cmd_decompose(args, poly: LatticePolytope):
     cover = None
     cover_source = None
     if args.cover is not None:
-        cover_data = parse_cover_data(parse_strict_json(_read_file(args.cover)))
-        if cover_data["dim"] != poly.dim:
-            raise PolytopeFileError("cover dimension does not match the polytope")
-        cells = tuple(LatticeSimplex(c) for c in cover_data["cells"])
-        candidate = SimplicialCover(target=poly, cells=cells, kind=cover_data["kind"])
-        cert = verify_cover(candidate)
+        candidate, cert = _verify_cover_file(args.cover, poly)
         cover_source = {"path": args.cover, "certification": cert.status, "problems": list(cert.problems)}
         if cert.status == "certified":
-            cover = SimplicialCover(poly, cells, cover_data["kind"], "certified")
+            cover = replace(candidate, certified="certified")
     else:
         cover = find_unimodular_triangulation(
             poly, attempts=_positive(args.attempts, "--attempts"), seed=args.seed
@@ -350,12 +356,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
 
 def _cmd_triangulate(args, poly: LatticePolytope):
     if args.verify_cover is not None:
-        cover_data = parse_cover_data(parse_strict_json(_read_file(args.verify_cover)))
-        if cover_data["dim"] != poly.dim:
-            raise PolytopeFileError("cover dimension does not match the polytope")
-        cells = tuple(LatticeSimplex(c) for c in cover_data["cells"])
-        candidate = SimplicialCover(target=poly, cells=cells, kind=cover_data["kind"])
-        cert = verify_cover(candidate)
+        candidate, cert = _verify_cover_file(args.verify_cover, poly)
         result = {
             "mode": "verify",
             "certification": cert.status,
@@ -419,6 +420,11 @@ def _add_input_args(sub):
     )
 
 
+def _add_search_args(sub):
+    sub.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
+    sub.add_argument("--seed", type=int, default=0, help="seed for shuffled insertion orders")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeforge",
@@ -443,14 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="comma-separated integer coordinates")
     p.add_argument("--h", type=int, required=True, help="number of summands")
     p.add_argument("--cover", default=None, help="cover JSON file (searched when absent)")
-    p.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
-    p.add_argument("--seed", type=int, default=0, help="seed for shuffled insertion orders")
+    _add_search_args(p)
     p.set_defaults(handler=_cmd_decompose)
 
     p = subs.add_parser("triangulate", help="search or verify a unimodular triangulation")
     _add_input_args(p)
-    p.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
-    p.add_argument("--seed", type=int, default=0, help="seed for shuffled insertion orders")
+    _add_search_args(p)
     p.add_argument("--verify-cover", default=None, help="verify this cover file instead of searching")
     p.set_defaults(handler=_cmd_triangulate)
 
@@ -458,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--ell-max", type=int, required=True, help="largest dilation factor to try")
     p.add_argument("--h-max", type=int, default=3, help="direct checks per factor")
-    p.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
-    p.add_argument("--seed", type=int, default=0, help="seed for shuffled insertion orders")
+    _add_search_args(p)
     p.set_defaults(handler=_cmd_find_ell)
 
     return parser

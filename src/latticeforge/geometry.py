@@ -2,28 +2,27 @@
 
 Points are plain tuples of Python ints; rational query points are tuples of
 ``fractions.Fraction``.  Membership, barycentric coordinates, dilation and
-lattice-point enumeration are all decided exactly:
+lattice-point enumeration are all decided exactly.
 
-* simplices answer membership through their (cached) integer adjugate,
-* general polytopes in dimension <= 3 go through a facet system obtained by
-  Fourier-Motzkin elimination of the convex-combination variables,
-* dimensions 4..8 fall back to exact rational simplex-method feasibility.
+One integer kernel answers every hull question: a beneath-beyond placing
+routine (``_placing_cells``) that keeps the hull boundary as oriented integer
+facet rows.  ``LatticePolytope`` runs it once over its generators, in a
+coordinate projection that is injective on their affine hull, and keeps the
+facet rows, the affine equations, the vertices and the normalized volume.
+Membership of a rational point and lattice-point enumeration then test that
+integer facet system in every dimension; no LP is involved.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from . import lp
-from .errors import (
-    DegeneratePolytopeError,
-    DimensionMismatchError,
-    LatticeForgeError,
-    ResourceLimitError,
-)
+from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
 from .linalg import IntMatrix, adjugate, determinant, rank_of_rows
 
 Point = tuple  # tuple[int, ...]
@@ -33,8 +32,6 @@ RatPoint = tuple  # tuple[Fraction, ...]
 #: exponential in the dimension; these caps turn runaway inputs into errors.
 DIM_CAP = 8
 BOX_CAP = 10**7
-
-_FM_ROW_CAP = 20000
 
 
 def as_point(p: Sequence[int]) -> Point:
@@ -67,7 +64,7 @@ def vec_scale(p: Point, c: int) -> Point:
 
 
 def vec_dot(p: Sequence, q: Sequence):
-    return sum(a * b for a, b in zip(p, q))
+    return sum(map(mul, p, q))
 
 
 def _check_uniform(points) -> int:
@@ -83,10 +80,7 @@ def is_affinely_independent(points: Iterable[Sequence[int]]) -> bool:
     if not pts:
         raise DimensionMismatchError("need at least one point")
     _check_uniform(pts)
-    if len(pts) == 1:
-        return True
-    diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-    return rank_of_rows(diffs) == len(diffs)
+    return len(_affine_basis(pts)) == len(pts)
 
 
 class LatticeSimplex:
@@ -134,16 +128,6 @@ class LatticeSimplex:
     def contains_point(self, q: Sequence) -> bool:
         return all(t >= 0 for t in self.barycentric(q))
 
-    def contains_lattice_point(self, p: Point) -> bool:
-        """Integer-only membership test (hot path for box scans)."""
-        v0 = self.vertices[0]
-        r = [a - b for a, b in zip(p, v0)]
-        nums = [sum(a * x for a, x in zip(row, r)) for row in self._adjugate_rows()]
-        d = self.det
-        if d > 0:
-            return all(x >= 0 for x in nums) and sum(nums) <= d
-        return all(x <= 0 for x in nums) and sum(nums) >= d
-
     def hull(self) -> "LatticePolytope":
         return LatticePolytope(self.vertices)
 
@@ -161,151 +145,120 @@ def barycentric(s: LatticeSimplex, q: Sequence) -> tuple:
     return s.barycentric(q)
 
 
-def _hull_feasible(points: Sequence[Point], q: RatPoint, dim: int) -> bool:
-    """Is q a convex combination of `points`?  Exact LP feasibility."""
-    if not points:
-        return False
-    rows = [[Fraction(p[j]) for p in points] for j in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = list(q) + [Fraction(1)]
-    return lp.feasible_nonneg(rows, rhs)
-
-
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection: from "q is a convex combination of the
-# vertices" to a facet system over the ambient coordinates alone.
+# The hull kernel: integer beneath-beyond placing.
 # ---------------------------------------------------------------------------
 
 
-def _normalize_row(lam, xc, rhs, is_eq):
-    """Scale a row to coprime integer coefficients; canonical sign for ==."""
-    coeffs = list(lam) + list(xc) + [rhs]
-    mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * mult) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if is_eq:
-        lead = next((v for v in ints if v != 0), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-    k = len(lam)
-    n = len(xc)
-    return tuple(ints[:k]), tuple(ints[k : k + n]), ints[k + n]
+def _facet_normal(points: Sequence[Point]) -> tuple:
+    """Integer normal of the hyperplane through n points in R^n (cofactors).
 
-
-def fourier_motzkin_facets(vertices: Sequence[Point], dim: int):
-    """Facet system of conv(vertices) as rows (a, b) meaning a.x <= b.
-
-    Obtained by eliminating the convex-combination multipliers from the
-    system {x = sum_i l_i v_i, sum_i l_i = 1, l_i >= 0} with exact
-    Fourier-Motzkin steps.  Degenerate hulls come out as pairs of opposite
-    inequalities (the affine hull).  Redundant rows may remain; they do not
-    affect membership verdicts.
+    Against the normal N, the simplex spanned by these points and one more
+    point p has normalized volume |N.p - N.points[0]|.
     """
-    k = len(vertices)
-    zero_x = (Fraction(0),) * dim
+    n = len(points[0])
+    if n == 1:
+        return (1,)
+    diffs = [vec_sub(q, points[0]) for q in points[1:]]
+    normal = []
+    for j in range(n):
+        minor = [[row[t] for t in range(n) if t != j] for row in diffs]
+        d = determinant(IntMatrix(minor))
+        normal.append(d if j % 2 == 0 else -d)
+    return tuple(normal)
 
-    # rows: (is_eq, lam coeffs, x coeffs, rhs) encoding lam.l + xc.x (<=|==) rhs
-    rows = []
-    for j in range(dim):
-        lam = tuple(Fraction(v[j]) for v in vertices)
-        xc = tuple(Fraction(-1) if t == j else Fraction(0) for t in range(dim))
-        rows.append((True, lam, xc, Fraction(0)))
-    rows.append((True, (Fraction(1),) * k, zero_x, Fraction(1)))
-    for i in range(k):
-        lam = tuple(Fraction(-1) if t == i else Fraction(0) for t in range(k))
-        rows.append((False, lam, zero_x, Fraction(0)))
 
-    # Substitute equalities to remove multipliers wherever possible.
-    while True:
-        picked = None
-        for idx, (is_eq, lam, _, _) in enumerate(rows):
-            if is_eq:
-                var = next((v for v in range(k) if lam[v] != 0), None)
-                if var is not None:
-                    picked = (idx, var)
-                    break
-        if picked is None:
+def _cell_facet(cell: Sequence[Point], skip: int) -> tuple:
+    """Facet opposite cell[skip] as (points, normal, offset), normal.x <= offset on the cell."""
+    fpts = cell[:skip] + cell[skip + 1 :]
+    normal = _facet_normal(fpts)
+    offset = vec_dot(normal, fpts[0])
+    if vec_dot(normal, cell[skip]) > offset:
+        return fpts, tuple(-x for x in normal), -offset
+    return fpts, normal, offset
+
+
+def _affine_basis(points: Sequence[Point]) -> list:
+    """The first affinely independent points met in order, spanning conv(points)."""
+    start = [points[0]]
+    for p in points[1:]:
+        if len(start) == len(p) + 1:
             break
-        idx, var = picked
-        _, elam, exc, erhs = rows[idx]
-        coef = elam[var]
-        new_rows = []
-        for r, (is_eq, lam, xc, rhs) in enumerate(rows):
-            if r == idx:
-                continue
-            if lam[var] == 0:
-                new_rows.append((is_eq, lam, xc, rhs))
-                continue
-            f = lam[var] / coef
-            new_rows.append(
-                (
-                    is_eq,
-                    tuple(a - f * b for a, b in zip(lam, elam)),
-                    tuple(a - f * b for a, b in zip(xc, exc)),
-                    rhs - f * erhs,
-                )
-            )
-        rows = new_rows
+        diffs = [vec_sub(q, start[0]) for q in start[1:]] + [vec_sub(p, start[0])]
+        if rank_of_rows(diffs) == len(diffs):
+            start.append(p)
+    return start
 
-    # Fourier-Motzkin elimination of the multipliers left in inequalities.
-    for var in range(k):
-        eqs = [r for r in rows if r[0]]
-        ineqs = [r for r in rows if not r[0]]
-        pos = [r for r in ineqs if r[1][var] > 0]
-        neg = [r for r in ineqs if r[1][var] < 0]
-        zero = [r for r in ineqs if r[1][var] == 0]
-        combined = []
-        for _, plam, pxc, prhs in pos:
-            for _, nlam, nxc, nrhs in neg:
-                cp = plam[var]
-                cn = -nlam[var]
-                lam = tuple(cn * a + cp * b for a, b in zip(plam, nlam))
-                xc = tuple(cn * a + cp * b for a, b in zip(pxc, nxc))
-                combined.append((False, lam, xc, cn * prhs + cp * nrhs))
-        seen = set()
-        rows = eqs
-        for is_eq, lam, xc, rhs in zero + combined:
-            lam_i, xc_i, rhs_i = _normalize_row(lam, xc, rhs, is_eq)
-            if not any(lam_i) and not any(xc_i):
-                if rhs_i < 0:
-                    raise LatticeForgeError("contradictory row while projecting a nonempty hull")
-                continue
-            key = (lam_i, xc_i, rhs_i)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(
-                (
-                    is_eq,
-                    tuple(Fraction(v) for v in lam_i),
-                    tuple(Fraction(v) for v in xc_i),
-                    Fraction(rhs_i),
-                )
-            )
-        if len(rows) > _FM_ROW_CAP:
-            raise ResourceLimitError("facet projection grew past the desk-scale cap")
 
-    facets = set()
-    for is_eq, lam, xc, rhs in rows:
-        if any(lam):
-            raise LatticeForgeError("a multiplier survived Fourier-Motzkin elimination")
-        a, b = _normalize_row((), xc, rhs, is_eq)[1:]
-        if not any(a):
+def _placing_cells(points: Sequence[Point], dim: int):
+    """Incremental (beneath-beyond) triangulation of conv(points).
+
+    Points are inserted in the given order; a point strictly outside the
+    current hull cones onto every strictly visible boundary facet.  Points
+    inside or on the hull extend nothing (they simply do not become cell
+    vertices).  The cells, yielded as they are made, tile the hull with
+    disjoint interiors.  A yielded cell is never removed later, so a caller
+    may stop at the first cell it rejects.
+
+    The hull boundary is kept as it changes, each boundary facet with its
+    outward integer row computed once.  When the generator is exhausted it
+    returns that boundary: a dict from facet vertex set to (facet points,
+    outward normal, offset), meaning normal.x <= offset on the hull.
+    """
+    start = _affine_basis(points)
+    if len(start) < dim + 1:
+        raise DegeneratePolytopeError("points do not span the ambient dimension")
+    boundary = {}
+
+    def add_facets(cell, skips):
+        for skip in skips:
+            facet = _cell_facet(cell, skip)
+            boundary[frozenset(facet[0])] = facet
+
+    first = tuple(start)
+    yield first
+    add_facets(first, range(dim + 1))
+    starters = set(start)
+    for p in points:
+        if p in starters:
             continue
-        facets.add((a, b))
-        if is_eq:
-            facets.add((tuple(-v for v in a), -b))
-    return tuple(sorted(facets))
+        visible = [
+            key for key, (_, normal, offset) in boundary.items() if vec_dot(normal, p) > offset
+        ]
+        # A ridge of exactly one visible facet is on the horizon: its cone
+        # over p is a new boundary facet.  Ridges of two visible facets
+        # become interior.
+        ridges = Counter(key - {q} for key in visible for q in key)
+        new_cells = []
+        for key in visible:
+            fpts = boundary.pop(key)[0]
+            cell = fpts + (p,)
+            new_cells.append(cell)
+            add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
+        yield from new_cells
+    return boundary
+
+
+def _placing_boundary(points: Sequence[Point], dim: int) -> dict:
+    """The hull boundary that _placing_cells returns once every point is placed."""
+    cells = _placing_cells(points, dim)
+    try:
+        while True:
+            next(cells)
+    except StopIteration as done:
+        return done.value
+
+
+def _primitive_row(normal: Sequence[int], offset: int) -> tuple:
+    """(a, b) with a the primitive multiple of the nonzero normal; b stays exact."""
+    g = gcd(*normal)
+    return tuple(x // g for x in normal), offset // g
 
 
 class LatticePolytope:
     """Convex hull of a finite set of lattice points (V-representation)."""
 
-    __slots__ = ("generators", "vertices", "dim", "_simplex", "_facets")
+    __slots__ = ("generators", "vertices", "dim", "_simplex", "_facets", "_hull_dim", "_volume")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         gens = sorted(set(as_point(p) for p in points))
@@ -316,32 +269,67 @@ class LatticePolytope:
             raise ResourceLimitError(f"ambient dimension capped at {DIM_CAP}, got {dim}")
         self.generators = tuple(gens)
         self.dim = dim
-        self.vertices = tuple(
-            g
-            for i, g in enumerate(gens)
-            if not _hull_feasible(
-                gens[:i] + gens[i + 1 :], tuple(Fraction(x) for x in g), dim
-            )
-        )
-        self._simplex = None
-        if len(self.vertices) == dim + 1:
-            try:
-                self._simplex = LatticeSimplex(self.vertices)
-            except DegeneratePolytopeError:
-                self._simplex = None
-        self._facets = None
+
+        # Coordinates `cols` on which the affine hull projects injectively.
+        start = _affine_basis(gens)
+        hull_dim = len(start) - 1
+        diffs = [vec_sub(q, start[0]) for q in start[1:]]
+        cols = []
+        for j in range(dim):
+            if rank_of_rows([[row[c] for c in cols + [j]] for row in diffs]) > len(cols):
+                cols.append(j)
+
+        def lift(normal, coords):
+            at = dict(zip(coords, normal))
+            return [at.get(c, 0) for c in range(dim)]
+
+        # Each other coordinate is an affine function of `cols` on the hull:
+        # one equation, kept as a pair of opposite rows.
+        rows = set()
+        for j in range(dim):
+            if j not in cols:
+                coords = cols + [j]
+                normal = lift(_facet_normal([tuple(v[c] for c in coords) for v in start]), coords)
+                a, b = _primitive_row(normal, vec_dot(normal, start[0]))
+                rows.update({(a, b), (tuple(-x for x in a), -b)})
+
+        volume = 0
+        if hull_dim:
+            proj = [tuple(g[c] for c in cols) for g in gens]
+            for _, normal, offset in _placing_boundary(proj, hull_dim).values():
+                # cone from a hull point over each boundary facet tiles the hull
+                volume += offset - vec_dot(normal, proj[0])
+                rows.add(_primitive_row(lift(normal, cols), offset))
+        self._facets = tuple(sorted(rows))
+        self._hull_dim = hull_dim
+        self._volume = volume if hull_dim == dim else 0
+
+        # g is a vertex iff it alone maximizes the sum of its tight facet
+        # normals: that sum lies inside g's normal cone exactly when the cone
+        # is full-dimensional, and is constant on the face g is interior to.
+        def is_vertex(g):
+            tight = [a for a, b in self._facets if vec_dot(a, g) == b]
+            direction = [sum(col) for col in zip(*tight)] or [0] * dim
+            top = vec_dot(direction, g)
+            return all(vec_dot(direction, h) < top for h in gens if h != g)
+
+        self.vertices = tuple(g for g in gens if is_vertex(g))
+        full = hull_dim == dim and len(self.vertices) == dim + 1
+        self._simplex = LatticeSimplex(self.vertices) if full else None
 
     def as_simplex(self) -> Optional[LatticeSimplex]:
         """The polytope as a simplex, when it is one (n+1 independent vertices)."""
         return self._simplex
 
     def is_full_dimensional(self) -> bool:
-        diffs = [vec_sub(v, self.vertices[0]) for v in self.vertices[1:]]
-        return rank_of_rows(diffs) == self.dim if diffs else self.dim == 0
+        return self._hull_dim == self.dim
 
     def facets(self):
-        if self._facets is None:
-            self._facets = fourier_motzkin_facets(self.vertices, self.dim)
+        """Sorted primitive integer rows (a, b), meaning a.x <= b on the hull.
+
+        The affine hull of a lower-dimensional polytope appears as pairs of
+        opposite rows.
+        """
         return self._facets
 
     def bounding_box(self):
@@ -367,15 +355,17 @@ class LatticePolytope:
         return f"LatticePolytope(vertices={[list(v) for v in self.vertices]})"
 
 
+def normalized_volume(p: LatticePolytope) -> int:
+    """n! times Euclidean volume as an exact integer; 0 for flat polytopes."""
+    return p._volume
+
+
 def contains(p: LatticePolytope, q: Sequence) -> bool:
     """Exact membership of a (rational) point in the polytope."""
     qt = as_rat_point(q, p.dim)
-    simplex = p.as_simplex()
-    if simplex is not None:
-        return simplex.contains_point(qt)
-    if p.dim <= 3:
-        return all(sum(a * x for a, x in zip(row, qt)) <= b for row, b in p.facets())
-    return _hull_feasible(p.vertices, qt, p.dim)
+    den = lcm(*(x.denominator for x in qt))
+    num = [x.numerator * (den // x.denominator) for x in qt]
+    return all(vec_dot(a, num) <= b * den for a, b in p.facets())
 
 
 def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
@@ -388,8 +378,8 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
 def lattice_points(p: LatticePolytope) -> tuple:
     """All integer points of the hull, in lexicographic order.
 
-    Scans the integer bounding box with an exact membership test per point;
-    raises ResourceLimitError when the box exceeds the volume cap.
+    Scans the integer bounding box against the facet rows; raises
+    ResourceLimitError when the box exceeds the volume cap.
     """
     mins, maxs = p.bounding_box()
     volume = 1
@@ -399,21 +389,10 @@ def lattice_points(p: LatticePolytope) -> tuple:
             raise ResourceLimitError(
                 f"bounding box exceeds the enumeration cap of {BOX_CAP} cells"
             )
-    simplex = p.as_simplex()
-    if simplex is not None:
-        test = simplex.contains_lattice_point
-    elif p.dim <= 3:
-        facet_rows = p.facets()
-
-        def test(pt, _rows=facet_rows):
-            for row, b in _rows:
-                if sum(a * x for a, x in zip(row, pt)) > b:
-                    return False
-            return True
-
-    else:
-        def test(pt):
-            return _hull_feasible(p.vertices, tuple(Fraction(x) for x in pt), p.dim)
-
+    rows = p.facets()
     ranges = [range(lo, hi + 1) for lo, hi in zip(mins, maxs)]
-    return tuple(pt for pt in itertools.product(*ranges) if test(pt))
+    return tuple(
+        pt
+        for pt in itertools.product(*ranges)
+        if all(sum(map(mul, a, pt)) <= b for a, b in rows)
+    )

@@ -2,10 +2,11 @@
 
 All arithmetic is over ``fractions.Fraction`` and pivoting follows Bland's
 rule, so the solver terminates and every verdict is exact.  It is sized for
-desk-scale systems (tens of rows): hull membership in dimensions >= 4 and
-the fallback of the pairwise interior-disjointness test for simplicial
-covers, reached only by cell pairs that neither the bounding-box nor the
-separating-facet test in ``unimodular`` separates.
+desk-scale systems (tens of rows).  Its one use is the fallback of the
+pairwise interior-disjointness test for simplicial covers, reached only by
+cell pairs that neither the bounding-box nor the separating-facet test in
+``unimodular`` separates; hull membership is an integer facet test in
+``geometry``.
 """
 
 from __future__ import annotations
@@ -115,13 +116,6 @@ def solve_min(c: Sequence, a: Sequence[Sequence], b: Sequence):
     for r, var in enumerate(basis):
         x[var] = tab[r][-1]
     return OPTIMAL, tuple(x), -obj[-1]
-
-
-def feasible_nonneg(a: Sequence[Sequence], b: Sequence) -> bool:
-    """Is there x >= 0 with a @ x = b?  (phase-1 question only)."""
-    n = len(a[0]) if a else 0
-    status, _, _ = solve_min([0] * n, a, b)
-    return status == OPTIMAL
 
 
 def max_min_margin(ineqs: Sequence, n: int) -> Fraction:

@@ -123,6 +123,8 @@ def find_sum_decomposition(
     """
     pts = point_set(points)
     target = as_point(target)
+    if pts and len(pts[0]) != len(target):
+        raise DimensionMismatchError("target dimension does not match the points")
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"number of parts must be a positive integer, got {h!r}")
     if math.comb(len(pts) + h - 1, h) > POINTSET_CAP:

@@ -6,10 +6,12 @@ weights summing to h, and the weights are unique.  Covers extend this to
 polytopes: a certified unimodular triangulation yields a decomposition of
 any lattice point of the dilate by locating a containing cell.
 
+Placing triangulations come from the integer hull kernel in ``geometry``.
 Certification is exact throughout: volumes are compared as integers
 (normalized volume = |det|), and pairwise interior disjointness is decided
 by bounding-box and separating-facet tests on integer data, with an exact
-rational LP only as the fallback for pairs neither test separates.
+rational LP only as the fallback for pairs neither test separates.  That
+fallback is the only use of ``lp`` in the package.
 """
 
 from __future__ import annotations
@@ -32,15 +34,18 @@ from .geometry import (
     LatticePolytope,
     LatticeSimplex,
     Point,
+    _cell_facet,
+    _placing_cells,
     as_point,
     contains,
     dilate,
     lattice_points,
+    normalized_volume,
     vec_dot,
     vec_scale,
     vec_sub,
 )
-from .linalg import IntMatrix, determinant, hermite_normal_form, integral_solution, rank_of_rows
+from .linalg import hermite_normal_form, integral_solution
 from .sumsets import idp_scan
 
 
@@ -143,78 +148,6 @@ class Certification:
     problems: tuple = ()
 
 
-def _facet_normal(points: Sequence[Point]) -> tuple:
-    """Integer normal of the hyperplane through n points in R^n (cofactors)."""
-    n = len(points[0])
-    if n == 1:
-        return (1,)
-    diffs = [vec_sub(q, points[0]) for q in points[1:]]
-    normal = []
-    for j in range(n):
-        minor = [[row[t] for t in range(n) if t != j] for row in diffs]
-        d = determinant(IntMatrix(minor))
-        normal.append(d if j % 2 == 0 else -d)
-    return tuple(normal)
-
-
-def _cell_volume(cell: Sequence[Point]) -> int:
-    diff = IntMatrix.from_columns([vec_sub(v, cell[0]) for v in cell[1:]])
-    return abs(determinant(diff))
-
-
-def _placing_cells(points: Sequence[Point], dim: int):
-    """Incremental (beneath-beyond) triangulation of conv(points).
-
-    Points are inserted in the given order; a point strictly outside the
-    current hull cones onto every strictly visible boundary facet.  Points
-    inside or on the hull extend nothing (they simply do not become cell
-    vertices).  The cells, yielded as they are made, tile the hull with
-    disjoint interiors.  A yielded cell is never removed later, so a caller
-    may stop at the first cell it rejects.
-    """
-    start = []
-    for p in points:
-        if not start:
-            start.append(p)
-            continue
-        diffs = [vec_sub(q, start[0]) for q in start[1:]] + [vec_sub(p, start[0])]
-        if rank_of_rows(diffs) == len(diffs):
-            start.append(p)
-        if len(start) == dim + 1:
-            break
-    if len(start) < dim + 1:
-        raise DegeneratePolytopeError("points do not span the ambient dimension")
-    cells = [tuple(start)]
-    yield cells[0]
-    starters = set(start)
-    for p in points:
-        if p in starters:
-            continue
-        boundary = {}
-        for cell in cells:
-            for skip in range(dim + 1):
-                fpts = cell[:skip] + cell[skip + 1 :]
-                key = frozenset(fpts)
-                if key in boundary:
-                    boundary[key] = None
-                else:
-                    boundary[key] = (fpts, cell[skip])
-        new_cells = []
-        for info in boundary.values():
-            if info is None:
-                continue
-            fpts, opposite = info
-            normal = _facet_normal(fpts)
-            offset = vec_dot(normal, fpts[0])
-            if vec_dot(normal, opposite) > offset:
-                normal = tuple(-x for x in normal)
-                offset = -offset
-            if vec_dot(normal, p) > offset:
-                new_cells.append(fpts + (p,))
-        cells.extend(new_cells)
-        yield from new_cells
-
-
 def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) -> SimplicialCover:
     """Placing triangulation over the polytope's lattice points.
 
@@ -240,25 +173,12 @@ def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) 
     )
 
 
-def normalized_volume(p: LatticePolytope) -> int:
-    """n! times Euclidean volume as an exact integer; 0 for flat polytopes."""
-    if not p.is_full_dimensional():
-        return 0
-    return sum(_cell_volume(c) for c in _placing_cells(p.vertices, p.dim))
-
-
 def _interior_inequalities(cell: LatticeSimplex):
     """Facet rows (a, b) with a.x >= b on the cell, strict on its interior."""
-    verts = cell.vertices
     rows = []
-    for skip in range(len(verts)):
-        fpts = verts[:skip] + verts[skip + 1 :]
-        normal = _facet_normal(fpts)
-        offset = vec_dot(normal, fpts[0])
-        if vec_dot(normal, verts[skip]) < offset:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        rows.append((normal, offset))
+    for skip in range(cell.dim + 1):
+        _, normal, offset = _cell_facet(cell.vertices, skip)
+        rows.append((tuple(-x for x in normal), -offset))
     return rows
 
 

@@ -16,6 +16,7 @@ from latticeforge import (
     LatticeSimplex,
     is_unimodular,
     lattice_points,
+    lp,
     placing_triangulation,
     verify_cover,
 )
@@ -83,6 +84,27 @@ def caratheodory_contains(points, q):
             if sol is not None and all(t >= 0 for t in sol):
                 return True
     return False
+
+
+def feasible_nonneg(a, b):
+    """Is there x >= 0 with a @ x = b?  Phase 1 of the exact LP."""
+    n = len(a[0]) if a else 0
+    status, _, _ = lp.solve_min([0] * n, a, b)
+    return status == lp.OPTIMAL
+
+
+def _hull_feasible(points, q, dim):
+    """Is q a convex combination of `points`?  Exact LP feasibility.
+
+    It shares nothing with the integer facet system that `contains` and
+    `lattice_points` test, so it serves as that system's oracle.
+    """
+    if not points:
+        return False
+    rows = [[Fraction(p[j]) for p in points] for j in range(dim)]
+    rows.append([Fraction(1)] * len(points))
+    rhs = list(q) + [Fraction(1)]
+    return feasible_nonneg(rows, rhs)
 
 
 def naive_hfold(points, h):

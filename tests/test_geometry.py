@@ -1,9 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import caratheodory_contains, random_polytope, random_rational_point, random_unimodular_simplex
+from helpers import (
+    _hull_feasible,
+    caratheodory_contains,
+    random_polytope,
+    random_rational_point,
+    random_unimodular_simplex,
+)
 from latticeforge import (
     DimensionMismatchError,
     LatticePolytope,
@@ -15,9 +22,9 @@ from latticeforge import (
     is_affinely_independent,
     lattice_points,
 )
+from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
-from latticeforge.geometry import _hull_feasible, fourier_motzkin_facets
 
 
 class TestAffineIndependence:
@@ -137,19 +144,95 @@ class TestContains:
 
 class TestFourierMotzkin:
     def test_unit_square_facets(self):
-        facets = fourier_motzkin_facets(((0, 0), (1, 0), (0, 1), (1, 1)), 2)
+        facets = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)]).facets()
         assert set(facets) == {((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)}
 
     def test_degenerate_segment_gets_equality_pair(self):
-        facets = fourier_motzkin_facets(((0, 0), (2, 0)), 2)
+        facets = LatticePolytope([(0, 0), (2, 0)]).facets()
         assert ((0, 1), 0) in facets and ((0, -1), 0) in facets
 
     def test_single_point(self):
-        facets = fourier_motzkin_facets(((3, -1),), 2)
+        facets = LatticePolytope([(3, -1)]).facets()
         def member(q):
             return all(a[0] * q[0] + a[1] * q[1] <= b for a, b in facets)
         assert member((3, -1))
         assert not member((3, 0))
+
+
+class TestMembershipLPCount:
+    """Exact count of LP solves on the membership path: building a polytope,
+    testing its vertices and enumerating its lattice points use the integer
+    facet system alone."""
+
+    def test_no_lp_solves(self, monkeypatch):
+        calls = []
+        original = lp.solve_min
+
+        def counting(c, a, b):
+            calls.append(len(a))
+            return original(c, a, b)
+
+        monkeypatch.setattr(lp, "solve_min", counting)
+        cases = (
+            (lambda: unit_cube(4), 16),
+            (lambda: dilate(unit_cube(3), 2), 27),
+            (reeve_simplex, 4),
+            (lambda: LatticePolytope([(0, 0, 0), (3, 3, 3)]), 4),
+        )
+        for build, count in cases:
+            p = build()
+            assert all(contains(p, v) for v in p.vertices)
+            assert len(lattice_points(p)) == count
+        assert calls == []
+
+
+class TestHullKernelAgainstLP:
+    """Vertices, membership and lattice points from the integer facet system
+    against exact LP feasibility, on seeded point sets in dimensions 1-5,
+    about a third of them generated flat."""
+
+    def _points(self, rng, dim, flat):
+        if not flat:
+            return [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+        # integer affine combinations of at most dim points stay in their affine hull
+        span = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
+        pts = list(span)
+        for _ in range(rng.randint(0, 5)):
+            coeffs = [rng.randint(-1, 2) for _ in span[1:]]
+            q = tuple(
+                a + sum(c * (s[j] - a) for c, s in zip(coeffs, span[1:]))
+                for j, a in enumerate(span[0])
+            )
+            if all(-2 <= x <= 2 for x in q):
+                pts.append(q)
+        return pts
+
+    def test_random_point_sets(self):
+        rng = random.Random(2024)
+        flats = 0
+        for k in range(60):
+            dim = 1 + k % 5
+            p = LatticePolytope(self._points(rng, dim, flat=rng.random() < 1 / 3))
+            flats += not p.is_full_dimensional()
+            gens = p.generators
+            oracle_vertices = tuple(
+                g for i, g in enumerate(gens)
+                if not _hull_feasible(gens[:i] + gens[i + 1 :], tuple(map(Fraction, g)), dim)
+            )
+            assert p.vertices == oracle_vertices, gens
+            queries = [random_rational_point(rng, dim, bound=3, denominator_max=3) for _ in range(3)]
+            for _ in range(4):
+                g, h = rng.choice(gens), rng.choice(gens)
+                t = Fraction(rng.randint(-2, 5), 3)
+                queries.append(tuple(t * a + (1 - t) * b for a, b in zip(g, h)))
+            for q in queries:
+                assert contains(p, q) == _hull_feasible(p.vertices, q, dim), (gens, q)
+            if dim <= 3:
+                mins, maxs = p.bounding_box()
+                box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(mins, maxs)))
+                expected = tuple(x for x in box if _hull_feasible(p.vertices, x, dim))
+                assert lattice_points(p) == expected, gens
+        assert flats >= 12
 
 
 class TestDilate:

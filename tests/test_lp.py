@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from latticeforge.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_nonneg, max_min_margin, solve_min
+from helpers import feasible_nonneg
+from latticeforge.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_margin, solve_min
 
 
 class TestSolveMin:

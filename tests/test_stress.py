@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from helpers import (
+    _hull_feasible,
     caratheodory_contains,
     random_polytope,
     random_rational_point,
@@ -25,7 +26,6 @@ from latticeforge import (
 )
 from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
-from latticeforge.geometry import _hull_feasible
 from latticeforge.lp import max_min_margin
 from latticeforge.unimodular import _interior_inequalities, _interiors_intersect
 
@@ -176,7 +176,7 @@ class TestPlacingTriangulationStress:
                 assert geometry_problems == []
                 # tiling: every lattice point of the target is in some cell
                 for q in lattice_points(p):
-                    assert any(c.contains_lattice_point(q) for c in cover.cells)
+                    assert any(c.contains_point(q) for c in cover.cells)
             done += 1
 
 

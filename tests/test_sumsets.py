@@ -196,3 +196,8 @@ class TestFindSumDecomposition:
     def test_none_when_impossible(self):
         pts = lattice_points(reeve_simplex())
         assert find_sum_decomposition(pts, (1, 1, 1), 2) is None
+
+    def test_target_dimension_mismatch_raises(self):
+        # None would claim that no decomposition exists
+        with pytest.raises(DimensionMismatchError):
+            find_sum_decomposition([(0, 0), (1, 0)], (1, 0, 0), 1)
