@@ -9,13 +9,13 @@ routine (``_placing_cells``) that keeps the hull boundary as oriented integer
 facet rows.  ``LatticePolytope`` runs it once over its generators, in a
 coordinate projection that is injective on their affine hull, and keeps the
 facet rows, the affine equations, the vertices and the normalized volume.
-Membership of a rational point and lattice-point enumeration then test that
-integer facet system in every dimension; no LP is involved.
+Membership of a rational point tests that integer facet system in every
+dimension; lattice-point enumeration is nested, each coordinate bounded by
+the facet rows given the coordinates before it.  No LP is involved.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,8 +28,9 @@ from .linalg import IntMatrix, adjugate, determinant, rank_of_rows
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
 
-#: Enumeration works by scanning the integer bounding box, which is
-#: exponential in the dimension; these caps turn runaway inputs into errors.
+#: Caps that turn runaway inputs into errors: the ambient dimension, and the
+#: volume of the integer bounding box that lattice-point enumeration accepts
+#: (a bound on the box, not on the points the enumeration visits).
 DIM_CAP = 8
 BOX_CAP = 10**7
 
@@ -155,16 +156,44 @@ def _facet_normal(points: Sequence[Point]) -> tuple:
 
     Against the normal N, the simplex spanned by these points and one more
     point p has normalized volume |N.p - N.points[0]|.
+
+    N_j is (-1)^j times the minor of the difference rows without column j.
+    One fraction-free (Bareiss) elimination brings the rows to echelon form;
+    its last pivot is, up to the sign of the row swaps, the minor on the
+    pivot columns, which fixes N at the one free column q.  The other entries
+    follow by back-substitution, each division exact because N is integral.
+    Affinely dependent points give the zero vector.
     """
     n = len(points[0])
-    if n == 1:
-        return (1,)
-    diffs = [vec_sub(q, points[0]) for q in points[1:]]
-    normal = []
-    for j in range(n):
-        minor = [[row[t] for t in range(n) if t != j] for row in diffs]
-        d = determinant(IntMatrix(minor))
-        normal.append(d if j % 2 == 0 else -d)
+    base = points[0]
+    rows = [[a - b for a, b in zip(q, base)] for q in points[1:]]
+    pivots, free, sign, prev = [], [], 1, 1
+    for c in range(n):
+        r = len(pivots)
+        for pr in range(r, n - 1):
+            if rows[pr][c]:
+                break
+        else:
+            free.append(c)
+            if len(free) > 1:
+                return (0,) * n
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r]
+        d = top[c]
+        for i in range(r + 1, n - 1):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = d
+    (q,) = free
+    normal = [0] * n
+    normal[q] = -sign * prev if q % 2 else sign * prev
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        normal[c] = -vec_dot(row, normal) // row[c]
     return tuple(normal)
 
 
@@ -378,8 +407,12 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
 def lattice_points(p: LatticePolytope) -> tuple:
     """All integer points of the hull, in lexicographic order.
 
-    Scans the integer bounding box against the facet rows; raises
-    ResourceLimitError when the box exceeds the volume cap.
+    Nested enumeration over the integer facet rows: with x_0..x_{k-1} fixed,
+    each row a.x <= b bounds x_k by a_k x_k <= b - sum_{i<k} a_i x_i minus
+    the least value of sum_{i>k} a_i x_i over the bounding box.  At the last
+    coordinate that interval is exact, so every point found satisfies every
+    row, and only prefixes the rows allow are visited.  Raises
+    ResourceLimitError when the bounding box exceeds the volume cap.
     """
     mins, maxs = p.bounding_box()
     volume = 1
@@ -390,9 +423,36 @@ def lattice_points(p: LatticePolytope) -> tuple:
                 f"bounding box exceeds the enumeration cap of {BOX_CAP} cells"
             )
     rows = p.facets()
-    ranges = [range(lo, hi + 1) for lo, hi in zip(mins, maxs)]
-    return tuple(
-        pt
-        for pt in itertools.product(*ranges)
-        if all(sum(map(mul, a, pt)) <= b for a, b in rows)
-    )
+    last = p.dim - 1
+    cols = [[a[k] for a, _ in rows] for k in range(p.dim)]
+    # rests[k][r]: the least value over the box of sum_{i>k} a_i x_i for row r
+    rests = [[0] * len(rows)]
+    for k in range(last, 0, -1):
+        lo, hi = mins[k], maxs[k]
+        rests.append([t + min(c * lo, c * hi) for t, c in zip(rests[-1], cols[k])])
+    rests.reverse()
+    # Per coordinate, the rows that bound it.  A row with a_k = 0 says nothing
+    # of x_k, and its bound on the prefix was met one coordinate earlier (at
+    # k = 0 it holds because the hull lies in the box).
+    bounds = [
+        [(r, c, rest[r]) for r, c in enumerate(col) if c] for col, rest in zip(cols, rests)
+    ]
+    found = []
+
+    def lift(k, prefix, slack):
+        lo, hi = mins[k], maxs[k]
+        for r, c, rest in bounds[k]:
+            room = slack[r] - rest
+            if c > 0:
+                hi = min(hi, room // c)
+            else:
+                lo = max(lo, -(room // -c))
+        if k == last:
+            found.extend(prefix + (x,) for x in range(lo, hi + 1))
+            return
+        col = cols[k]
+        for x in range(lo, hi + 1):
+            lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(slack, col)])
+
+    lift(0, (), [b for _, b in rows])
+    return tuple(found)

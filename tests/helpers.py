@@ -3,23 +3,30 @@
 The oracles here deliberately avoid the library's own computation paths:
 determinants by cofactor expansion, hull membership by exhaustive
 Caratheodory search, h-fold sums by naive iteration, decompositions by
-multiset enumeration.  They are slow and obviously correct.
+multiset enumeration.  They are slow and obviously correct.  Some are the
+library's own earlier, slower implementations, kept to cross-check the
+paths that replaced them: the bounding-box scan, tuple sumsets by repeated
+doubling, the per-h IDP check and facet normals from cofactor minors.
 """
 
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 from latticeforge import (
+    IdpReport,
     LatticePolytope,
     LatticeSimplex,
+    dilate,
     is_unimodular,
     lattice_points,
     lp,
     placing_triangulation,
     verify_cover,
 )
+from latticeforge.linalg import IntMatrix, determinant
 
 
 def cofactor_determinant(rows):
@@ -105,6 +112,75 @@ def _hull_feasible(points, q, dim):
     rows.append([Fraction(1)] * len(points))
     rhs = list(q) + [Fraction(1)]
     return feasible_nonneg(rows, rhs)
+
+
+def box_scan_lattice_points(p):
+    """Lattice points of p by testing every cell of its bounding box, lex order."""
+    mins, maxs = p.bounding_box()
+    rows = p.facets()
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(mins, maxs)))
+    return tuple(x for x in box if all(sum(map(mul, a, x)) <= b for a, b in rows))
+
+
+def cofactor_facet_normal(points):
+    """Normal of the hyperplane through n points in R^n, one minor per entry."""
+    n = len(points[0])
+    if n == 1:
+        return (1,)
+    diffs = [tuple(a - b for a, b in zip(q, points[0])) for q in points[1:]]
+    normal = []
+    for j in range(n):
+        minor = [[row[t] for t in range(n) if t != j] for row in diffs]
+        d = determinant(IntMatrix(minor))
+        normal.append(d if j % 2 == 0 else -d)
+    return tuple(normal)
+
+
+def doubling_sumset(s, t):
+    """{a + b : a in s, b in t} as sorted tuples, one tuple per pair."""
+    return tuple(sorted({tuple(x + y for x, y in zip(a, b)) for a in s for b in t}))
+
+
+def doubling_hfold_sumset(s, h):
+    """The h-fold sumset of s by repeated doubling of tuple sets."""
+    result = None
+    power = tuple(sorted(set(map(tuple, s))))
+    while h:
+        if h & 1:
+            result = power if result is None else doubling_sumset(result, power)
+        h >>= 1
+        if h:
+            power = doubling_sumset(power, power)
+    return result
+
+
+def per_h_idp_check(p, h):
+    """The h-fold check from scratch: box-scanned points, doubled sums, set difference."""
+    summed = set(doubling_hfold_sumset(box_scan_lattice_points(p), h))
+    dilated = set(box_scan_lattice_points(dilate(p, h)))
+    assert summed <= dilated
+    witnesses = tuple(sorted(dilated - summed))
+    return IdpReport(h, not witnesses, witnesses, len(summed), len(dilated))
+
+
+def random_point_set(rng, dim, flat, bound=2):
+    """1-7 points in [-bound, bound]^dim; when `flat`, in the affine hull of at most dim of them."""
+    if not flat:
+        return [
+            tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(rng.randint(1, 7))
+        ]
+    # integer affine combinations of at most dim points stay in their affine hull
+    span = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
+    pts = list(span)
+    for _ in range(rng.randint(0, 5)):
+        coeffs = [rng.randint(-1, 2) for _ in span[1:]]
+        q = tuple(
+            a + sum(c * (s[j] - a) for c, s in zip(coeffs, span[1:]))
+            for j, a in enumerate(span[0])
+        )
+        if all(-bound <= x <= bound for x in q):
+            pts.append(q)
+    return pts
 
 
 def naive_hfold(points, h):

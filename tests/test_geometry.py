@@ -6,7 +6,10 @@ import pytest
 
 from helpers import (
     _hull_feasible,
+    box_scan_lattice_points,
     caratheodory_contains,
+    cofactor_facet_normal,
+    random_point_set,
     random_polytope,
     random_rational_point,
     random_unimodular_simplex,
@@ -24,6 +27,7 @@ from latticeforge import (
 )
 from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
+from latticeforge.geometry import _facet_normal
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
 
 
@@ -191,28 +195,12 @@ class TestHullKernelAgainstLP:
     against exact LP feasibility, on seeded point sets in dimensions 1-5,
     about a third of them generated flat."""
 
-    def _points(self, rng, dim, flat):
-        if not flat:
-            return [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
-        # integer affine combinations of at most dim points stay in their affine hull
-        span = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
-        pts = list(span)
-        for _ in range(rng.randint(0, 5)):
-            coeffs = [rng.randint(-1, 2) for _ in span[1:]]
-            q = tuple(
-                a + sum(c * (s[j] - a) for c, s in zip(coeffs, span[1:]))
-                for j, a in enumerate(span[0])
-            )
-            if all(-2 <= x <= 2 for x in q):
-                pts.append(q)
-        return pts
-
     def test_random_point_sets(self):
         rng = random.Random(2024)
         flats = 0
         for k in range(60):
             dim = 1 + k % 5
-            p = LatticePolytope(self._points(rng, dim, flat=rng.random() < 1 / 3))
+            p = LatticePolytope(random_point_set(rng, dim, flat=rng.random() < 1 / 3))
             flats += not p.is_full_dimensional()
             gens = p.generators
             oracle_vertices = tuple(
@@ -301,6 +289,54 @@ class TestLatticePoints:
     def test_dim_cap(self):
         with pytest.raises(ResourceLimitError):
             LatticePolytope([tuple(0 for _ in range(9)), tuple(1 for _ in range(9))])
+
+
+class TestNestedEnumerationAgainstBoxScan:
+    """lattice_points of P, 2P and 3P against a scan of every bounding-box
+    cell, on seeded point sets in dimensions 1-5, a third of them flat."""
+
+    def test_random_dilates(self):
+        rng = random.Random(404)
+        flats = 0
+        for k in range(100):
+            dim = 1 + k % 5
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, rng.random() < 1 / 3, bound))
+            flats += not p.is_full_dimensional()
+            for h in (1, 2, 3):
+                q = dilate(p, h)
+                assert lattice_points(q) == box_scan_lattice_points(q), (p.generators, h)
+        assert flats >= 25
+
+    def test_segments(self):
+        for end in ((12, 12, 12), (6, -9, 3), (0, 5, -10)):
+            p = LatticePolytope([(0, 0, 0), end])
+            for h in (1, 2, 3):
+                q = dilate(p, h)
+                assert lattice_points(q) == box_scan_lattice_points(q)
+        # 121^3 box cells would cost the oracle seconds; the points are known
+        p = LatticePolytope([(0, 0, 0), (120, 120, 120)])
+        assert lattice_points(p) == tuple((t, t, t) for t in range(121))
+
+
+class TestFacetNormalAgainstCofactors:
+    """One fraction-free elimination against one determinant per cofactor
+    minor: the same normal, sign included, on seeded n-point sets in R^n."""
+
+    def test_random_point_sets(self):
+        rng = random.Random(77)
+        dependent = 0
+        for k in range(600):
+            n = 1 + k % 6
+            spread = rng.choice((1, 2, 5))
+            pts = [tuple(rng.randint(-spread, spread) for _ in range(n)) for _ in range(n)]
+            if n > 2 and rng.random() < 0.25:
+                # an affine combination of two earlier points: a zero normal
+                pts[-1] = tuple(2 * b - a for a, b in zip(pts[0], pts[1]))
+            expected = cofactor_facet_normal(pts)
+            dependent += not any(expected)
+            assert _facet_normal(pts) == expected, pts
+        assert dependent >= 50
 
 
 class TestVertexExtraction:

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import multiset_decompositions, naive_hfold, random_polytope
+from helpers import (
+    doubling_hfold_sumset,
+    doubling_sumset,
+    multiset_decompositions,
+    naive_hfold,
+    per_h_idp_check,
+    random_point_set,
+    random_polytope,
+)
 from latticeforge import (
     DimensionMismatchError,
     LatticePolytope,
@@ -15,7 +23,14 @@ from latticeforge import (
     point_set,
     sumset,
 )
-from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_square
+from latticeforge import sumsets
+from latticeforge.fixtures import (
+    reeve_simplex,
+    std_simplex,
+    stretched_simplex,
+    unit_cube,
+    unit_square,
+)
 from latticeforge.geometry import vec_add, vec_scale
 from latticeforge.sumsets import find_sum_decomposition
 
@@ -105,6 +120,32 @@ class TestHfoldSumset:
             hfold_sumset(((0,),), 0)
 
 
+class TestPackedAgainstDoubling:
+    """The packed integer kernel against tuple sums by repeated doubling, on
+    unsorted sets with repeats, negative coordinates and flat coordinates."""
+
+    def test_sumset_and_hfold(self):
+        rng = random.Random(33)
+        for _ in range(80):
+            dim = rng.randint(1, 5)
+            spread = [rng.choice((0, 1, 6)) for _ in range(dim)]
+
+            def rand_set():
+                return [
+                    tuple(rng.randint(-w, w) for w in spread) for _ in range(rng.randint(1, 6))
+                ]
+
+            s, t = rand_set(), rand_set()
+            assert sumset(s, t) == doubling_sumset(s, t)
+            h = rng.randint(1, 5)
+            assert hfold_sumset(s, h) == doubling_hfold_sumset(s, h)
+
+    def test_empty_operands(self):
+        assert sumset((), ((1, 2),)) == ()
+        assert sumset(((1, 2),), ()) == ()
+        assert hfold_sumset((), 3) == ()
+
+
 class TestIdpCheck:
     def test_h1_always_holds(self):
         rng = random.Random(60)
@@ -157,6 +198,46 @@ class TestIdpScan:
         p = LatticePolytope([(0, 0, 0), (120, 120, 120)])
         with pytest.raises(ResourceLimitError, match="h=2"):
             idp_scan(p, 2)
+
+    def test_pointset_cap_names_the_h(self, monkeypatch):
+        # |S_1| = 27 and |S_2| = 125 on 2 * cube-3
+        monkeypatch.setattr(sumsets, "POINTSET_CAP", 100)
+        p = dilate(unit_cube(3), 2)
+        with pytest.raises(ResourceLimitError, match="h=2: sumset exceeded the 100-point cap"):
+            idp_scan(p, 3)
+        with pytest.raises(ResourceLimitError, match="^sumset exceeded the 100-point cap"):
+            idp_check(p, 2)
+
+    def test_pair_cap_names_the_h(self, monkeypatch):
+        # S_2 = S_1 + S_1 takes 27 * 27 pairs
+        monkeypatch.setattr(sumsets, "PAIR_CAP", 27 * 27 - 1)
+        with pytest.raises(ResourceLimitError, match="h=2: sumset would evaluate too many pairs"):
+            idp_scan(dilate(unit_cube(3), 2), 3)
+
+
+class TestIdpScanAgainstPerH:
+    """idp_scan, one sumset per h carried across h, against the per-h check
+    from scratch (box-scanned points, doubled tuple sums), field by field."""
+
+    def test_random_polytopes(self):
+        rng = random.Random(405)
+        failing = 0
+        for k in range(60):
+            dim = 1 + k % 5
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, rng.random() < 1 / 3, bound))
+            reports = idp_scan(p, 4)
+            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, 5)), p.generators
+            failing += not all(r.holds for r in reports)
+        assert failing >= 3
+
+    def test_non_idp_fixtures(self):
+        needle = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6)])
+        reeve3 = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
+        for p in (reeve_simplex(), reeve3, needle):
+            reports = idp_scan(p, 4)
+            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, 5))
+            assert not reports[1].holds
 
 
 class TestInclusionProperty:
