@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import IntMatrix, adjugate, determinant, rank_of_rows
+from .linalg import IntMatrix, adjugate, determinant, echelon_insert, rank_of_rows
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
@@ -208,13 +208,19 @@ def _cell_facet(cell: Sequence[Point], skip: int) -> tuple:
 
 
 def _affine_basis(points: Sequence[Point]) -> list:
-    """The first affinely independent points met in order, spanning conv(points)."""
-    start = [points[0]]
+    """The first affinely independent points met in order, spanning conv(points).
+
+    A point is kept iff its difference from the first point is independent
+    of the differences kept before it, decided by extending one integer
+    echelon basis (linalg.echelon_insert) as the points arrive.
+    """
+    base = points[0]
+    start = [base]
+    echelon = []
     for p in points[1:]:
-        if len(start) == len(p) + 1:
+        if len(start) == len(base) + 1:
             break
-        diffs = [vec_sub(q, start[0]) for q in start[1:]] + [vec_sub(p, start[0])]
-        if rank_of_rows(diffs) == len(diffs):
+        if echelon_insert(echelon, [a - b for a, b in zip(p, base)]):
             start.append(p)
     return start
 
@@ -225,9 +231,11 @@ def _placing_cells(points: Sequence[Point], dim: int):
     Points are inserted in the given order; a point strictly outside the
     current hull cones onto every strictly visible boundary facet.  Points
     inside or on the hull extend nothing (they simply do not become cell
-    vertices).  The cells, yielded as they are made, tile the hull with
-    disjoint interiors.  A yielded cell is never removed later, so a caller
-    may stop at the first cell it rejects.
+    vertices).  The cells tile the hull with disjoint interiors.  Each is
+    yielded as it is made, as (cell, normalized volume): the volume of the
+    cone from p over a visible facet is p's height N.p - offset above the
+    facet row, so it costs nothing extra.  A yielded cell is never removed
+    later, so a caller may stop at the first cell it rejects.
 
     The hull boundary is kept as it changes, each boundary facet with its
     outward integer row computed once.  When the generator is exhausted it
@@ -245,24 +253,27 @@ def _placing_cells(points: Sequence[Point], dim: int):
             boundary[frozenset(facet[0])] = facet
 
     first = tuple(start)
-    yield first
     add_facets(first, range(dim + 1))
+    _, normal, offset = boundary[frozenset(first[1:])]
+    yield first, offset - vec_dot(normal, first[0])
     starters = set(start)
     for p in points:
         if p in starters:
             continue
-        visible = [
-            key for key, (_, normal, offset) in boundary.items() if vec_dot(normal, p) > offset
-        ]
+        visible = []
+        for key, (_, normal, offset) in boundary.items():
+            height = vec_dot(normal, p) - offset
+            if height > 0:
+                visible.append((key, height))
         # A ridge of exactly one visible facet is on the horizon: its cone
         # over p is a new boundary facet.  Ridges of two visible facets
         # become interior.
-        ridges = Counter(key - {q} for key in visible for q in key)
+        ridges = Counter(key - {q} for key, _ in visible for q in key)
         new_cells = []
-        for key in visible:
+        for key, height in visible:
             fpts = boundary.pop(key)[0]
             cell = fpts + (p,)
-            new_cells.append(cell)
+            new_cells.append((cell, height))
             add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
         yield from new_cells
     return boundary
@@ -398,10 +409,23 @@ def contains(p: LatticePolytope, q: Sequence) -> bool:
 
 
 def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
-    """Polytope scaled by a positive integer factor."""
+    """Polytope scaled by a positive integer factor.
+
+    Built from p's parts, with no hull pass: h*P has the vertices h*v, the
+    primitive rows (a, h*b) in the same sorted order, the same affine
+    dimension and h^dim times the normalized volume.  The result equals
+    LatticePolytope of the scaled vertices slot for slot.
+    """
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {h!r}")
-    return LatticePolytope([vec_scale(v, h) for v in p.vertices])
+    scaled = LatticePolytope.__new__(LatticePolytope)
+    scaled.generators = scaled.vertices = tuple(vec_scale(v, h) for v in p.vertices)
+    scaled.dim = p.dim
+    scaled._facets = tuple((a, h * b) for a, b in p._facets)
+    scaled._hull_dim = p._hull_dim
+    scaled._volume = h**p.dim * p._volume
+    scaled._simplex = None if p._simplex is None else LatticeSimplex(scaled.vertices)
+    return scaled
 
 
 def lattice_points(p: LatticePolytope) -> tuple:

@@ -1,14 +1,16 @@
 """Exact integer and rational linear algebra.
 
 Everything is computed with Python's arbitrary-precision integers and
-``fractions.Fraction``.  There is deliberately no floating point anywhere:
-every predicate downstream (membership, unimodularity, volumes) reduces to
-the exact operations in this module.
+``fractions.Fraction``; determinants and ranks are fraction-free.  There is
+deliberately no floating point anywhere: every predicate downstream
+(membership, unimodularity, volumes) reduces to the exact operations in this
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, LatticeForgeError, SingularMatrixError
@@ -256,25 +258,36 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank of a raw row list over the rationals (no size cap; internal)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def echelon_insert(echelon: list, row: Sequence[int]) -> bool:
+    """Reduce an integer row against an echelon basis; keep it if independent.
+
+    `echelon` holds (lead, row) pairs of primitive integer rows, each zero at
+    the leads of the rows before it.  The new row is cleared at every lead,
+    in that order, by fraction-free elimination (r[c]*v - v[c]*r), so a
+    cleared entry is never refilled.  A nonzero remainder is independent of
+    the basis: it is divided by its gcd and appended, leading at its first
+    nonzero entry, and True is returned.  Otherwise the basis is unchanged.
+    """
+    v = list(row)
+    for c, r in echelon:
+        f = v[c]
+        if f:
+            d = r[c]
+            v = [d * x - f * y for x, y in zip(v, r)]
+    lead = next((c for c, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    g = gcd(*v)
+    echelon.append((lead, [x // g for x in v]))
+    return True
+
+
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a raw list of integer rows (no size cap; internal).
+
+    Fraction-free: one echelon_insert per row, all arithmetic on ints.
+    """
+    echelon = []
+    for row in rows:
+        echelon_insert(echelon, row)
+    return len(echelon)

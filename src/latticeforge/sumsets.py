@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError, LatticeForgeError, ResourceLimitError
 from .geometry import LatticePolytope, Point, as_point, dilate, lattice_points
 
 #: Intermediate point sets larger than this abort with a resource error.
@@ -154,7 +154,7 @@ def _idp_report(p: LatticePolytope, h: int, radix: _Radix, lo, summed: set) -> I
     if len(dilated) - len(missing) != len(summed):
         # A sum of lattice points always lies in the dilated hull; reaching
         # here means enumeration or summation is broken, not mathematics.
-        raise AssertionError("sumset escaped the dilated hull: implementation bug")
+        raise LatticeForgeError("sumset escaped the dilated hull: implementation bug")
     witnesses = radix.unpack(missing, offset)
     return IdpReport(
         h=h,

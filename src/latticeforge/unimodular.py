@@ -167,7 +167,7 @@ def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) 
     cells = _placing_cells(sequence, p.dim)
     return SimplicialCover(
         target=p,
-        cells=tuple(LatticeSimplex(c) for c in cells),
+        cells=tuple(LatticeSimplex(c) for c, _ in cells),
         kind="triangulation",
         certified="uncertified",
     )
@@ -273,6 +273,8 @@ def find_unimodular_triangulation(
     Tries the lexicographic insertion order first, then seeded shuffles.
     An order is abandoned at its first non-unimodular cell: placing only
     adds cells, so that cell would stay in the finished triangulation.
+    Each cell's normalized volume comes with it from the placing routine,
+    so simplices are built only for an order whose cells all have volume 1.
     Returns the first certified cover, or None.  None only proves
     nonexistence when the lattice points admit a single triangulation
     (see has_unique_triangulation); otherwise it just means "not found".
@@ -289,13 +291,12 @@ def find_unimodular_triangulation(
             order = pts[:]
             random.Random(f"{seed}:{k}").shuffle(order)
         cells = []
-        for vertices in _placing_cells(order, p.dim):
-            cell = LatticeSimplex(vertices)
-            if not is_unimodular(cell):
+        for vertices, volume in _placing_cells(order, p.dim):
+            if volume != 1:
                 break
-            cells.append(cell)
+            cells.append(vertices)
         else:
-            cover = SimplicialCover(target=p, cells=tuple(cells))
+            cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex, cells)))
             if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")
     return None

@@ -6,7 +6,8 @@ Caratheodory search, h-fold sums by naive iteration, decompositions by
 multiset enumeration.  They are slow and obviously correct.  Some are the
 library's own earlier, slower implementations, kept to cross-check the
 paths that replaced them: the bounding-box scan, tuple sumsets by repeated
-doubling, the per-h IDP check and facet normals from cofactor minors.
+doubling, the per-h IDP check, facet normals from cofactor minors, ranks
+and affine bases by rational elimination, and dilates by a fresh hull pass.
 """
 
 import itertools
@@ -134,6 +135,47 @@ def cofactor_facet_normal(points):
         d = determinant(IntMatrix(minor))
         normal.append(d if j % 2 == 0 else -d)
     return tuple(normal)
+
+
+def fraction_rank_of_rows(rows):
+    """Rank over the rationals by Gauss-Jordan elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def fraction_affine_basis(points):
+    """The first affinely independent points met in order, one rational rank per point."""
+    start = [points[0]]
+    for p in points[1:]:
+        if len(start) == len(p) + 1:
+            break
+        diffs = [tuple(a - b for a, b in zip(q, start[0])) for q in start[1:] + [p]]
+        if fraction_rank_of_rows(diffs) == len(diffs):
+            start.append(p)
+    return start
+
+
+def rehull_dilate(p, h):
+    """h*p by a fresh hull pass over the scaled vertices."""
+    return LatticePolytope([tuple(h * x for x in v) for v in p.vertices])
 
 
 def doubling_sumset(s, t):

@@ -13,6 +13,7 @@ from helpers import (
     random_polytope,
     random_rational_point,
     random_unimodular_simplex,
+    rehull_dilate,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -24,8 +25,9 @@ from latticeforge import (
     dilate,
     is_affinely_independent,
     lattice_points,
+    normalized_volume,
 )
-from latticeforge import lp
+from latticeforge import find_unimodular_triangulation, geometry, linalg, lp, unimodular
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import _facet_normal
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
@@ -248,6 +250,69 @@ class TestDilate:
             assert dilate(dilate(p, a), b).vertices == dilate(p, a * b).vertices
 
 
+class TestDilateAgainstRehull:
+    """dilate builds h*P from P's parts; a fresh hull pass over the scaled
+    vertices must give the same polytope slot for slot, on seeded point sets
+    in dimensions 1-5, about a third of them flat, for h = 1..4."""
+
+    def test_random_point_sets(self):
+        rng = random.Random(4096)
+        flats = simplices = 0
+        for k in range(300):
+            dim = 1 + k % 5
+            p = LatticePolytope(random_point_set(rng, dim, flat=rng.random() < 1 / 3))
+            flats += not p.is_full_dimensional()
+            simplices += p.as_simplex() is not None
+            for h in range(1, 5):
+                got, want = dilate(p, h), rehull_dilate(p, h)
+                for slot in LatticePolytope.__slots__:
+                    if slot != "_simplex":
+                        assert getattr(got, slot) == getattr(want, slot), (p, h, slot)
+                assert (got._simplex is None) == (want._simplex is None), (p, h)
+                if got._simplex is not None:
+                    assert got._simplex.vertices == want._simplex.vertices, (p, h)
+        assert flats >= 75 and simplices >= 30
+
+
+class TestDilateBuildCount:
+    """Exact counts on dilation and the placing search: dilate runs no hull
+    pass, and neither it nor the search constructs a Fraction."""
+
+    CASES = (
+        lambda: unit_cube(4),
+        reeve_simplex,
+        lambda: dilate(unit_cube(3), 2),
+        lambda: LatticePolytope([(0, 0, 0), (3, 3, 3)]),
+    )
+
+    def test_no_hull_pass(self, monkeypatch):
+        polytopes = [build() for build in self.CASES]
+        calls = []
+        original = geometry._placing_boundary
+
+        def counting(points, dim):
+            calls.append(dim)
+            return original(points, dim)
+
+        monkeypatch.setattr(geometry, "_placing_boundary", counting)
+        for p in polytopes:
+            for h in (1, 2, 3):
+                assert dilate(p, h).vertices == tuple(tuple(h * x for x in v) for v in p.vertices)
+        assert calls == []
+
+    def test_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail(f"Fraction{args} constructed")
+
+        for module in (linalg, geometry, unimodular):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        for build in self.CASES:
+            p = build()
+            assert dilate(p, 2).facets() == tuple((a, 2 * b) for a, b in p.facets())
+        # not found: every insertion order meets a cell of volume above 1 and stops
+        assert find_unimodular_triangulation(dilate(reeve_simplex(), 2)) is None
+
+
 class TestLatticePoints:
     def test_stretched_simplex(self):
         assert lattice_points(stretched_simplex()) == (
@@ -337,6 +402,31 @@ class TestFacetNormalAgainstCofactors:
             dependent += not any(expected)
             assert _facet_normal(pts) == expected, pts
         assert dependent >= 50
+
+
+class TestPlacingCellVolumes:
+    """The volume the placing routine yields with each cell is the cell's
+    |det|, the first cell's included, and the volumes sum to the hull's: on
+    seeded full-dimensional polytopes in dimensions 1-4, inserting the
+    lattice points in lex and shuffled order, and the vertices alone."""
+
+    def test_random_polytopes(self):
+        rng = random.Random(31)
+        checked = big_first = 0
+        for k in range(80):
+            dim = 1 + k % 4
+            p = LatticePolytope(random_point_set(rng, dim, flat=False))
+            if not p.is_full_dimensional():
+                continue
+            pts = list(lattice_points(p))
+            for order in (pts, rng.sample(pts, len(pts)), list(p.vertices)):
+                cells = list(geometry._placing_cells(order, dim))
+                volumes = [volume for _, volume in cells]
+                assert volumes == [abs(LatticeSimplex(c).det) for c, _ in cells], order
+                assert sum(volumes) == normalized_volume(p), order
+                big_first += volumes[0] > 1
+            checked += 1
+        assert checked >= 40 and big_first >= 20
 
 
 class TestVertexExtraction:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import cofactor_determinant
+from helpers import cofactor_determinant, fraction_affine_basis, fraction_rank_of_rows
 from latticeforge import (
     DimensionMismatchError,
     IntMatrix,
@@ -12,6 +12,7 @@ from latticeforge import (
     integral_solution,
     solve_rational,
 )
+from latticeforge.geometry import _affine_basis
 from latticeforge.linalg import MAX_DIM, adjugate, rank_of_rows
 
 from fractions import Fraction
@@ -236,3 +237,37 @@ class TestHelpers:
         assert rank_of_rows([[1, 2], [2, 4]]) == 1
         assert rank_of_rows([[0, 0]]) == 0
         assert rank_of_rows([[1, 2, 3]]) == 1
+
+
+class TestAffineBasisAgainstFraction:
+    """The fraction-free echelon behind rank_of_rows and _affine_basis
+    against rational elimination, on seeded row sets in dimensions 1-8 with
+    coordinates in [-4, 4], every second one rank-deficient by construction."""
+
+    @staticmethod
+    def _rows(rng, deficient):
+        n, m = rng.randint(1, 8), rng.randint(1, 9)
+        if not deficient:
+            return [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        # -1/0/1 combinations of fewer than min(m, n) basis rows
+        basis = [
+            tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, min(m, n) - 1))
+        ]
+        rows = []
+        while len(rows) < m:
+            coeffs = [rng.randint(-1, 1) for _ in basis]
+            row = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
+            if all(-4 <= x <= 4 for x in row):
+                rows.append(row)
+        return rows
+
+    def test_random_row_sets(self):
+        rng = random.Random(1729)
+        deficient = 0
+        for k in range(2000):
+            rows = self._rows(rng, deficient=k % 2 == 1)
+            rank = fraction_rank_of_rows(rows)
+            assert rank_of_rows(rows) == rank, rows
+            assert _affine_basis(rows) == fraction_affine_basis(rows), rows
+            deficient += rank < min(len(rows), len(rows[0]))
+        assert deficient >= 1000

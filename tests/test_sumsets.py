@@ -13,6 +13,7 @@ from helpers import (
 )
 from latticeforge import (
     DimensionMismatchError,
+    LatticeForgeError,
     LatticePolytope,
     ResourceLimitError,
     dilate,
@@ -23,7 +24,7 @@ from latticeforge import (
     point_set,
     sumset,
 )
-from latticeforge import sumsets
+from latticeforge import cli, sumsets
 from latticeforge.fixtures import (
     reeve_simplex,
     std_simplex,
@@ -179,6 +180,21 @@ class TestIdpCheck:
             report = idp_check(p, h)
             assert report.holds == (report.witnesses == ())
             assert set(report.witnesses) <= set(lattice_points(dilate(p, h)))
+
+    def test_hull_escape_is_a_library_error(self, monkeypatch, capsys):
+        original = sumsets._hfold_sums
+
+        def escaping(packed, h_max):
+            # -1 packs no lattice point of the dilate: every digit is >= 0 there
+            for summed in original(packed, h_max):
+                yield summed | {-1}
+
+        monkeypatch.setattr(sumsets, "_hfold_sums", escaping)
+        with pytest.raises(LatticeForgeError, match="escaped the dilated hull"):
+            idp_check(reeve_simplex(), 2)
+        # exit code 1 would read as "IDP fails"; an implementation fault is 2
+        assert cli.main(["idp-check", "--example", "a2", "--h", "2"]) == 2
+        assert "error: sumset escaped the dilated hull" in capsys.readouterr().err
 
 
 class TestIdpScan:
