@@ -141,14 +141,15 @@ class IdpReport:
     dilate_size: int
 
 
-def _idp_report(p: LatticePolytope, h: int, radix: _Radix, lo, summed: set) -> IdpReport:
+def _idp_report(p: LatticePolytope, h: int, radix: _Radix, lo, summed: set, base) -> IdpReport:
     """Compare the packed h-fold sumset with the packed lattice points of h*p.
 
+    `base` is the lattice points of p, which are those of h*p when h = 1.
     Every lattice point of h*p lies in h times the bounding box of p's lattice
     points, so it packs with the sumset's radix and offset h*lo.
     """
     offset = [h * a for a in lo]
-    dilated = radix.pack(lattice_points(dilate(p, h)), offset)
+    dilated = radix.pack(base if h == 1 else lattice_points(dilate(p, h)), offset)
     # packing keeps lexicographic order, so the witnesses come out sorted
     missing = [v for v in dilated if v not in summed]
     if len(dilated) - len(missing) != len(summed):
@@ -173,19 +174,25 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     radix, lo = _hfold_radix(base, h)
     for summed in _hfold_sums(radix.pack(base, lo), h):
         pass
-    return _idp_report(p, h, radix, lo, summed)
+    return _idp_report(p, h, radix, lo, summed, base)
 
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     """idp_check for every h = 1..h_max, in order, each sumset built once."""
+    return _idp_scan(p, h_max, None)
+
+
+def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple]) -> tuple:
+    """idp_scan, given p's lattice points `base` when the caller has enumerated them."""
     if not isinstance(h_max, int) or isinstance(h_max, bool) or h_max < 1:
         raise ValueError(f"h_max must be a positive integer, got {h_max!r}")
     reports = []
     try:
-        base = lattice_points(p)
+        if base is None:
+            base = lattice_points(p)
         radix, lo = _hfold_radix(base, h_max)
         for h, summed in enumerate(_hfold_sums(radix.pack(base, lo), h_max), 1):
-            reports.append(_idp_report(p, h, radix, lo, summed))
+            reports.append(_idp_report(p, h, radix, lo, summed, base))
     except ResourceLimitError as exc:
         h = len(reports) + 1
         raise ResourceLimitError(f"resource cap hit at h={h}: {exc}") from exc

@@ -8,10 +8,15 @@ any lattice point of the dilate by locating a containing cell.
 
 Placing triangulations come from the integer hull kernel in ``geometry``.
 Certification is exact throughout: volumes are compared as integers
-(normalized volume = |det|), and pairwise interior disjointness is decided
-by bounding-box and separating-facet tests on integer data, with an exact
-rational LP only as the fallback for pairs neither test separates.  That
-fallback is the only use of ``lp`` in the package.
+(normalized volume = |det|), and a triangulation is first certified by
+facet matching: every cell facet is either shared by exactly two cells on
+opposite sides of it or lies on a facet of the target, which with the volume
+sum proves that the cells tile the target.  Only a cover that fails the
+matching or another check (one that is not face to face, or not a tiling)
+goes to the pairwise interior-disjointness test, decided by bounding-box and
+separating-facet tests on integer data with an exact rational LP as the
+fallback for pairs neither test separates.  That fallback is the only use of
+``lp`` in the package.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import lp
@@ -46,7 +52,7 @@ from .geometry import (
     vec_sub,
 )
 from .linalg import hermite_normal_form, integral_solution
-from .sumsets import idp_scan
+from .sumsets import _idp_scan
 
 
 def lattice_index(s: LatticeSimplex) -> int:
@@ -217,12 +223,66 @@ def _interiors_intersect(
     return lp.max_min_margin(rows_a + rows_b, dim) > 0
 
 
+def _facets_match(cells, target: LatticePolytope) -> bool:
+    """Do the cells glue face to face, with every unshared facet on the target's boundary?
+
+    Each facet of each cell is keyed by its sorted vertex tuple.  A key may
+    occur at most twice; a key that occurs twice must have the two apexes
+    strictly on opposite sides of it; a key that occurs once must be tight on
+    one row of target.facets().  For full-dimensional cells inside the
+    target, this makes the covering multiplicity constant on the target's
+    interior: crossing a shared facet it changes by +1 and -1, and an
+    unshared facet lies on a supporting hyperplane, which misses the
+    interior.  Volumes that sum to the target's then make it 1, so the cells
+    tile the target (De Loera, Rambau, Santos, Triangulations, ch. 4).
+
+    The side needs no normal.  The orientation det(v_1 - v_0, ..., v_n - v_0)
+    alternates under vertex permutations, so in the sorted order w it is the
+    cell's det times the parity of the sort, and the apex w_k sits on the
+    side of its facet (w without w_k, in order) given by that sign times
+    (-1)^k.
+    """
+    unshared = {}  # facet key seen once -> side bit of its apex
+    shared = set()
+    for cell in cells:
+        verts = cell.vertices
+        flip = (cell.det < 0) ^ (sum(a > b for a, b in combinations(verts, 2)) & 1)
+        ordered = tuple(sorted(verts))
+        for k in range(len(ordered)):
+            key = ordered[:k] + ordered[k + 1 :]
+            side = flip ^ (k & 1)
+            if key in shared:
+                return False
+            first = unshared.pop(key, None)
+            if first is None:
+                unshared[key] = side
+            elif first == side:
+                return False
+            else:
+                shared.add(key)
+    rows = target.facets()
+    tight = {}  # vertex -> bit mask of the target rows tight at it
+    for key in unshared:
+        mask = -1
+        for v in key:
+            if v not in tight:
+                tight[v] = sum(1 << r for r, (a, b) in enumerate(rows) if vec_dot(a, v) == b)
+            mask &= tight[v]
+        if not mask:
+            return False
+    return True
+
+
 def verify_cover(cover: SimplicialCover) -> Certification:
     """Exact certification of a cover.
 
     Triangulations are fully checked: unimodular cells, containment in the
     target, cell volumes summing to the target's normalized volume, and
-    pairwise disjoint interiors; success means "certified".  General covers
+    disjoint interiors; success means "certified".  Disjointness comes from
+    facet matching (_facets_match) when the other checks pass and the cells
+    meet face to face, with no cell pair tested.  Otherwise every pair is
+    tested (_interiors_intersect), which also certifies a valid dissection
+    that is not face to face and names each overlapping pair.  General covers
     only get the unimodularity and containment checks ("vertices-only"),
     because exact coverage of an overlapping union is not decided here.
     """
@@ -230,10 +290,12 @@ def verify_cover(cover: SimplicialCover) -> Certification:
     target = cover.target
     if not cover.cells:
         problems.append("cover has no cells")
+    dimension_mismatch = False
     inside = {}  # vertex -> contains(target, vertex); cells share most vertices
     for i, cell in enumerate(cover.cells):
         if cell.dim != target.dim:
             problems.append(f"cell {i} has dimension {cell.dim}, target has {target.dim}")
+            dimension_mismatch = True
             continue
         for v in cell.vertices:
             if v not in inside:
@@ -248,7 +310,7 @@ def verify_cover(cover: SimplicialCover) -> Certification:
         return Certification(status=status, problems=tuple(problems))
     if cover.kind != "triangulation":
         return Certification(status="uncertified", problems=(f"unknown cover kind {cover.kind!r}",))
-    if not any("dimension" in msg for msg in problems):
+    if not dimension_mismatch:
         total = sum(lattice_index(c) for c in cover.cells)
         vol = normalized_volume(target)
         if total != vol:
@@ -256,11 +318,12 @@ def verify_cover(cover: SimplicialCover) -> Certification:
                 f"cell volumes sum to {total} but the target has normalized volume {vol}"
             )
         cells = cover.cells
-        rows = [_interior_inequalities(c) for c in cells]
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
-                    problems.append(f"cells {i} and {j} share an interior point")
+        if problems or not _facets_match(cells, target):
+            rows = [_interior_inequalities(c) for c in cells]
+            for i in range(len(cells)):
+                for j in range(i + 1, len(cells)):
+                    if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
+                        problems.append(f"cells {i} and {j} share an interior point")
     status = "certified" if not problems else "uncertified"
     return Certification(status=status, problems=tuple(problems))
 
@@ -279,16 +342,22 @@ def find_unimodular_triangulation(
     nonexistence when the lattice points admit a single triangulation
     (see has_unique_triangulation); otherwise it just means "not found".
     """
+    _check_attempts(attempts)
+    return _placing_search(p, lattice_points(p), attempts, seed)
+
+
+def _check_attempts(attempts) -> None:
     if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
         raise ValueError(f"attempts must be a positive integer, got {attempts!r}")
-    pts = list(lattice_points(p))
+
+
+def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
+    """find_unimodular_triangulation over pts, the lattice points of p enumerated once by the caller."""
     if not p.is_full_dimensional():
         raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
     for k in range(attempts):
-        if k == 0:
-            order = pts
-        else:
-            order = pts[:]
+        order = list(pts)
+        if k:
             random.Random(f"{seed}:{k}").shuffle(order)
         cells = []
         for vertices, volume in _placing_cells(order, p.dim):
@@ -367,16 +436,21 @@ def find_ell(
     """
     if not isinstance(ell_max, int) or isinstance(ell_max, bool) or ell_max < 1:
         raise ValueError(f"ell_max must be a positive integer, got {ell_max!r}")
+    _check_attempts(attempts)
     rows = []
     found = None
     for ell in range(1, ell_max + 1):
         scaled = dilate(p, ell)
-        cover = find_unimodular_triangulation(scaled, attempts=attempts, seed=seed)
+        # One enumeration of the row's lattice points serves the search, the
+        # uniqueness test and the h = 1 sumset.
+        pts = lattice_points(scaled)
+        cover = _placing_search(scaled, pts, attempts, seed)
         if cover is not None:
             status = "certified"
             if found is None:
                 found = ell
-        elif has_unique_triangulation(scaled):
+        elif len(pts) == scaled.dim + 1:
+            # has_unique_triangulation: the search has already refused a flat polytope
             status = "impossible"
         else:
             status = "not-found"
@@ -385,7 +459,7 @@ def find_ell(
                 ell=ell,
                 certificate=status,
                 cell_count=len(cover.cells) if cover is not None else None,
-                idp=idp_scan(scaled, h_max),
+                idp=_idp_scan(scaled, h_max, pts),
             )
         )
     return EllReport(ell=found, per_ell=tuple(rows))

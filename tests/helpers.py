@@ -7,7 +7,8 @@ multiset enumeration.  They are slow and obviously correct.  Some are the
 library's own earlier, slower implementations, kept to cross-check the
 paths that replaced them: the bounding-box scan, tuple sumsets by repeated
 doubling, the per-h IDP check, facet normals from cofactor minors, ranks
-and affine bases by rational elimination, and dilates by a fresh hull pass.
+and affine bases by rational elimination, dilates by a fresh hull pass, and
+cover certification by testing every pair of cells.
 """
 
 import itertools
@@ -20,13 +21,17 @@ from latticeforge import (
     IdpReport,
     LatticePolytope,
     LatticeSimplex,
+    contains,
     dilate,
     is_unimodular,
+    lattice_index,
     lattice_points,
     lp,
+    normalized_volume,
     placing_triangulation,
     verify_cover,
 )
+from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
 from latticeforge.linalg import IntMatrix, determinant
 
 
@@ -352,3 +357,64 @@ def full_placing_search(p, attempts=20, seed=0):
             if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")
     return None
+
+
+def pairwise_verify_cover(cover):
+    """verify_cover with no facet matching: every pair of cells is tested.
+
+    The same checks and problem messages, in the same order; a triangulation
+    that passes them all is certified only after all C(cells, 2) pairs are
+    found interior-disjoint.
+    """
+    problems = []
+    target = cover.target
+    if not cover.cells:
+        problems.append("cover has no cells")
+    inside = {}
+    dimension_mismatch = False
+    for i, cell in enumerate(cover.cells):
+        if cell.dim != target.dim:
+            problems.append(f"cell {i} has dimension {cell.dim}, target has {target.dim}")
+            dimension_mismatch = True
+            continue
+        for v in cell.vertices:
+            if v not in inside:
+                inside[v] = contains(target, v)
+            if not inside[v]:
+                problems.append(f"cell {i} vertex {list(v)} lies outside the target")
+                break
+        if not is_unimodular(cell):
+            problems.append(f"cell {i} is not unimodular (index {lattice_index(cell)})")
+    if cover.kind == "general-cover":
+        status = "vertices-only" if not problems else "uncertified"
+        return Certification(status=status, problems=tuple(problems))
+    if cover.kind != "triangulation":
+        return Certification(status="uncertified", problems=(f"unknown cover kind {cover.kind!r}",))
+    if not dimension_mismatch:
+        total = sum(lattice_index(c) for c in cover.cells)
+        vol = normalized_volume(target)
+        if total != vol:
+            problems.append(
+                f"cell volumes sum to {total} but the target has normalized volume {vol}"
+            )
+        cells = cover.cells
+        rows = [_interior_inequalities(c) for c in cells]
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
+                    problems.append(f"cells {i} and {j} share an interior point")
+    status = "certified" if not problems else "uncertified"
+    return Certification(status=status, problems=tuple(problems))
+
+
+def staircase_cells(dim):
+    """The staircase triangulation of [0,1]^dim: one cell 0 < e_s1 < e_s1 + e_s2 < ... per permutation s."""
+    cells = []
+    for perm in itertools.permutations(range(dim)):
+        v = [0] * dim
+        cell = [tuple(v)]
+        for axis in perm:
+            v[axis] = 1
+            cell.append(tuple(v))
+        cells.append(cell)
+    return cells

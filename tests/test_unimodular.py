@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from helpers import (
     full_placing_search,
     multiset_decompositions,
+    pairwise_verify_cover,
     random_polytope,
     random_unimodular_simplex,
+    staircase_cells,
 )
 from latticeforge import (
     CoverageError,
@@ -17,6 +20,7 @@ from latticeforge import (
     NotUnimodularError,
     PointOutsideError,
     SimplicialCover,
+    contains,
     decompose,
     decompose_in_simplex,
     dilate,
@@ -31,11 +35,11 @@ from latticeforge import (
     placing_triangulation,
     verify_cover,
 )
-from latticeforge import lp, unimodular
+from latticeforge import lp, sumsets, unimodular
 from latticeforge.errors import DegeneratePolytopeError, LatticeForgeError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent
-from latticeforge.unimodular import _interiors_intersect, has_unique_triangulation
+from latticeforge.unimodular import _facets_match, _interiors_intersect, has_unique_triangulation
 
 
 def simplex_of(p: LatticePolytope) -> LatticeSimplex:
@@ -376,6 +380,189 @@ class TestMarginLPCount:
         assert margin_calls == [Fraction(-1, 16)]
 
 
+def _unimodular_images(seed, count):
+    """(target, cells): searched unimodular triangulations in dims 2-5.
+
+    Each target is the image of a unit cube (dims 2-4) or of twice a
+    standard simplex (dims 2-5) under a seeded unimodular affine map, and
+    the search's seeded insertion orders vary the triangulation.
+    """
+    rng = random.Random(seed)
+    bases = [unit_cube(d) for d in (2, 3, 4)] + [dilate(std_simplex(d), 2) for d in (2, 3, 4, 5)]
+    out = []
+    while len(out) < count:
+        base = rng.choice(bases)
+        n = base.dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            sign = rng.choice((-1, 1))
+            rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+        shift = [rng.randint(-2, 2) for _ in range(n)]
+        p = LatticePolytope(
+            [tuple(sum(r * x for r, x in zip(row, v)) + t for row, t in zip(rows, shift)) for v in base.vertices]
+        )
+        cover = find_unimodular_triangulation(p, attempts=4, seed=len(out))
+        if cover is not None:
+            out.append((p, list(cover.cells)))
+    return out
+
+
+def _placing_triangulations(seed, count):
+    """(target, cells): placing triangulations of seeded polytopes in dims 2-5, in shuffled orders."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.choice((2, 3, 4, 5))
+        p = random_polytope(rng, dim, bound=2, max_points=7 if dim < 5 else 6)
+        if not p.is_full_dimensional() or len(lattice_points(p)) > 30:
+            continue
+        order = list(lattice_points(p))
+        rng.shuffle(order)
+        out.append((p, list(placing_triangulation(p, order).cells)))
+    return out
+
+
+def _mutants(rng, p, cells):
+    """(label, target, cells): the cover itself and broken or rearranged copies of it."""
+    yield "valid", p, cells
+    yield "reversed", p, cells[::-1]
+    k, j = rng.randrange(len(cells)), rng.randrange(len(cells))
+    yield "dropped", p, cells[:k] + cells[k + 1 :]
+    yield "duplicated", p, cells + [cells[k]]
+    yield "duplicate swapped in", p, cells[:j] + [cells[k]] + cells[j + 1 :]
+    pts = list(lattice_points(p))
+    for _ in range(200):
+        # cell j with one vertex moved to another lattice point of p
+        verts = list(cells[j].vertices)
+        verts[rng.randrange(len(verts))] = rng.choice(pts)
+        try:
+            other = LatticeSimplex(verts)
+        except DegeneratePolytopeError:
+            continue
+        if other not in cells and abs(other.det) == abs(cells[j].det):
+            yield "overlapping cell swapped in", p, cells[:j] + [other] + cells[j + 1 :]
+            break
+    flat = LatticePolytope([q for q in pts if q[0] == pts[0][0]])
+    yield "flat target", flat, cells
+    yield "cell of another dimension", p, cells + [LatticeSimplex(staircase_cells(p.dim - 1)[0])]
+
+
+class TestFacetMatchingAgainstPairwise:
+    """verify_cover, facet matching first, against the oracle that tests
+    every pair of cells: the same status and the same problems."""
+
+    def test_seeded_triangulations_and_mutants(self):
+        rng = random.Random(6)
+        seen = Counter()
+        for p, cells in _unimodular_images(2026, 20):
+            for label, target, mutant in _mutants(rng, p, cells):
+                cover = SimplicialCover(target=target, cells=tuple(mutant))
+                expected = pairwise_verify_cover(cover)
+                assert verify_cover(cover) == expected, (label, p, mutant)
+                seen[label, expected.status] += 1
+        assert seen["valid", "certified"] == seen["reversed", "certified"] == 20
+        assert seen["overlapping cell swapped in", "uncertified"] == 20
+        assert seen["flat target", "uncertified"] == 20
+
+    def test_matching_holds_on_every_placing_triangulation(self):
+        # face to face by construction, whether or not the cells are unimodular
+        for p, cells in _placing_triangulations(7, 60):
+            assert _facets_match(cells, p)
+            assert _facets_match(cells[::-1], p)
+
+    def test_matching_implies_a_tiling(self):
+        # the theorem, on mutants of covers that need not be unimodular:
+        # cells inside the target whose volumes sum to its own and whose
+        # facets match have pairwise disjoint interiors
+        rng = random.Random(8)
+        matched = 0
+        for p, cells in _placing_triangulations(9, 40):
+            for label, target, mutant in _mutants(rng, p, cells):
+                if (
+                    target.is_full_dimensional()
+                    and all(c.dim == target.dim for c in mutant)
+                    and all(contains(target, v) for c in mutant for v in c.vertices)
+                    and sum(lattice_index(c) for c in mutant) == normalized_volume(target)
+                    and _facets_match(mutant, target)
+                ):
+                    matched += 1
+                    assert not any(
+                        _interiors_intersect(a, b) for a, b in itertools.combinations(mutant, 2)
+                    ), (label, p, mutant)
+        assert matched >= 80
+
+    def test_half_covered_twice_is_rejected(self):
+        # two different triangulations of [0,1]^2 have the volume of
+        # [0,2]x[0,1], and every facet key occurs twice, but the shared edges
+        # have both apexes on one side
+        diagonal = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]]
+        antidiagonal = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+        target = LatticePolytope([(0, 0), (2, 0), (0, 1), (2, 1)])
+        cells = tuple(LatticeSimplex(c) for c in diagonal + antidiagonal)
+        cover = SimplicialCover(target=target, cells=cells)
+        assert not _facets_match(cells, target)
+        cert = verify_cover(cover)
+        assert cert == pairwise_verify_cover(cover)
+        assert cert.status == "uncertified"
+
+    def test_matching_is_not_asked_once_another_check_fails(self):
+        # the unimodular triangulation of [0,2]^2 and the two corner
+        # triangles of index 4 share no facet key, so their facets match;
+        # the volume check fails, and the overlapping pairs are still listed
+        fine = [
+            [(x, y), (x + 1, y), (x + 1, y + 1)] for x in (0, 1) for y in (0, 1)
+        ] + [[(x, y), (x, y + 1), (x + 1, y + 1)] for x in (0, 1) for y in (0, 1)]
+        coarse = [[(0, 0), (2, 0), (2, 2)], [(0, 0), (0, 2), (2, 2)]]
+        target = LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)])
+        cells = tuple(LatticeSimplex(c) for c in fine + coarse)
+        cover = SimplicialCover(target=target, cells=cells)
+        assert _facets_match(cells, target)
+        cert = verify_cover(cover)
+        assert cert == pairwise_verify_cover(cover)
+        assert sum("share an interior point" in m for m in cert.problems) == 8
+
+    def test_non_face_to_face_dissection_falls_back(self, monkeypatch):
+        # the staircase of [0,1]^3 and the y -> 1-y reflected staircase of
+        # [1,2]x[0,1]^2 split the square x = 1 along different diagonals
+        left = staircase_cells(3)
+        right = [[(x + 1, 1 - y, z) for x, y, z in c] for c in staircase_cells(3)]
+        target = LatticePolytope(itertools.product((0, 1, 2), (0, 1), (0, 1)))
+        cells = tuple(LatticeSimplex(c) for c in left + right)
+        cover = SimplicialCover(target=target, cells=cells)
+        assert not _facets_match(cells, target)
+        calls = _count_pair_tests(monkeypatch)
+        cert = verify_cover(cover)
+        assert len(calls) == 66  # every pair of the 12 cells
+        assert cert == pairwise_verify_cover(cover)
+        assert cert.status == "certified"
+
+
+def _count_pair_tests(monkeypatch):
+    calls = []
+    original = unimodular._interiors_intersect
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(unimodular, "_interiors_intersect", counting)
+    return calls
+
+
+class TestPairTestCount:
+    """Exact count of pair tests: facet matching certifies these searched
+    covers with no cell pair tested."""
+
+    def test_no_pair_tests_in_cube_searches(self, monkeypatch):
+        calls = _count_pair_tests(monkeypatch)
+        for p in (unit_cube(4), dilate(unit_cube(3), 2)):
+            cover = find_unimodular_triangulation(p)
+            assert cover is not None and cover.certified == "certified"
+            assert len(cover.cells) == normalized_volume(p)
+        assert calls == []
+
+
 class TestDecompose:
     def test_square_center_point(self):
         p = unit_square()
@@ -514,3 +701,19 @@ class TestFindEll:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_ell(unit_square(), ell_max=0, h_max=1)
+
+    def test_lattice_points_enumerated_once_per_row(self, monkeypatch):
+        # per row: l*P once for the search, the uniqueness test and h = 1,
+        # then h*(l*P) for h = 2, 3
+        calls = []
+        original = unimodular.lattice_points
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(unimodular, "lattice_points", counting)
+        monkeypatch.setattr(sumsets, "lattice_points", counting)
+        report = find_ell(reeve_simplex(), ell_max=5, h_max=3)
+        assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
+        assert len(calls) == 5 * 3
