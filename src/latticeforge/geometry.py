@@ -11,13 +11,15 @@ coordinate projection that is injective on their affine hull, and keeps the
 facet rows, the affine equations, the vertices and the normalized volume.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
-the facet rows given the coordinates before it.  No LP is involved.
+rows given the coordinates before it, and returns the last coordinate as
+runs.  No LP is involved.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -428,55 +430,110 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     return scaled
 
 
-def lattice_points(p: LatticePolytope) -> tuple:
-    """All integer points of the hull, in lexicographic order.
-
-    Nested enumeration over the integer facet rows: with x_0..x_{k-1} fixed,
-    each row a.x <= b bounds x_k by a_k x_k <= b - sum_{i<k} a_i x_i minus
-    the least value of sum_{i>k} a_i x_i over the bounding box.  At the last
-    coordinate that interval is exact, so every point found satisfies every
-    row, and only prefixes the rows allow are visited.  Raises
-    ResourceLimitError when the bounding box exceeds the volume cap.
-    """
-    mins, maxs = p.bounding_box()
+def _box_fits(mins: Sequence[int], maxs: Sequence[int]) -> bool:
+    """Whether the integer box mins..maxs has at most BOX_CAP cells."""
     volume = 1
     for lo, hi in zip(mins, maxs):
         volume *= hi - lo + 1
         if volume > BOX_CAP:
-            raise ResourceLimitError(
-                f"bounding box exceeds the enumeration cap of {BOX_CAP} cells"
-            )
-    rows = p.facets()
-    last = p.dim - 1
-    cols = [[a[k] for a, _ in rows] for k in range(p.dim)]
-    # rests[k][r]: the least value over the box of sum_{i>k} a_i x_i for row r
-    rests = [[0] * len(rows)]
-    for k in range(last, 0, -1):
-        lo, hi = mins[k], maxs[k]
-        rests.append([t + min(c * lo, c * hi) for t, c in zip(rests[-1], cols[k])])
-    rests.reverse()
-    # Per coordinate, the rows that bound it.  A row with a_k = 0 says nothing
-    # of x_k, and its bound on the prefix was met one coordinate earlier (at
-    # k = 0 it holds because the hull lies in the box).
-    bounds = [
-        [(r, c, rest[r]) for r, c in enumerate(col) if c] for col, rest in zip(cols, rests)
-    ]
-    found = []
+            return False
+    return True
+
+
+def _check_box(mins: Sequence[int], maxs: Sequence[int]) -> None:
+    if not _box_fits(mins, maxs):
+        raise ResourceLimitError(f"bounding box exceeds the enumeration cap of {BOX_CAP} cells")
+
+
+def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: Sequence[int]) -> list:
+    """Integer points of the box mins..maxs that satisfy per-coordinate rows, as runs.
+
+    levels[k] holds rows (a, b) that bound x_k given x_0..x_{k-1}: each
+    means sum_{i<=k} a_i x_i <= b, has a_k != 0, and its entries past a_k
+    are ignored.  Enumeration is nested: each prefix x_0..x_{k-1} met gets
+    the interval of x_k its level allows, and the last coordinate's
+    interval is returned whole as a run (prefix, lo, hi), lo <= hi, in
+    lexicographic order.  Rows that say exactly which prefixes extend to a
+    point (the facet rows of each coordinate projection) make every prefix
+    visited extend to a point of the real hull; relaxed rows may visit more.
+    """
+    last = len(levels) - 1
+    flat = [row for level in levels for row in level]
+    ends = list(accumulate(map(len, levels)))
+    coefs = [[a[k] for a, _ in level] for k, level in enumerate(levels)]
+    # cols[k]: the coefficients of x_k in the rows of the later levels
+    cols = [[a[k] for a, _ in flat[end:]] for k, end in enumerate(ends)]
+    runs = []
 
     def lift(k, prefix, slack):
+        # slack: b - sum_{i<k} a_i x_i for the rows of levels k, k+1, ...
         lo, hi = mins[k], maxs[k]
-        for r, c, rest in bounds[k]:
-            room = slack[r] - rest
+        for c, room in zip(coefs[k], slack):
             if c > 0:
-                hi = min(hi, room // c)
+                t = room // c
+                if t < hi:
+                    hi = t
             else:
-                lo = max(lo, -(room // -c))
+                t = -(room // -c)
+                if t > lo:
+                    lo = t
         if k == last:
-            found.extend(prefix + (x,) for x in range(lo, hi + 1))
+            if lo <= hi:
+                runs.append((prefix, lo, hi))
             return
         col = cols[k]
+        rest = slack[len(coefs[k]) :]
         for x in range(lo, hi + 1):
-            lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(slack, col)])
+            lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(rest, col)])
 
-    lift(0, (), [b for _, b in rows])
-    return tuple(found)
+    lift(0, (), [b for _, b in flat])
+    return runs
+
+
+def _projection_rows(p: LatticePolytope) -> list:
+    """Per coordinate k, the facet rows of conv{v[:k+1]} with a_k != 0.
+
+    A prefix x_0..x_k meets them, given that x_0..x_{k-1} met the rows of
+    the levels before, iff it lies in the projection of p to its first k+1
+    coordinates (a row with a_k = 0 is a row of the projection one
+    coordinate down), so _lattice_runs on them visits no dead prefix.  The
+    rows of h*p's projections are (a, h*b).
+    """
+    levels = []
+    for k in range(p.dim):
+        proj = p if k == p.dim - 1 else LatticePolytope([v[: k + 1] for v in p.vertices])
+        levels.append([(a, b) for a, b in proj.facets() if a[k]])
+    return levels
+
+
+def _box_rows(p: LatticePolytope) -> list:
+    """Per coordinate k, p's facet rows with a_k != 0, relaxed over the box.
+
+    Row (a, b) bounds x_k as (a, b - the least value of sum_{i>k} a_i x_i
+    over the bounding box), which is exact at the last coordinate.  A row
+    with a_k = 0 says nothing of x_k, and its bound on the prefix was met
+    one coordinate earlier (at k = 0 it holds because the hull lies in the
+    box).
+    """
+    mins, maxs = p.bounding_box()
+    rows = p.facets()
+    levels = []
+    # rest[r]: the least value over the box of sum_{i>k} a_i x_i for row r
+    rest = [0] * len(rows)
+    for k in range(p.dim - 1, -1, -1):
+        levels.append([(a, b - t) for (a, b), t in zip(rows, rest) if a[k]])
+        rest = [t + min(a[k] * mins[k], a[k] * maxs[k]) for (a, _), t in zip(rows, rest)]
+    return levels[::-1]
+
+
+def lattice_points(p: LatticePolytope) -> tuple:
+    """All integer points of the hull, in lexicographic order.
+
+    Nested enumeration (_lattice_runs) over the facet rows relaxed over the
+    bounding box (_box_rows), exact at the last coordinate.  Raises
+    ResourceLimitError when the bounding box exceeds the volume cap.
+    """
+    mins, maxs = p.bounding_box()
+    _check_box(mins, maxs)
+    runs = _lattice_runs(_box_rows(p), mins, maxs)
+    return tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))

@@ -9,10 +9,16 @@ in [0, R_j) packs into one int in mixed radix R (coordinate 0 the most
 significant digit).  Packing is affine with weights fixed by R, so the sum
 of two packed points packs their sum with the offsets added; the radices
 are chosen wide enough that no digit of a sum carries.  Sorted packed ints
-are then in lexicographic order, and unpacking is exact.  The h-fold sumset
-is built as S_h = S_{h-1} + S_1, one set of ints carried across h.
-"""
+are then in lexicographic order, and unpacking is exact.
 
+`sumset` and `hfold_sumset` take arbitrary sets, whose box can dwarf the
+set, so they keep sets of packed ints.  The IDP check enumerates the
+dilate's box anyway, so it keeps bitsets (bit v set iff v packs a member):
+S_h = OR over a in S_1 of S_{h-1} << a, carried across h, and the dilate
+from runs of consecutive packed values, so its size, the witnesses
+(dilate & ~S_h, low bit first: lexicographic order) and the guard that no
+sum escapes it (S_h & ~dilate) are one int operation each.
+"""
 from __future__ import annotations
 
 import itertools
@@ -22,11 +28,23 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, LatticeForgeError, ResourceLimitError
-from .geometry import LatticePolytope, Point, as_point, dilate, lattice_points
+from .geometry import (
+    LatticePolytope,
+    Point,
+    _box_fits,
+    _check_box,
+    _lattice_runs,
+    _projection_rows,
+    as_point,
+    dilate,
+    lattice_points,
+)
 
 #: Intermediate point sets larger than this abort with a resource error.
 POINTSET_CAP = 10**6
-#: Guard on the number of pairwise sums evaluated in one sumset step.
+#: Guard on one sumset step, |S_{h-1}|*|S_1| pairs.  A bitset step shifts
+#: S_{h-1} once per point of S_1 instead, but the bound is kept as it was so
+#: that the same inputs are refused.
 PAIR_CAP = 5 * 10**7
 
 
@@ -68,16 +86,24 @@ def _bounds(points: Sequence[Point]) -> tuple:
     return [min(c) for c in cols], [max(c) for c in cols]
 
 
+def _check_pairs(m: int, n: int) -> None:
+    if m * n > PAIR_CAP:
+        raise ResourceLimitError("sumset would evaluate too many pairs")
+
+
+def _check_points(n: int) -> None:
+    if n > POINTSET_CAP:
+        raise ResourceLimitError(f"sumset exceeded the {POINTSET_CAP}-point cap")
+
+
 def _add(s, t) -> set:
     """{a + b : a in s, b in t} for packed points, under both caps."""
-    if len(s) * len(t) > PAIR_CAP:
-        raise ResourceLimitError("sumset would evaluate too many pairs")
+    _check_pairs(len(s), len(t))
     outer, inner = (s, t) if len(s) <= len(t) else (t, s)
     out = set()
     for a in outer:
         out.update(map(a.__add__, inner))
-        if len(out) > POINTSET_CAP:
-            raise ResourceLimitError(f"sumset exceeded the {POINTSET_CAP}-point cap")
+        _check_points(len(out))
     return out
 
 
@@ -89,15 +115,6 @@ def _hfold_radix(base: Sequence[Point], h_max: int) -> tuple:
     """
     lo, hi = _bounds(base)
     return _Radix([h_max * (b - a) + 1 for a, b in zip(lo, hi)]), lo
-
-
-def _hfold_sums(packed: Sequence[int], h_max: int):
-    """S_1, ..., S_{h_max} of packed points, S_h = S_{h-1} + S_1 as sets of ints."""
-    summed = set(packed)
-    yield summed
-    for _ in range(h_max - 1):
-        summed = _add(summed, packed)
-        yield summed
 
 
 def sumset(s: Sequence[Point], t: Sequence[Point]) -> tuple:
@@ -120,8 +137,10 @@ def hfold_sumset(s: Sequence[Point], h: int) -> tuple:
     if not base:
         return ()
     radix, lo = _hfold_radix(base, h)
-    for summed in _hfold_sums(radix.pack(base, lo), h):
-        pass
+    packed = radix.pack(base, lo)
+    summed = set(packed)
+    for _ in range(h - 1):
+        summed = _add(summed, packed)
     return radix.unpack(sorted(summed), [h * a for a in lo])
 
 
@@ -141,29 +160,95 @@ class IdpReport:
     dilate_size: int
 
 
-def _idp_report(p: LatticePolytope, h: int, radix: _Radix, lo, summed: set, base) -> IdpReport:
-    """Compare the packed h-fold sumset with the packed lattice points of h*p.
+def _bitset(runs: Iterable[tuple]) -> int:
+    """The int with bits start..start+length-1 set for each (start, length), starts ascending.
 
-    `base` is the lattice points of p, which are those of h*p when h = 1.
-    Every lattice point of h*p lies in h times the bounding box of p's lattice
-    points, so it packs with the sumset's radix and offset h*lo.
+    Neighbours merge pairwise, so each round copies every bit once: about
+    log2(len(runs)) copies of the span, where ORing each run into the whole
+    would copy the span once per run.
     """
-    offset = [h * a for a in lo]
-    dilated = radix.pack(base if h == 1 else lattice_points(dilate(p, h)), offset)
-    # packing keeps lexicographic order, so the witnesses come out sorted
-    missing = [v for v in dilated if v not in summed]
-    if len(dilated) - len(missing) != len(summed):
-        # A sum of lattice points always lies in the dilated hull; reaching
-        # here means enumeration or summation is broken, not mathematics.
-        raise LatticeForgeError("sumset escaped the dilated hull: implementation bug")
-    witnesses = radix.unpack(missing, offset)
-    return IdpReport(
-        h=h,
-        holds=not witnesses,
-        witnesses=witnesses,
-        sum_size=len(summed),
-        dilate_size=len(dilated),
-    )
+    terms = [(s, (1 << n) - 1) for s, n in runs]
+    if not terms:
+        return 0
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [(s, m | t << (u - s)) for (s, m), (u, t) in zip(terms[::2], terms[1::2])] + odd
+    start, mask = terms[0]
+    return mask << start
+
+
+def _bit_indices(x: int) -> list:
+    """Positions of the set bits of x >= 0, lowest first."""
+    digits = bin(x)[:1:-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
+def _next_sum(summed: int, packed: Sequence[int]) -> int:
+    """S_h from S_{h-1} and the packed points of S_1: OR over a in S_1 of S_{h-1} << a."""
+    _check_pairs(summed.bit_count(), len(packed))
+    out = 0
+    for a in packed:
+        out |= summed << a
+    _check_points(out.bit_count())
+    return out
+
+
+def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
+    """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
+
+    `base` is p's lattice points; h*p is enumerated over the rows of p's
+    coordinate projections.  The radix is that of h_top*p, h_top the largest
+    h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
+    h_top + 1 the pair cap is checked and then the box cap raised, the h at
+    which enumerating that dilate would raise it.
+    """
+    mins, maxs = p.bounding_box()
+
+    def box(h):
+        return [h * a for a in mins], [h * b for b in maxs]
+
+    h_top = 1
+    while h_top < h_max and _box_fits(*box(h_top + 1)):
+        h_top += 1
+    radix, lo = _hfold_radix(base, h_top)
+    packed = radix.pack(base, lo)
+    levels = _projection_rows(p) if h_max > 1 else None
+    summed = dilated = _bitset((v, 1) for v in sorted(packed))
+    for h in range(1, h_top + 1):
+        if h > 1:
+            summed = _next_sum(summed, packed)
+        if not every and h < h_max:
+            continue
+        offset = [h * a for a in lo]
+        if h > 1:
+            shift = sum(map(mul, offset, radix.weights))
+            weights = radix.weights[:-1]
+            runs = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], *box(h))
+            dilated = _bitset(
+                (sum(map(mul, prefix, weights)) + first - shift, last - first + 1)
+                for prefix, first, last in runs
+            )
+        if summed & ~dilated:
+            # A sum of lattice points always lies in the dilated hull; reaching
+            # here means enumeration or summation is broken, not mathematics.
+            raise LatticeForgeError("sumset escaped the dilated hull: implementation bug")
+        # packing keeps lexicographic order, so the witnesses come out sorted
+        witnesses = radix.unpack(_bit_indices(dilated & ~summed), offset)
+        yield IdpReport(
+            h=h,
+            holds=not witnesses,
+            witnesses=witnesses,
+            sum_size=summed.bit_count(),
+            dilate_size=dilated.bit_count(),
+        )
+    if h_top < h_max:
+        _check_pairs(summed.bit_count(), len(packed))
+        _check_box(*box(h_top + 1))
 
 
 def idp_check(p: LatticePolytope, h: int) -> IdpReport:
@@ -171,10 +256,13 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"number of summands must be a positive integer, got {h!r}")
     base = lattice_points(p)
-    radix, lo = _hfold_radix(base, h)
-    for summed in _hfold_sums(radix.pack(base, lo), h):
-        pass
-    return _idp_report(p, h, radix, lo, summed, base)
+    box = dilate(p, h).bounding_box()
+    if not _box_fits(*box):
+        # no bitset fits: the caps on every sum come first, then the box cap
+        hfold_sumset(base, h)
+        _check_box(*box)
+    (report,) = _idp_reports(p, base, h, every=False)
+    return report
 
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
@@ -190,9 +278,8 @@ def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple]) -> tuple:
     try:
         if base is None:
             base = lattice_points(p)
-        radix, lo = _hfold_radix(base, h_max)
-        for h, summed in enumerate(_hfold_sums(radix.pack(base, lo), h_max), 1):
-            reports.append(_idp_report(p, h, radix, lo, summed, base))
+        for report in _idp_reports(p, base, h_max, every=True):
+            reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1
         raise ResourceLimitError(f"resource cap hit at h={h}: {exc}") from exc

@@ -12,6 +12,7 @@ cover certification by testing every pair of cells.
 """
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -208,6 +209,23 @@ def per_h_idp_check(p, h):
     assert summed <= dilated
     witnesses = tuple(sorted(dilated - summed))
     return IdpReport(h, not witnesses, witnesses, len(summed), len(dilated))
+
+
+def assembled_unit_cube(n):
+    """unit_cube(n), n >= 2, assembled from its known parts with no hull pass.
+
+    The placing pass over the 2^n vertices makes n! cells, about 16 s for
+    n = 8; the parts are those vertices, the rows x_i <= 1 and -x_i <= 0,
+    and normalized volume n!.
+    """
+    p = LatticePolytope.__new__(LatticePolytope)
+    p.generators = p.vertices = tuple(itertools.product((0, 1), repeat=n))
+    p.dim = p._hull_dim = n
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
+    p._volume = math.factorial(n)
+    p._simplex = None
+    return p
 
 
 def random_point_set(rng, dim, flat, bound=2):

@@ -29,7 +29,7 @@ from latticeforge import (
 )
 from latticeforge import find_unimodular_triangulation, geometry, linalg, lp, unimodular
 from latticeforge.errors import DegeneratePolytopeError
-from latticeforge.geometry import _facet_normal
+from latticeforge.geometry import _box_rows, _facet_normal, _lattice_runs, _projection_rows
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
 
 
@@ -382,6 +382,45 @@ class TestNestedEnumerationAgainstBoxScan:
         # 121^3 box cells would cost the oracle seconds; the points are known
         p = LatticePolytope([(0, 0, 0), (120, 120, 120)])
         assert lattice_points(p) == tuple((t, t, t) for t in range(121))
+
+
+class TestProjectionRunsAgainstBoxRows:
+    """Runs of h*P over the facet rows of P's coordinate projections scaled to
+    (a, h*b), against runs over h*P's own rows relaxed over its box: the same
+    runs in the same order, on seeded point sets in dimensions 1-5 (a third
+    of them flat) and on needles, for h = 1..4."""
+
+    @staticmethod
+    def assert_same_runs(p):
+        levels = _projection_rows(p)
+        for h in range(1, 5):
+            q = dilate(p, h)
+            mins, maxs = q.bounding_box()
+            exact = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], mins, maxs)
+            assert exact == _lattice_runs(_box_rows(q), mins, maxs), (p.generators, h)
+            points = tuple(prefix + (x,) for prefix, lo, hi in exact for x in range(lo, hi + 1))
+            assert points == lattice_points(q)
+
+    def test_random_point_sets(self):
+        rng = random.Random(406)
+        flats = 0
+        for k in range(90):
+            dim = 1 + k % 5
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
+            flats += not p.is_full_dimensional()
+            self.assert_same_runs(p)
+        assert flats >= 25
+
+    def test_needles(self):
+        for gens in (
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6)],
+            [(0, 0, 0), (1, 0, 0), (9, 8, 7)],
+            [(0, 0, 0), (12, -9, 6)],
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (5, 5, 5, 4)],
+            [(0, 0), (1, 0), (11, 7)],
+        ):
+            self.assert_same_runs(LatticePolytope(gens))
 
 
 class TestFacetNormalAgainstCofactors:

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from helpers import (
+    assembled_unit_cube,
     doubling_hfold_sumset,
     doubling_sumset,
     multiset_decompositions,
@@ -24,7 +27,7 @@ from latticeforge import (
     point_set,
     sumset,
 )
-from latticeforge import cli, sumsets
+from latticeforge import cli, geometry, sumsets
 from latticeforge.fixtures import (
     reeve_simplex,
     std_simplex,
@@ -32,11 +35,13 @@ from latticeforge.fixtures import (
     unit_cube,
     unit_square,
 )
-from latticeforge.geometry import vec_add, vec_scale
+from latticeforge.geometry import contains, vec_add, vec_scale
 from latticeforge.sumsets import find_sum_decomposition
 
 
 REEVE_VERTICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2))
+NEEDLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6))
+A2X3 = ((0, 0, 0), (3, 0, 0), (0, 3, 0), (3, 3, 6))
 
 
 class TestPointSet:
@@ -182,14 +187,16 @@ class TestIdpCheck:
             assert set(report.witnesses) <= set(lattice_points(dilate(p, h)))
 
     def test_hull_escape_is_a_library_error(self, monkeypatch, capsys):
-        original = sumsets._hfold_sums
+        original = sumsets._next_sum
+        # a2's box is [0,1]x[0,1]x[0,2], so sums of two points pack in radix
+        # (3, 3, 5), weights (15, 5, 1); (2, 2, 0) is in that box, not in 2*a2
+        planted = 1 << (2 * 15 + 2 * 5)
 
-        def escaping(packed, h_max):
-            # -1 packs no lattice point of the dilate: every digit is >= 0 there
-            for summed in original(packed, h_max):
-                yield summed | {-1}
+        def escaping(summed, packed):
+            return original(summed, packed) | planted
 
-        monkeypatch.setattr(sumsets, "_hfold_sums", escaping)
+        monkeypatch.setattr(sumsets, "_next_sum", escaping)
+        assert not contains(dilate(reeve_simplex(), 2), (2, 2, 0))
         with pytest.raises(LatticeForgeError, match="escaped the dilated hull"):
             idp_check(reeve_simplex(), 2)
         # exit code 1 would read as "IDP fails"; an implementation fault is 2
@@ -231,6 +238,68 @@ class TestIdpScan:
             idp_scan(dilate(unit_cube(3), 2), 3)
 
 
+class TestBitsetWidth:
+    """The scan packs with the radix of h_top*P, h_top the largest h <= h_max
+    whose box is within BOX_CAP, so no bitset is wider than BOX_CAP bits."""
+
+    @staticmethod
+    def record_radices(monkeypatch):
+        widths = []
+        original = sumsets._hfold_radix
+
+        def recording(base, h_max):
+            radix, lo = original(base, h_max)
+            widths.append(math.prod(radix.radices))
+            return radix, lo
+
+        monkeypatch.setattr(sumsets, "_hfold_radix", recording)
+        return widths
+
+    def test_assembled_cube_is_the_cube(self):
+        for n in range(2, 6):
+            a, b = assembled_unit_cube(n), unit_cube(n)
+            for slot in ("generators", "vertices", "dim", "_facets", "_hull_dim", "_volume", "_simplex"):
+                assert getattr(a, slot) == getattr(b, slot), (n, slot)
+
+    def test_pair_cap_before_the_box_cap(self, monkeypatch):
+        # (h+1)^8 <= 10^7 up to h_top = 6; |S_4| * |S_1| = 5^8 * 2^8 > PAIR_CAP.
+        # A radix for h_max = 50 would need 51^8, about 4.6e13 bits.
+        widths = self.record_radices(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="h=5: sumset would evaluate too many pairs"):
+            idp_scan(assembled_unit_cube(8), 50)
+        assert widths == [7**8]
+
+    def test_box_cap_first(self, monkeypatch):
+        # the box of h*(2*cube-3) has (2h+1)^3 cells: 729 at h_top = 4, 1331 at h = 5
+        monkeypatch.setattr(geometry, "BOX_CAP", 1000)
+        widths = self.record_radices(monkeypatch)
+        p = dilate(unit_cube(3), 2)
+        with pytest.raises(ResourceLimitError, match="h=5: bounding box exceeds the enumeration cap of 1000"):
+            idp_scan(p, 50)
+        assert widths == [9**3]
+        assert [r.h for r in idp_scan(p, 4)] == [1, 2, 3, 4]
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap of 1000"):
+            idp_check(p, 5)
+
+    def test_pair_cap_checked_at_the_box_cap(self, monkeypatch):
+        # at h = 5 the pairs |S_4| * |S_1| = 729 * 27 are checked before the box
+        monkeypatch.setattr(geometry, "BOX_CAP", 1000)
+        monkeypatch.setattr(sumsets, "PAIR_CAP", 729 * 27 - 1)
+        with pytest.raises(ResourceLimitError, match="h=5: sumset would evaluate too many pairs"):
+            idp_scan(dilate(unit_cube(3), 2), 6)
+
+    def test_check_beyond_the_box_cap_sums_first(self, monkeypatch):
+        # idp_check(p, 6) sums up to h = 6 before it meets 6*p's box, and
+        # S_6 = S_5 + S_1 takes 1331 * 27 pairs, S_5 only 729 * 27
+        monkeypatch.setattr(geometry, "BOX_CAP", 1000)
+        monkeypatch.setattr(sumsets, "PAIR_CAP", 1331 * 27 - 1)
+        p = dilate(unit_cube(3), 2)
+        with pytest.raises(ResourceLimitError, match="^sumset would evaluate too many pairs"):
+            idp_check(p, 6)
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap"):
+            idp_check(p, 5)
+
+
 class TestIdpScanAgainstPerH:
     """idp_scan, one sumset per h carried across h, against the per-h check
     from scratch (box-scanned points, doubled tuple sums), field by field."""
@@ -247,8 +316,14 @@ class TestIdpScanAgainstPerH:
             failing += not all(r.holds for r in reports)
         assert failing >= 3
 
+    def test_bruteforce_polytopes(self):
+        # the needle, 2*cube-3 and 3*a2 of the benchmark, up to h = 8
+        for gens in (NEEDLE, list(itertools.product((0, 2), repeat=3)), A2X3):
+            p = LatticePolytope(gens)
+            assert idp_scan(p, 8) == tuple(per_h_idp_check(p, h) for h in range(1, 9))
+
     def test_non_idp_fixtures(self):
-        needle = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6)])
+        needle = LatticePolytope(NEEDLE)
         reeve3 = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
         for p in (reeve_simplex(), reeve3, needle):
             reports = idp_scan(p, 4)

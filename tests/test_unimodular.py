@@ -704,16 +704,22 @@ class TestFindEll:
 
     def test_lattice_points_enumerated_once_per_row(self, monkeypatch):
         # per row: l*P once for the search, the uniqueness test and h = 1,
-        # then h*(l*P) for h = 2, 3
+        # then h*(l*P) for h = 2, 3 as runs
         calls = []
         original = unimodular.lattice_points
+        original_runs = sumsets._lattice_runs
 
         def counting(p):
             calls.append(p)
             return original(p)
 
+        def counting_runs(levels, mins, maxs):
+            calls.append(levels)
+            return original_runs(levels, mins, maxs)
+
         monkeypatch.setattr(unimodular, "lattice_points", counting)
         monkeypatch.setattr(sumsets, "lattice_points", counting)
+        monkeypatch.setattr(sumsets, "_lattice_runs", counting_runs)
         report = find_ell(reeve_simplex(), ell_max=5, h_max=3)
         assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
         assert len(calls) == 5 * 3
