@@ -6,9 +6,10 @@ lattice-point enumeration are all decided exactly.
 
 One integer kernel answers every hull question: a beneath-beyond placing
 routine (``_placing_cells``) that keeps the hull boundary as oriented integer
-facet rows.  ``LatticePolytope`` runs it once over its generators, in a
-coordinate projection that is injective on their affine hull, and keeps the
-facet rows, the affine equations, the vertices and the normalized volume.
+facet rows.  ``LatticePolytope`` runs it once over its generators, extreme
+points first, in a coordinate projection that is injective on their affine
+hull, and keeps the facet rows, the affine equations, the vertices and the
+normalized volume.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -291,6 +292,18 @@ def _placing_boundary(points: Sequence[Point], dim: int) -> dict:
         return done.value
 
 
+def _extremes_first(points: Sequence[Point]) -> list:
+    """The points, those that maximize (s.x, x) for a sign vector s first.
+
+    One point per s in {1, -1}^dim, each a vertex of the hull, in the order
+    of the sign vectors; the rest follow in their given order.
+    """
+    first = {}
+    for signs in product((1, -1), repeat=len(points[0])):
+        first[max(points, key=lambda x: (vec_dot(signs, x), x))] = None
+    return [*first, *(p for p in points if p not in first)]
+
+
 def _primitive_row(normal: Sequence[int], offset: int) -> tuple:
     """(a, b) with a the primitive multiple of the nonzero normal; b stays exact."""
     g = gcd(*normal)
@@ -335,13 +348,21 @@ class LatticePolytope:
                 a, b = _primitive_row(normal, vec_dot(normal, start[0]))
                 rows.update({(a, b), (tuple(-x for x in a), -b)})
 
+        # The hull is placed extreme points first, so most other generators
+        # are met inside it and add nothing.  Its rows and volume do not
+        # depend on the order: only the facets' triangulation does.
         volume = 0
+        candidates = gens
         if hull_dim:
             proj = [tuple(g[c] for c in cols) for g in gens]
-            for _, normal, offset in _placing_boundary(proj, hull_dim).values():
+            boundary = _placing_boundary(_extremes_first(proj), hull_dim).values()
+            for _, normal, offset in boundary:
                 # cone from a hull point over each boundary facet tiles the hull
                 volume += offset - vec_dot(normal, proj[0])
                 rows.add(_primitive_row(lift(normal, cols), offset))
+            # every vertex is a point of a boundary facet
+            on_boundary = {q for fpts, _, _ in boundary for q in fpts}
+            candidates = [g for g, q in zip(gens, proj) if q in on_boundary]
         self._facets = tuple(sorted(rows))
         self._hull_dim = hull_dim
         self._volume = volume if hull_dim == dim else 0
@@ -349,13 +370,16 @@ class LatticePolytope:
         # g is a vertex iff it alone maximizes the sum of its tight facet
         # normals: that sum lies inside g's normal cone exactly when the cone
         # is full-dimensional, and is constant on the face g is interior to.
+        # When g does not alone maximize it, the face that does has a vertex
+        # other than g, and every vertex is a candidate: the candidates are
+        # the only rivals to compare.
         def is_vertex(g):
             tight = [a for a, b in self._facets if vec_dot(a, g) == b]
             direction = [sum(col) for col in zip(*tight)] or [0] * dim
             top = vec_dot(direction, g)
-            return all(vec_dot(direction, h) < top for h in gens if h != g)
+            return all(vec_dot(direction, h) < top for h in candidates if h != g)
 
-        self.vertices = tuple(g for g in gens if is_vertex(g))
+        self.vertices = tuple(g for g in candidates if is_vertex(g))
         full = hull_dim == dim and len(self.vertices) == dim + 1
         self._simplex = LatticeSimplex(self.vertices) if full else None
 
@@ -453,9 +477,13 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
     are ignored.  Enumeration is nested: each prefix x_0..x_{k-1} met gets
     the interval of x_k its level allows, and the last coordinate's
     interval is returned whole as a run (prefix, lo, hi), lo <= hi, in
-    lexicographic order.  Rows that say exactly which prefixes extend to a
-    point (the facet rows of each coordinate projection) make every prefix
-    visited extend to a point of the real hull; relaxed rows may visit more.
+    lexicographic order.  The last interval is worked out inline for each
+    value of the second-to-last coordinate, from the last level's rows split
+    by the sign of their last coefficient, so no call or slack list is made
+    per run.  Rows that say exactly which
+    prefixes extend to a point (the facet rows of each coordinate
+    projection) make every prefix visited extend to a point of the real
+    hull; relaxed rows may visit more.
     """
     last = len(levels) - 1
     flat = [row for level in levels for row in level]
@@ -465,7 +493,7 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
     cols = [[a[k] for a, _ in flat[end:]] for k, end in enumerate(ends)]
     runs = []
 
-    def lift(k, prefix, slack):
+    def interval(k, slack):
         # slack: b - sum_{i<k} a_i x_i for the rows of levels k, k+1, ...
         lo, hi = mins[k], maxs[k]
         for c, room in zip(coefs[k], slack):
@@ -477,16 +505,43 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
                 t = -(room // -c)
                 if t > lo:
                     lo = t
-        if k == last:
-            if lo <= hi:
-                runs.append((prefix, lo, hi))
-            return
+        return lo, hi
+
+    def lift(k, prefix, slack):
+        lo, hi = interval(k, slack)
         col = cols[k]
         rest = slack[len(coefs[k]) :]
+        if k + 1 < last:
+            for x in range(lo, hi + 1):
+                lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(rest, col)])
+            return
+        # given the second-to-last coordinate x, a row of the last level with
+        # coefficients (cx, c) for it and the last coordinate bounds the last
+        # by (room - cx * x) / c: from above when c > 0, from below when c < 0
+        upper = [(c, cx, room) for c, cx, room in zip(coefs[last], col, rest) if c > 0]
+        lower = [(-c, cx, room) for c, cx, room in zip(coefs[last], col, rest) if c < 0]
+        first, top = mins[last], maxs[last]
         for x in range(lo, hi + 1):
-            lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(rest, col)])
+            u = top
+            for c, cx, room in upper:
+                t = (room - cx * x) // c
+                if t < u:
+                    u = t
+            v = first
+            for c, cx, room in lower:
+                t = -((room - cx * x) // c)
+                if t > v:
+                    v = t
+            if v <= u:
+                runs.append((prefix + (x,), v, u))
 
-    lift(0, (), [b for _, b in flat])
+    slack = [b for _, b in flat]
+    if last:
+        lift(0, (), slack)
+    else:
+        lo, hi = interval(0, slack)
+        if lo <= hi:
+            runs.append(((), lo, hi))
     return runs
 
 

@@ -15,9 +15,11 @@ are then in lexicographic order, and unpacking is exact.
 set, so they keep sets of packed ints.  The IDP check enumerates the
 dilate's box anyway, so it keeps bitsets (bit v set iff v packs a member):
 S_h = OR over a in S_1 of S_{h-1} << a, carried across h, and the dilate
-from runs of consecutive packed values, so its size, the witnesses
-(dilate & ~S_h, low bit first: lexicographic order) and the guard that no
-sum escapes it (S_h & ~dilate) are one int operation each.
+from runs of consecutive packed values, as the int of the runs' stop bits
+less the int of their start bits.  The dilate's size and the guard that no
+sum escapes it (S_h & ~dilate) are one int operation each; the witnesses
+(dilate & ~S_h) are read from that int's non-zero bytes, low byte first,
+which is lexicographic order.
 """
 from __future__ import annotations
 
@@ -160,31 +162,42 @@ class IdpReport:
     dilate_size: int
 
 
-def _bitset(runs: Iterable[tuple]) -> int:
-    """The int with bits start..start+length-1 set for each (start, length), starts ascending.
+def _runs_bitset(runs: Iterable[tuple], width: int) -> int:
+    """The int with bits start..start+length-1 set for each (start, length) run.
 
-    Neighbours merge pairwise, so each round copies every bit once: about
-    log2(len(runs)) copies of the span, where ORing each run into the whole
-    would copy the span once per run.
+    The runs are disjoint, length >= 1 and start + length <= width.  A run
+    is (1 << stop) - (1 << start), stop = start + length.  Disjoint runs
+    have distinct starts and distinct stops, so their union is the sum of
+    their stop bits less the sum of their start bits: two bytearrays,
+    filled in one pass and read as ints once.
     """
-    terms = [(s, (1 << n) - 1) for s, n in runs]
-    if not terms:
-        return 0
-    while len(terms) > 1:
-        odd = terms[-1:] if len(terms) % 2 else []
-        terms = [(s, m | t << (u - s)) for (s, m), (u, t) in zip(terms[::2], terms[1::2])] + odd
-    start, mask = terms[0]
-    return mask << start
+    starts, stops = bytearray(width // 8 + 1), bytearray(width // 8 + 1)
+    for start, length in runs:
+        stop = start + length
+        starts[start >> 3] |= 1 << (start & 7)
+        stops[stop >> 3] |= 1 << (stop & 7)
+    return int.from_bytes(stops, "little") - int.from_bytes(starts, "little")
+
+
+#: bytes.translate table that sends every non-zero byte to 1
+_NONZERO = bytes([0]) + bytes([1]) * 255
+#: the set bit positions of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def _bit_indices(x: int) -> list:
-    """Positions of the set bits of x >= 0, lowest first."""
-    digits = bin(x)[:1:-1]
+    """Positions of the set bits of x >= 0, lowest first.
+
+    Read from x's little-endian bytes, lowest byte first: translate marks
+    the non-zero bytes and find jumps from one to the next.
+    """
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
     found = []
-    i = digits.find("1")
+    i = marks.find(1)
     while i >= 0:
-        found.append(i)
-        i = digits.find("1", i + 1)
+        found.extend(8 * i + j for j in _BYTE_BITS[data[i]])
+        i = marks.find(1, i + 1)
     return found
 
 
@@ -218,7 +231,9 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
     radix, lo = _hfold_radix(base, h_top)
     packed = radix.pack(base, lo)
     levels = _projection_rows(p) if h_max > 1 else None
-    summed = dilated = _bitset((v, 1) for v in sorted(packed))
+    # the packed points of h*p lie in [0, h * span], span that of p's top corner
+    (span,) = radix.pack([maxs], lo)
+    summed = dilated = _runs_bitset(((v, 1) for v in packed), span + 1)
     for h in range(1, h_top + 1):
         if h > 1:
             summed = _next_sum(summed, packed)
@@ -229,9 +244,10 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
             shift = sum(map(mul, offset, radix.weights))
             weights = radix.weights[:-1]
             runs = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], *box(h))
-            dilated = _bitset(
-                (sum(map(mul, prefix, weights)) + first - shift, last - first + 1)
-                for prefix, first, last in runs
+            dilated = _runs_bitset(
+                ((sum(map(mul, prefix, weights)) + first - shift, last - first + 1)
+                 for prefix, first, last in runs),
+                h * span + 1,
             )
         if summed & ~dilated:
             # A sum of lattice points always lies in the dilated hull; reaching

@@ -7,8 +7,10 @@ multiset enumeration.  They are slow and obviously correct.  Some are the
 library's own earlier, slower implementations, kept to cross-check the
 paths that replaced them: the bounding-box scan, tuple sumsets by repeated
 doubling, the per-h IDP check, facet normals from cofactor minors, ranks
-and affine bases by rational elimination, dilates by a fresh hull pass, and
-cover certification by testing every pair of cells.
+and affine bases by rational elimination, dilates by a fresh hull pass,
+cover certification by testing every pair of cells, hulls placed in sorted
+order with every generator a vertex candidate, run enumeration by one
+recursive call per coordinate, and run bitsets by pairwise merges.
 """
 
 import itertools
@@ -33,7 +35,14 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
-from latticeforge.linalg import IntMatrix, determinant
+from latticeforge.geometry import (
+    _affine_basis,
+    _facet_normal,
+    _placing_boundary,
+    _primitive_row,
+    vec_dot,
+)
+from latticeforge.linalg import IntMatrix, determinant, rank_of_rows
 
 
 def cofactor_determinant(rows):
@@ -436,3 +445,94 @@ def staircase_cells(dim):
             cell.append(tuple(v))
         cells.append(cell)
     return cells
+
+
+def sorted_placing_hull(points):
+    """LatticePolytope(points) as built by placing the generators in sorted
+    order and testing every generator as a vertex against all the others."""
+    gens = sorted(set(tuple(p) for p in points))
+    dim = len(gens[0])
+    p = LatticePolytope.__new__(LatticePolytope)
+    p.generators = tuple(gens)
+    p.dim = dim
+    start = _affine_basis(gens)
+    hull_dim = len(start) - 1
+    diffs = [tuple(a - b for a, b in zip(q, start[0])) for q in start[1:]]
+    cols = []
+    for j in range(dim):
+        if rank_of_rows([[row[c] for c in cols + [j]] for row in diffs]) > len(cols):
+            cols.append(j)
+
+    def lift(normal, coords):
+        at = dict(zip(coords, normal))
+        return [at.get(c, 0) for c in range(dim)]
+
+    rows = set()
+    for j in range(dim):
+        if j not in cols:
+            coords = cols + [j]
+            normal = lift(_facet_normal([tuple(v[c] for c in coords) for v in start]), coords)
+            a, b = _primitive_row(normal, vec_dot(normal, start[0]))
+            rows.update({(a, b), (tuple(-x for x in a), -b)})
+    volume = 0
+    if hull_dim:
+        proj = [tuple(g[c] for c in cols) for g in gens]
+        for _, normal, offset in _placing_boundary(proj, hull_dim).values():
+            volume += offset - vec_dot(normal, proj[0])
+            rows.add(_primitive_row(lift(normal, cols), offset))
+    p._facets = tuple(sorted(rows))
+    p._hull_dim = hull_dim
+    p._volume = volume if hull_dim == dim else 0
+
+    def is_vertex(g):
+        tight = [a for a, b in p._facets if vec_dot(a, g) == b]
+        direction = [sum(col) for col in zip(*tight)] or [0] * dim
+        top = vec_dot(direction, g)
+        return all(vec_dot(direction, h) < top for h in gens if h != g)
+
+    p.vertices = tuple(g for g in gens if is_vertex(g))
+    full = hull_dim == dim and len(p.vertices) == dim + 1
+    p._simplex = LatticeSimplex(p.vertices) if full else None
+    return p
+
+
+def recursive_lattice_runs(levels, mins, maxs):
+    """geometry._lattice_runs with one recursive call and slack list per
+    prefix, the last coordinate's included."""
+    last = len(levels) - 1
+    flat = [row for level in levels for row in level]
+    ends = list(itertools.accumulate(map(len, levels)))
+    coefs = [[a[k] for a, _ in level] for k, level in enumerate(levels)]
+    cols = [[a[k] for a, _ in flat[end:]] for k, end in enumerate(ends)]
+    runs = []
+
+    def lift(k, prefix, slack):
+        lo, hi = mins[k], maxs[k]
+        for c, room in zip(coefs[k], slack):
+            if c > 0:
+                hi = min(hi, room // c)
+            else:
+                lo = max(lo, -(room // -c))
+        if k == last:
+            if lo <= hi:
+                runs.append((prefix, lo, hi))
+            return
+        rest = slack[len(coefs[k]) :]
+        for x in range(lo, hi + 1):
+            lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(rest, cols[k])])
+
+    lift(0, (), [b for _, b in flat])
+    return runs
+
+
+def pairwise_bitset(runs):
+    """The int with bits start..start+length-1 set for each (start, length),
+    starts ascending, by merging neighbours pairwise."""
+    terms = [(s, (1 << n) - 1) for s, n in runs]
+    if not terms:
+        return 0
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [(s, m | t << (u - s)) for (s, m), (u, t) in zip(terms[::2], terms[1::2])] + odd
+    start, mask = terms[0]
+    return mask << start

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from latticeforge import cli
 from latticeforge.cli import (
+    build_parser,
     main,
     parse_cover_data,
     parse_polytope_data,
@@ -353,3 +355,45 @@ class TestStrictParsing:
     def test_cover_kind_checked(self):
         with pytest.raises(PolytopeFileError):
             parse_cover_data({"dim": 2, "cells": [[[0, 0]]], "kind": "mystery"})
+
+
+class TestParserReuse:
+    """main parses with one parser per import; a run of calls gives the same
+    stdout (without wall time) and exit codes as a fresh parser per call."""
+
+    ARGVS = (
+        ["idp-check", "--example", "a2", "--h-max", "3"],
+        ["triangulate", "--example", "cube-3"],
+        ["find-ell", "--example", "a2", "--ell-max", "2", "--h-max", "2"],
+        ["idp-check", "--example", "cube-2", "--h", "0"],
+        ["idp-check", "--example", "cube-2", "--h", "2"],
+        ["--version"],
+        ["idp-check", "--example", "a1", "--h", "2"],
+    )
+
+    @staticmethod
+    def outcomes(capsys, argvs):
+        seen = []
+        for argv in argvs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr().out
+            if out.startswith("{"):
+                report = json.loads(out)
+                del report["wall_time_s"]
+                out = json.dumps(report, sort_keys=True)
+            seen.append((code, out))
+        return seen
+
+    def test_same_as_fresh_parsers(self, capsys, monkeypatch):
+        shared = self.outcomes(capsys, self.ARGVS * 2)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self.outcomes(capsys, self.ARGVS * 2)
+        assert shared == fresh
+        assert [code for code, _ in shared[: len(self.ARGVS)]] == [1, 0, 1, 2, 0, ("exit", 0), 0]
+        assert "latticeforge" in shared[5][1]
+
+    def test_one_parser(self):
+        assert cli._parser() is cli._parser()

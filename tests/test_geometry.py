@@ -13,7 +13,9 @@ from helpers import (
     random_polytope,
     random_rational_point,
     random_unimodular_simplex,
+    recursive_lattice_runs,
     rehull_dilate,
+    sorted_placing_hull,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -466,6 +468,98 @@ class TestPlacingCellVolumes:
                 big_first += volumes[0] > 1
             checked += 1
         assert checked >= 40 and big_first >= 20
+
+
+class TestRunsAgainstRecursiveLift:
+    """_lattice_runs, the last coordinate's interval worked out inline, against
+    one recursive call per prefix: the same runs in the same order, over box
+    rows and projection rows of P and h*P, h = 1..3, in dimensions 1-5 (a
+    third of the point sets flat)."""
+
+    def test_random_point_sets(self):
+        rng = random.Random(408)
+        for k in range(100):
+            dim = 1 + k % 5
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
+            levels = _projection_rows(p)
+            for h in (1, 2, 3):
+                q = dilate(p, h)
+                mins, maxs = q.bounding_box()
+                for rows in (_box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
+                    expected = recursive_lattice_runs(rows, mins, maxs)
+                    assert _lattice_runs(rows, mins, maxs) == expected, (p.generators, h)
+
+    def test_empty_and_point_boxes(self):
+        # rows that no point meets, and a box of one cell, in dims 1-3
+        for dim in (1, 2, 3):
+            unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+            levels = [[(e, 0), (tuple(-x for x in e), -1)] for e in unit]
+            zeros = [0] * dim
+            assert _lattice_runs(levels, zeros, [3] * dim) == []
+            assert recursive_lattice_runs(levels, zeros, [3] * dim) == []
+            point = [[(e, 0), (tuple(-x for x in e), 0)] for e in unit]
+            assert _lattice_runs(point, zeros, zeros) == [((0,) * (dim - 1), 0, 0)]
+
+
+class TestHullAgainstSortedPlacing:
+    """LatticePolytope, placed extreme points first with only boundary points
+    as vertex candidates, against the hull placed in sorted order with every
+    generator a candidate: facet rows, vertices, volume, simplex and
+    dimension agree slot for slot."""
+
+    # the bruteforce benchmark's inputs: needle, 2*cube-3, 3*a2, cube-4, grid 4^3
+    BRUTEFORCE = (
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6)),
+        tuple(itertools.product((0, 2), repeat=3)),
+        ((0, 0, 0), (3, 0, 0), (0, 3, 0), (3, 3, 6)),
+        tuple(itertools.product((0, 1), repeat=4)),
+        tuple(itertools.product(range(4), repeat=3)),
+    )
+
+    @staticmethod
+    def assert_same_hull(points):
+        p, q = LatticePolytope(points), sorted_placing_hull(points)
+        assert p.generators == q.generators
+        assert p.facets() == q.facets(), points
+        assert p.vertices == q.vertices, points
+        assert normalized_volume(p) == normalized_volume(q), points
+        assert p.as_simplex() == q.as_simplex(), points
+        assert p.is_full_dimensional() == q.is_full_dimensional()
+
+    def test_random_point_sets(self):
+        rng = random.Random(410)
+        flats = 0
+        for k in range(150):
+            dim = 1 + k % 5
+            points = random_point_set(rng, dim, k % 3 == 0, 3 if dim <= 3 else 2)
+            points += rng.choices(points, k=rng.randint(0, 3))  # duplicates
+            flats += not LatticePolytope(points).is_full_dimensional()
+            self.assert_same_hull(points)
+        assert flats >= 50
+
+    def test_dense_clouds(self):
+        # many interior and boundary points per vertex
+        rng = random.Random(411)
+        for dim in (2, 3, 4):
+            for _ in range(4):
+                self.assert_same_hull(
+                    [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(25)]
+                )
+
+    def test_grids(self):
+        self.assert_same_hull(list(itertools.product(range(4), repeat=3)))
+        self.assert_same_hull(list(itertools.product(range(3), repeat=4)))
+
+    def test_bruteforce_projection_hulls(self):
+        hulls = 0
+        for gens in self.BRUTEFORCE:
+            vertices = LatticePolytope(gens).vertices
+            for k in range(len(gens[0]) - 1):
+                self.assert_same_hull([v[: k + 1] for v in vertices])
+                hulls += 1
+            self.assert_same_hull(gens)
+        assert hulls == 11
 
 
 class TestVertexExtraction:

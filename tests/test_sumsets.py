@@ -10,6 +10,7 @@ from helpers import (
     doubling_sumset,
     multiset_decompositions,
     naive_hfold,
+    pairwise_bitset,
     per_h_idp_check,
     random_point_set,
     random_polytope,
@@ -36,7 +37,7 @@ from latticeforge.fixtures import (
     unit_square,
 )
 from latticeforge.geometry import contains, vec_add, vec_scale
-from latticeforge.sumsets import find_sum_decomposition
+from latticeforge.sumsets import _bit_indices, _runs_bitset, find_sum_decomposition
 
 
 REEVE_VERTICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2))
@@ -150,6 +151,56 @@ class TestPackedAgainstDoubling:
         assert sumset((), ((1, 2),)) == ()
         assert sumset(((1, 2),), ()) == ()
         assert hfold_sumset((), 3) == ()
+
+
+class TestBitIndices:
+    """_bit_indices by byte scan against a plain loop over the bits."""
+
+    @staticmethod
+    def loop_indices(x):
+        return [i for i in range(x.bit_length()) if x >> i & 1]
+
+    def test_edges(self):
+        assert _bit_indices(0) == []
+        for bits in ([0], [7], [8], [63], [64], [7, 8], [63, 64], [0, 7, 8, 15, 16, 63, 64, 65]):
+            x = sum(1 << b for b in bits)
+            assert _bit_indices(x) == bits == self.loop_indices(x)
+
+    def test_dense_and_sparse(self):
+        rng = random.Random(412)
+        for _ in range(40):
+            dense = rng.getrandbits(rng.randint(1, 3000))
+            sparse = sum(1 << rng.randrange(50_000) for _ in range(rng.randint(1, 12)))
+            for x in (dense, sparse, (1 << 4000) - 1):
+                assert _bit_indices(x) == self.loop_indices(x)
+
+
+class TestRunsBitset:
+    """The run-end bitset (stop bits less start bits) against pairwise merges."""
+
+    def test_runs(self):
+        cases = [
+            [],
+            [(0, 1)],
+            [(0, 5), (5, 3)],  # adjacent: one run's stop is the next one's start
+            [(3, 5), (8, 1), (9, 7), (20, 4)],
+            [(0, 8), (8, 8), (16, 48), (64, 1)],
+            [(60, 4)],  # ends on the top bit of a width-64 span
+        ]
+        for runs in cases:
+            assert _runs_bitset(runs, 64 + 1) == pairwise_bitset(runs), runs
+        assert _runs_bitset([(60, 4)], 64) == pairwise_bitset([(60, 4)]) == 0xF << 60
+        assert _runs_bitset([(0, 64)], 64) == (1 << 64) - 1
+
+    def test_random_runs(self):
+        rng = random.Random(413)
+        for _ in range(200):
+            runs, at = [], rng.randrange(20)
+            for _ in range(rng.randint(1, 30)):
+                length = rng.randint(1, 40)
+                runs.append((at, length))
+                at += length + rng.choice((0, 0, rng.randint(1, 30)))
+            assert _runs_bitset(runs, at) == pairwise_bitset(runs)
 
 
 class TestIdpCheck:
