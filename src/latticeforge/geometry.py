@@ -6,10 +6,12 @@ lattice-point enumeration are all decided exactly.
 
 One integer kernel answers every hull question: a beneath-beyond placing
 routine (``_placing_cells``) that keeps the hull boundary as oriented integer
-facet rows.  ``LatticePolytope`` runs it once over its generators, extreme
-points first, in a coordinate projection that is injective on their affine
-hull, and keeps the facet rows, the affine equations, the vertices and the
-normalized volume.
+facet rows.  A placing pass eliminates only for its first simplex, one
+elimination per facet; each new facet's row comes from its two neighbours.
+``LatticePolytope`` runs it once over its generators, extreme points first,
+in a coordinate projection that is injective on their affine hull, and
+keeps the facet rows, the affine equations, the vertices and the normalized
+volume.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -18,7 +20,6 @@ runs.  No LP is involved.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
@@ -241,43 +242,84 @@ def _placing_cells(points: Sequence[Point], dim: int):
     later, so a caller may stop at the first cell it rejects.
 
     The hull boundary is kept as it changes, each boundary facet with its
-    outward integer row computed once.  When the generator is exhausted it
-    returns that boundary: a dict from facet vertex set to (facet points,
-    outward normal, offset), meaning normal.x <= offset on the hull.
+    outward cofactor row (N, b) as _cell_facet computes it: N.x - b is the
+    signed normalized volume of the facet coned to x, positive outside.
+    Only the first simplex is eliminated (_facet_normal), one facet at a
+    time: the facet opposite its first point, whose row gives the first
+    cell's volume, before the first yield, and its other dim facets only
+    when the caller resumes.  Every later facet's row comes from its two
+    neighbours.  Let p see the facet F = (N_F, b_F) at height
+    eta = N_F.p - b_F > 0, and let the ridge R = F - {u} be shared with a
+    boundary facet G = (N_G, b_G) that p does not see: g_p = N_G.p - b_G <= 0
+    and g_u = b_G - N_G.u.  The new facet R + {p} gets the row
+
+        ((eta * N_G - g_p * N_F) / g_u,  (eta * b_G - g_p * b_F) / g_u).
+
+    Every row that vanishes on R is a combination of F's and G's rows.  This
+    one vanishes at p, and at u it is -eta, minus the volume of the cell
+    F + {p} on its inner side.  The outward cofactor row of R + {p}, the one
+    _cell_facet(F + (p,), s) returns, meets the same two conditions, so the
+    two rows agree entry for entry, scale and sign included, and both
+    divisions are exact because that row is integral.  g_u > 0: u lies
+    inside G, and not on G's hyperplane, since then F and G would be
+    coplanar, p would see G too, and R would not be on the horizon.
+
+    Next to the boundary, each ridge (a frozenset of dim - 1 points) maps to
+    the keys of the two boundary facets that share it.  A ridge of a visible
+    facet is on the horizon iff its other owner is not visible; otherwise
+    it becomes interior and leaves the map.
+
+    When the generator is exhausted it returns the boundary: a dict from
+    facet vertex set to (facet points, outward normal, offset), meaning
+    normal.x <= offset on the hull.
     """
     start = _affine_basis(points)
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
-    boundary = {}
-
-    def add_facets(cell, skips):
-        for skip in skips:
-            facet = _cell_facet(cell, skip)
-            boundary[frozenset(facet[0])] = facet
-
     first = tuple(start)
-    add_facets(first, range(dim + 1))
-    _, normal, offset = boundary[frozenset(first[1:])]
+    facet = _cell_facet(first, 0)
+    boundary = {frozenset(facet[0]): facet}
+    _, normal, offset = facet
     yield first, offset - vec_dot(normal, first[0])
+    for skip in range(1, dim + 1):
+        facet = _cell_facet(first, skip)
+        boundary[frozenset(facet[0])] = facet
+    ridges = {}
+    for key in boundary:
+        for q in key:
+            ridges.setdefault(key - {q}, []).append(key)
     starters = set(start)
     for p in points:
         if p in starters:
             continue
-        visible = []
+        visible = {}
         for key, (_, normal, offset) in boundary.items():
-            height = vec_dot(normal, p) - offset
+            height = sum(map(mul, normal, p)) - offset
             if height > 0:
-                visible.append((key, height))
-        # A ridge of exactly one visible facet is on the horizon: its cone
-        # over p is a new boundary facet.  Ridges of two visible facets
-        # become interior.
-        ridges = Counter(key - {q} for key, _ in visible for q in key)
+                visible[key] = height
         new_cells = []
-        for key, height in visible:
-            fpts = boundary.pop(key)[0]
-            cell = fpts + (p,)
-            new_cells.append((cell, height))
-            add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
+        for key, height in visible.items():
+            fpts, normal, offset = boundary.pop(key)
+            new_cells.append((fpts + (p,), height))
+            for s, u in enumerate(fpts):
+                ridge = key - {u}
+                owners = ridges.get(ridge)
+                if owners is None:
+                    continue  # interior: its other owner, also visible, came first
+                other = owners[owners[0] == key]  # the owner that is not key
+                if other in visible:
+                    del ridges[ridge]
+                    continue
+                _, g_normal, g_offset = boundary[other]
+                g_p = sum(map(mul, g_normal, p)) - g_offset
+                g_u = g_offset - sum(map(mul, g_normal, u))
+                row = tuple((height * a - g_p * c) // g_u for a, c in zip(g_normal, normal))
+                new_pts = fpts[:s] + fpts[s + 1 :] + (p,)
+                new_key = frozenset(new_pts)
+                boundary[new_key] = (new_pts, row, (height * g_offset - g_p * offset) // g_u)
+                owners[owners[0] != key] = new_key
+                for r in ridge:
+                    ridges.setdefault(new_key - {r}, []).append(new_key)
         yield from new_cells
     return boundary
 

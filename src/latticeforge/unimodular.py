@@ -333,9 +333,11 @@ def find_unimodular_triangulation(
 ) -> Optional[SimplicialCover]:
     """Search for a certified all-unimodular placing triangulation.
 
-    Tries the lexicographic insertion order first, then seeded shuffles.
-    An order is abandoned at its first non-unimodular cell: placing only
-    adds cells, so that cell would stay in the finished triangulation.
+    Tries the lexicographic insertion order first, then seeded shuffles;
+    when the lattice points are the n+1 vertices of a simplex, every order
+    places that one simplex, so one order decides.  An order is abandoned
+    at its first non-unimodular cell: placing only adds cells, so that cell
+    would stay in the finished triangulation.
     Each cell's normalized volume comes with it from the placing routine,
     so simplices are built only for an order whose cells all have volume 1.
     Returns the first certified cover, or None.  None only proves
@@ -355,6 +357,9 @@ def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
     """find_unimodular_triangulation over pts, the lattice points of p enumerated once by the caller."""
     if not p.is_full_dimensional():
         raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
+    if len(pts) == p.dim + 1:
+        # every order places the one simplex on the n+1 points: one verdict
+        attempts = 1
     for k in range(attempts):
         order = list(pts)
         if k:

@@ -10,12 +10,14 @@ doubling, the per-h IDP check, facet normals from cofactor minors, ranks
 and affine bases by rational elimination, dilates by a fresh hull pass,
 cover certification by testing every pair of cells, hulls placed in sorted
 order with every generator a vertex candidate, run enumeration by one
-recursive call per coordinate, and run bitsets by pairwise merges.
+recursive call per coordinate, run bitsets by pairwise merges, and placing
+with one elimination per new boundary facet.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -35,8 +37,10 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
+from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import (
     _affine_basis,
+    _cell_facet,
     _facet_normal,
     _placing_boundary,
     _primitive_row,
@@ -536,3 +540,41 @@ def pairwise_bitset(runs):
         terms = [(s, m | t << (u - s)) for (s, m), (u, t) in zip(terms[::2], terms[1::2])] + odd
     start, mask = terms[0]
     return mask << start
+
+
+def elimination_placing_cells(points, dim):
+    """geometry._placing_cells with every boundary facet's row from its own
+    elimination (_cell_facet), all of the first simplex's before its yield,
+    and the horizon found by counting the ridges of the visible facets."""
+    start = _affine_basis(points)
+    if len(start) < dim + 1:
+        raise DegeneratePolytopeError("points do not span the ambient dimension")
+    boundary = {}
+
+    def add_facets(cell, skips):
+        for skip in skips:
+            facet = _cell_facet(cell, skip)
+            boundary[frozenset(facet[0])] = facet
+
+    first = tuple(start)
+    add_facets(first, range(dim + 1))
+    _, normal, offset = boundary[frozenset(first[1:])]
+    yield first, offset - vec_dot(normal, first[0])
+    starters = set(start)
+    for p in points:
+        if p in starters:
+            continue
+        visible = []
+        for key, (_, normal, offset) in boundary.items():
+            height = vec_dot(normal, p) - offset
+            if height > 0:
+                visible.append((key, height))
+        ridges = Counter(key - {q} for key, _ in visible for q in key)
+        new_cells = []
+        for key, height in visible:
+            fpts = boundary.pop(key)[0]
+            cell = fpts + (p,)
+            new_cells.append((cell, height))
+            add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
+        yield from new_cells
+    return boundary

@@ -9,6 +9,7 @@ from helpers import (
     box_scan_lattice_points,
     caratheodory_contains,
     cofactor_facet_normal,
+    elimination_placing_cells,
     random_point_set,
     random_polytope,
     random_rational_point,
@@ -29,9 +30,16 @@ from latticeforge import (
     lattice_points,
     normalized_volume,
 )
-from latticeforge import find_unimodular_triangulation, geometry, linalg, lp, unimodular
+from latticeforge import find_ell, find_unimodular_triangulation, geometry, linalg, lp, unimodular
 from latticeforge.errors import DegeneratePolytopeError
-from latticeforge.geometry import _box_rows, _facet_normal, _lattice_runs, _projection_rows
+from latticeforge.geometry import (
+    _box_rows,
+    _extremes_first,
+    _facet_normal,
+    _lattice_runs,
+    _placing_cells,
+    _projection_rows,
+)
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
 
 
@@ -468,6 +476,125 @@ class TestPlacingCellVolumes:
                 big_first += volumes[0] > 1
             checked += 1
         assert checked >= 40 and big_first >= 20
+
+
+def _drain(cells):
+    """Every (cell, volume) a placing pass yields, and its returned boundary
+    as a list of items; or the error it raises."""
+    try:
+        yielded = []
+        while True:
+            yielded.append(next(cells))
+    except StopIteration as done:
+        return yielded, list(done.value.items())
+    except DegeneratePolytopeError as error:
+        return str(error)
+
+
+class TestPlacingRowUpdatesAgainstElimination:
+    """_placing_cells, each new facet's row from its two neighbours, against
+    the kernel that eliminates once per facet: the same (cell, volume)
+    sequence and the same boundary, item for item and in order (keys, facet
+    points, rows), for the points inserted in lex, shuffled and extremes-first
+    order; the same error on affinely dependent inputs."""
+
+    @staticmethod
+    def assert_same_placing(points, dim, rng):
+        for order in (sorted(points), rng.sample(points, len(points)), _extremes_first(points)):
+            expected = _drain(elimination_placing_cells(order, dim))
+            assert _drain(_placing_cells(order, dim)) == expected, order
+
+    def test_random_point_sets(self):
+        rng = random.Random(909)
+        full = 0
+        for k in range(360):
+            dim = 1 + k % 6
+            spread = rng.choice((1, 2, 3))
+            size = rng.randint(dim + 1, dim + 10)
+            points = sorted({tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(size)})
+            full += isinstance(_drain(_placing_cells(points, dim)), tuple)
+            self.assert_same_placing(points, dim, rng)
+        assert full >= 300
+
+    def test_coplanar_neighbours(self):
+        # grids and cubes: many boundary facets share a hyperplane with a neighbour
+        rng = random.Random(910)
+        for n in (1, 2, 3, 4, 5):
+            self.assert_same_placing(list(itertools.product((0, 1), repeat=n)), n, rng)
+        self.assert_same_placing(list(itertools.product(range(4), repeat=3)), 3, rng)
+        self.assert_same_placing(list(itertools.product(range(3), repeat=4)), 4, rng)
+        for ell in (1, 2, 3, 4):
+            self.assert_same_placing(list(lattice_points(dilate(reeve_simplex(), ell))), 3, rng)
+
+    def test_dependent_inputs(self):
+        rng = random.Random(911)
+        cases = [
+            ([(0,), (0,)], 1),
+            ([(0, 0), (1, 1), (2, 2), (-3, -3)], 2),
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)], 3),
+            ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)], 4),
+        ]
+        for points, dim in cases:
+            expected = _drain(elimination_placing_cells(points, dim))
+            assert expected == "points do not span the ambient dimension"
+            self.assert_same_placing(points, dim, rng)
+
+
+class TestPlacingEliminationCount:
+    """Exact counts of _facet_normal eliminations: one for a placing pass
+    abandoned at its first cell, dim + 1 for a pass run to the end however
+    many cells it makes, and pinned totals for a search and a dilation scan."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        original = geometry._facet_normal
+
+        def counting(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(geometry, "_facet_normal", counting)
+        return calls
+
+    POINT_SETS = (
+        lambda: list(itertools.product((0, 1), repeat=4)),
+        lambda: list(lattice_points(dilate(reeve_simplex(), 2))),
+        lambda: list(itertools.product(range(3), repeat=3)),
+        lambda: [(0, 0), (5, 1), (1, 4), (3, 3), (-2, 2)],
+        lambda: [(3,), (-1,), (7,), (0,)],
+    )
+
+    def test_first_cell_only(self, monkeypatch):
+        sets = [build() for build in self.POINT_SETS]
+        calls = self._count(monkeypatch)
+        for points in sets:
+            calls.clear()
+            cells = _placing_cells(points, len(points[0]))
+            next(cells)
+            cells.close()
+            assert calls == [len(points[0])], points
+
+    def test_whole_pass(self, monkeypatch):
+        sets = [build() for build in self.POINT_SETS]
+        calls = self._count(monkeypatch)
+        for points in sets:
+            dim = len(points[0])
+            calls.clear()
+            yielded, boundary = _drain(_placing_cells(points, dim))
+            assert len(yielded) > 1 and calls == [dim] * (dim + 1), points
+
+    def test_search_totals(self, monkeypatch):
+        cube, reeve = unit_cube(4), reeve_simplex()
+        calls = self._count(monkeypatch)
+        # the lexicographic order succeeds: one pass, the first simplex's 5 facets
+        assert find_unimodular_triangulation(cube) is not None
+        assert len(calls) == 5
+        calls.clear()
+        # 81 placing passes (one at ell = 1, a simplex; 20 per row above), and
+        # the hulls of the scan's coordinate projections, 2 + 3 per row
+        assert find_ell(reeve, 5, 3).ell is None
+        assert len(calls) == 142
 
 
 class TestRunsAgainstRecursiveLift:

@@ -345,6 +345,57 @@ class TestSearchEarlyAbortOracle:
             assert self._outcome(find_unimodular_triangulation, p, seed=ell) == expected
 
 
+class TestSimplexSearchOneOrder:
+    """A polytope whose lattice points are the n+1 vertices of a simplex is
+    searched in one insertion order, however many attempts are allowed:
+    every order places the same single cell.  The verdicts equal the full
+    search's, which builds all 20 placing triangulations."""
+
+    @staticmethod
+    def _count_placings(monkeypatch):
+        calls = []
+        original = unimodular._placing_cells
+
+        def counting(points, dim):
+            calls.append(len(points))
+            return original(points, dim)
+
+        monkeypatch.setattr(unimodular, "_placing_cells", counting)
+        return calls
+
+    @staticmethod
+    def _verdict(cover):
+        return None if cover is None else (cover.cells, cover.certified)
+
+    def test_simplices(self, monkeypatch):
+        polytopes = [reeve_simplex(q) for q in (1, 2, 3, 5)] + [std_simplex(n) for n in range(1, 6)]
+        expected = [self._verdict(full_placing_search(p, seed=3)) for p in polytopes]
+        assert [v is None for v in expected] == [False, True, True, True] + [False] * 5
+        calls = self._count_placings(monkeypatch)
+        for p, verdict in zip(polytopes, expected):
+            calls.clear()
+            assert self._verdict(find_unimodular_triangulation(p, seed=3)) == verdict, p
+            assert calls == [p.dim + 1], p
+
+    def test_other_polytopes_keep_every_attempt(self, monkeypatch):
+        # stretched_simplex has a fifth lattice point; its first order succeeds
+        stretched, reeve2 = stretched_simplex(), dilate(reeve_simplex(), 2)
+        expected = [self._verdict(full_placing_search(p)) for p in (stretched, reeve2)]
+        assert expected[0] is not None and expected[1] is None
+        calls = self._count_placings(monkeypatch)
+        assert self._verdict(find_unimodular_triangulation(stretched)) == expected[0]
+        assert calls == [5]
+        calls.clear()
+        assert self._verdict(find_unimodular_triangulation(reeve2)) == expected[1]
+        assert calls == [len(lattice_points(reeve2))] * 20
+
+    def test_find_ell_simplex_row(self, monkeypatch):
+        calls = self._count_placings(monkeypatch)
+        report = find_ell(reeve_simplex(), 1, 1, attempts=20)
+        assert report.per_ell[0].certificate == "impossible"
+        assert calls == [4]
+
+
 class TestMarginLPCount:
     """Exact count of margin LPs: the separating-facet test settles every
     cell pair of these placing triangulations, so none reaches the LP."""
