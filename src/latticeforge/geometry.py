@@ -27,15 +27,15 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import IntMatrix, adjugate, determinant, echelon_insert, rank_of_rows
+from .linalg import DIM_CAP, IntMatrix, adjugate, determinant, echelon_insert, rank_of_rows
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
 
-#: Caps that turn runaway inputs into errors: the ambient dimension, and the
-#: volume of the integer bounding box that lattice-point enumeration accepts
-#: (a bound on the box, not on the points the enumeration visits).
-DIM_CAP = 8
+#: Caps that turn runaway inputs into errors: the ambient dimension
+#: (``linalg.DIM_CAP``, shared with matrices), and the volume of the integer
+#: bounding box that lattice-point enumeration accepts (a bound on the box,
+#: not on the points the enumeration visits).
 BOX_CAP = 10**7
 
 

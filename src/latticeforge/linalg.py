@@ -1,23 +1,25 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything is computed with Python's arbitrary-precision integers and
-``fractions.Fraction``; determinants and ranks are fraction-free.  There is
-deliberately no floating point anywhere: every predicate downstream
-(membership, unimodularity, volumes) reduces to the exact operations in this
-module.
+Everything is computed with Python's arbitrary-precision integers, and every
+elimination is fraction-free (Bareiss steps, each division exact).  Solves
+read the adjugate: ``adj.b`` divided exactly by det is the integral solution,
+and ``Fraction`` enters only in the final division of ``solve_rational``.
+There is deliberately no floating point anywhere: every predicate downstream
+(membership, unimodularity, volumes) reduces to the exact operations here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, LatticeForgeError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError
 
-#: Hard cap on matrix dimensions.  This is a desk-scale tool; the cap keeps
-#: accidental huge inputs from turning exact elimination into a hang.
-MAX_DIM = 16
+#: Hard cap on matrix rows and columns and, in ``geometry``, on the ambient
+#: dimension: desk-scale, so huge inputs fail fast instead of hanging.
+DIM_CAP = 8
 
 
 class IntMatrix:
@@ -36,9 +38,9 @@ class IntMatrix:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"matrix entries must be int, got {x!r}")
-        if len(data) > MAX_DIM or ncols > MAX_DIM:
+        if len(data) > DIM_CAP or ncols > DIM_CAP:
             raise DimensionMismatchError(
-                f"matrix dimensions capped at {MAX_DIM}, got {len(data)}x{ncols}"
+                f"matrix dimensions capped at {DIM_CAP}, got {len(data)}x{ncols}"
             )
         self.rows = len(data)
         self.cols = ncols
@@ -93,76 +95,80 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _bareiss(m: IntMatrix, jordan: bool) -> tuple:
+    """(det, adj) of a square matrix by one fraction-free elimination; (0, None) if singular.
 
-    Every intermediate value is an integer (the interior division is exact),
-    so there is no rounding and no rational blow-up.
+    At each pivot the rows below it (with `jordan`, all other rows of [m | I])
+    take a Bareiss step, (pivot * row - lead * pivot row) / previous pivot,
+    exact because every entry stays a minor.  The last pivot d is det up to
+    the sign of the row swaps.  With `jordan` the pass ends at [d*I | d*inv(m)],
+    whose right block times that sign is adj(m); without it adj is None.
     """
-    if m.rows != m.cols:
-        raise DimensionMismatchError("determinant requires a square matrix")
     n = m.rows
     a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
+    if jordan:
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(n))
+    width = len(a[0])
+    sign, prev = 1, 1
+    for k in range(n):
+        for r in range(k, n):
+            if a[r][k]:
+                break
+        else:
+            return 0, None
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                for j in range(k + 1, width):  # columns up to k are not read again
+                    row[j] = (pivot * row[j] - f * top[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a) if jordan else None
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination (no rounding, no rational blow-up)."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("determinant requires a square matrix")
+    return _bareiss(m, False)[0]
+
+
+def _adj_times(m: IntMatrix, b: Sequence) -> tuple:
+    """(det(m), adj(m).b) for a solve of m @ x = b; SingularMatrixError when det(m) = 0."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("solve requires a square matrix")
+    if len(b) != m.rows:
+        raise DimensionMismatchError("right-hand side length does not match")
+    d, adj = _bareiss(m, True)
+    if not d:
+        raise SingularMatrixError("matrix is singular")
+    return d, [sum(map(mul, row, b)) for row in adj]
 
 
 def solve_rational(m: IntMatrix, b: Sequence) -> tuple:
-    """Exact solution x of ``m @ x = b`` as a tuple of Fractions.
+    """Exact solution x of ``m @ x = b`` as a tuple of Fractions, adj(m).b / det(m).
 
     Raises SingularMatrixError when det(m) = 0.  The right-hand side may be
-    integer or rational; entries of the result are always in lowest terms
-    (``Fraction`` normalises automatically).
+    integer or rational; the entries of the result are in lowest terms.
     """
-    if m.rows != m.cols:
-        raise DimensionMismatchError("solve requires a square matrix")
-    n = m.rows
-    if len(b) != n:
-        raise DimensionMismatchError("right-hand side length does not match")
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m.data, b)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    d, x = _adj_times(m, b)
+    return tuple(Fraction(v, d) for v in x)
 
 
 def integral_solution(m: IntMatrix, b: Sequence[int]):
     """Integer solution w of ``m @ w = b``, or None when none exists.
 
-    Raises SingularMatrixError when det(m) = 0; the rational solution is
-    unique, so integrality of that solution is the whole question.
+    Raises SingularMatrixError when det(m) = 0; otherwise the unique solution
+    adj(m).b / det(m) is integral iff det(m) divides adj(m).b.
     """
-    x = solve_rational(m, b)
-    if all(v.denominator == 1 for v in x):
-        return tuple(int(v) for v in x)
-    return None
+    d, x = _adj_times(m, b)
+    return None if any(v % d for v in x) else tuple(v // d for v in x)
 
 
 def _ext_gcd(a: int, b: int) -> tuple:
@@ -244,18 +250,12 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
 
 def adjugate(m: IntMatrix) -> IntMatrix:
     """Adjugate matrix: adj(m) = det(m) * inverse(m), always integral."""
-    d = determinant(m)
-    if d == 0:
+    if m.rows != m.cols:
+        raise DimensionMismatchError("adjugate requires a square matrix")
+    d, adj = _bareiss(m, True)
+    if not d:
         raise SingularMatrixError("adjugate of a singular matrix is not supported here")
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [d if i == j else 0 for i in range(n)]
-        x = solve_rational(m, e)
-        if any(v.denominator != 1 for v in x):
-            raise LatticeForgeError("adjugate column is not integral")
-        cols.append(tuple(int(v) for v in x))
-    return IntMatrix.from_columns(cols)
+    return IntMatrix(adj)
 
 
 def echelon_insert(echelon: list, row: Sequence[int]) -> bool:

@@ -2,7 +2,8 @@
 
 The constructive side: inside a unimodular simplex, every lattice point of
 the h-fold dilate is a nonnegative integer combination of the vertices with
-weights summing to h, and the weights are unique.  Covers extend this to
+weights summing to h, and the weights are unique: integers read off the
+cell's cached adjugate, with no rational solve.  Covers extend this to
 polytopes: a certified unimodular triangulation yields a decomposition of
 any lattice point of the dilate by locating a containing cell.
 
@@ -14,9 +15,9 @@ opposite sides of it or lies on a facet of the target, which with the volume
 sum proves that the cells tile the target.  Only a cover that fails the
 matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
-separating-facet tests on integer data with an exact rational LP as the
-fallback for pairs neither test separates.  That fallback is the only use of
-``lp`` in the package.
+separating-facet tests on integer data (facet rows from the same adjugate),
+with an exact rational LP as the fallback for pairs neither test separates.
+That fallback is the only use of ``lp`` in the package.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
     CoverageError,
     DegeneratePolytopeError,
     DimensionMismatchError,
-    LatticeForgeError,
     NotUnimodularError,
     PointOutsideError,
 )
@@ -40,7 +40,6 @@ from .geometry import (
     LatticePolytope,
     LatticeSimplex,
     Point,
-    _cell_facet,
     _placing_cells,
     as_point,
     contains,
@@ -51,7 +50,7 @@ from .geometry import (
     vec_scale,
     vec_sub,
 )
-from .linalg import hermite_normal_form, integral_solution
+from .linalg import hermite_normal_form
 from .sumsets import _idp_scan
 
 
@@ -105,8 +104,10 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
     """Unique weights w_i >= 0 with sum h and sum w_i * vertex_i = p.
 
     Requires s unimodular and p a lattice point of the h-fold dilate of s.
-    The weights come from solving the integer system over the difference
-    basis, so the result is exact and deterministic.
+    With det = +-1 the difference matrix has inverse det * adj, so the tail
+    weights are det * adj_i . (p - h * vertex_0), integers from the cell's
+    cached adjugate rows, and w_0 = h minus their sum; p lies in the dilate
+    iff none is negative.
     """
     if not is_unimodular(s):
         raise NotUnimodularError(
@@ -117,16 +118,11 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
         raise DimensionMismatchError("point dimension does not match the simplex")
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"h must be a positive integer, got {h!r}")
-    coords = s.barycentric(tuple(Fraction(x, h) for x in pt))
-    if any(t < 0 for t in coords):
-        raise PointOutsideError(f"{pt} is not in the {h}-fold dilate of the simplex")
     target = vec_sub(pt, vec_scale(s.vertices[0], h))
-    tail = integral_solution(s.difference_matrix, target)
-    if tail is None:
-        raise LatticeForgeError("unimodular difference matrix did not solve integrally")
+    tail = [s.det * vec_dot(row, target) for row in s._adjugate_rows()]
     w = (h - sum(tail), *tail)
-    if any(x < 0 for x in w) or sum(w) != h:
-        raise LatticeForgeError(f"integral weights {w} are not a decomposition with sum {h}")
+    if any(x < 0 for x in w):
+        raise PointOutsideError(f"{pt} is not in the {h}-fold dilate of the simplex")
     parts = []
     for vertex, weight in zip(s.vertices, w):
         parts.extend([vertex] * weight)
@@ -180,12 +176,16 @@ def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) 
 
 
 def _interior_inequalities(cell: LatticeSimplex):
-    """Facet rows (a, b) with a.x >= b on the cell, strict on its interior."""
-    rows = []
-    for skip in range(cell.dim + 1):
-        _, normal, offset = _cell_facet(cell.vertices, skip)
-        rows.append((tuple(-x for x in normal), -offset))
-    return rows
+    """Facet rows (a, b) with a.x >= b on the cell, strict on its interior.
+
+    Row i >= 1 is |det| times the barycentric weight of vertex i, which is
+    sign(det) * adj_{i-1} from the cached adjugate; row 0 is |det| minus
+    their sum.  Each is its facet's negated cofactor normal, entry for entry.
+    """
+    v0 = cell.vertices[0]
+    tail = [tuple(-x for x in row) if cell.det < 0 else row for row in cell._adjugate_rows()]
+    head = tuple(-sum(col) for col in zip(*tail))
+    return [(head, vec_dot(head, v0) - abs(cell.det))] + [(a, vec_dot(a, v0)) for a in tail]
 
 
 def _separates(rows, vertices) -> bool:

@@ -10,8 +10,10 @@ doubling, the per-h IDP check, facet normals from cofactor minors, ranks
 and affine bases by rational elimination, dilates by a fresh hull pass,
 cover certification by testing every pair of cells, hulls placed in sorted
 order with every generator a vertex candidate, run enumeration by one
-recursive call per coordinate, run bitsets by pairwise merges, and placing
-with one elimination per new boundary facet.
+recursive call per coordinate, run bitsets by pairwise merges, placing
+with one elimination per new boundary facet, exact solves (and the adjugate
+built from them) by rational Gauss-Jordan elimination, and a cell's facet
+rows from one cofactor elimination per facet.
 """
 
 import itertools
@@ -37,7 +39,12 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
-from latticeforge.errors import DegeneratePolytopeError
+from latticeforge.errors import (
+    DegeneratePolytopeError,
+    DimensionMismatchError,
+    LatticeForgeError,
+    SingularMatrixError,
+)
 from latticeforge.geometry import (
     _affine_basis,
     _cell_facet,
@@ -91,6 +98,63 @@ def _solve_unique(rows, rhs):
     for row_idx, c in enumerate(pivots):
         sol[c] = aug[row_idx][k]
     return sol
+
+
+def fraction_solve(m, b):
+    """linalg.solve_rational by rational Gauss-Jordan elimination: Fractions, lowest terms."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("solve requires a square matrix")
+    n = m.rows
+    if len(b) != n:
+        raise DimensionMismatchError("right-hand side length does not match")
+    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m.data, b)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def fraction_adjugate(m):
+    """linalg.adjugate as n rational solves: column j solves m @ x = det(m) * e_j."""
+    d = determinant(m)
+    if d == 0:
+        raise SingularMatrixError("adjugate of a singular matrix is not supported here")
+    n = m.rows
+    cols = []
+    for j in range(n):
+        x = fraction_solve(m, [d if i == j else 0 for i in range(n)])
+        if any(v.denominator != 1 for v in x):
+            raise LatticeForgeError("adjugate column is not integral")
+        cols.append(tuple(int(v) for v in x))
+    return IntMatrix.from_columns(cols)
+
+
+def cofactor_interior_rows(cell):
+    """unimodular._interior_inequalities with one cofactor elimination per facet (_cell_facet)."""
+    rows = []
+    for skip in range(cell.dim + 1):
+        _, normal, offset = _cell_facet(cell.vertices, skip)
+        rows.append((tuple(-x for x in normal), -offset))
+    return rows
+
+
+def random_simplex(rng, dim, bound=2):
+    """A seeded full-dimensional lattice simplex with coordinates in [-bound, bound]."""
+    while True:
+        pts = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim + 1)]
+        try:
+            return LatticeSimplex(pts)
+        except DegeneratePolytopeError:
+            continue
 
 
 def caratheodory_contains(points, q):

@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from helpers import cofactor_determinant, fraction_affine_basis, fraction_rank_of_rows
+from helpers import (
+    cofactor_determinant,
+    fraction_adjugate,
+    fraction_affine_basis,
+    fraction_rank_of_rows,
+    fraction_solve,
+)
 from latticeforge import (
     DimensionMismatchError,
     IntMatrix,
+    LatticeForgeError,
     SingularMatrixError,
     determinant,
     hermite_normal_form,
@@ -13,7 +20,7 @@ from latticeforge import (
     solve_rational,
 )
 from latticeforge.geometry import _affine_basis
-from latticeforge.linalg import MAX_DIM, adjugate, rank_of_rows
+from latticeforge.linalg import DIM_CAP, adjugate, rank_of_rows
 
 from fractions import Fraction
 
@@ -37,7 +44,9 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix([[True]])
         with pytest.raises(DimensionMismatchError):
-            IntMatrix.identity(MAX_DIM + 1)
+            IntMatrix.identity(DIM_CAP + 1)
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix([[0] * (DIM_CAP + 1)])
 
     def test_matmul_and_columns(self):
         m = IntMatrix([[1, 2], [3, 4]])
@@ -131,6 +140,77 @@ class TestIntegralSolution:
             if w is not None:
                 assert tuple(w) == tuple(int(v) for v in x)
             done += 1
+
+
+class TestAdjugateKernelAgainstFraction:
+    """adjugate, solve_rational and integral_solution, all read off one
+    fraction-free Gauss-Jordan pass, against the rational Gauss-Jordan
+    elimination they replaced: 3000 seeded matrices with n = 1..8, one in
+    four singular by construction, one in four solved against a rational
+    right-hand side, one in four with entries near 10**30.  Values and
+    exception types must agree.  The adjugate oracle (n rational solves) is
+    run on every tenth matrix; every adjugate is checked as m @ adj = det * I."""
+
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            result = f(*args)
+        except LatticeForgeError as e:
+            return type(e)
+        return result.data if isinstance(result, IntMatrix) else result
+
+    @staticmethod
+    def _case(rng, k):
+        n = rng.randint(1, 8)
+        if k % 4 == 3:
+            rows = [[rng.choice((-1, 1)) * 10**30 + rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-(10**30), 10**30) for _ in range(n)]
+            return IntMatrix(rows), b
+        bound = rng.choice((1, 2, 6))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if k % 4 == 1:
+            # one row an integer combination of the others (the zero row when n = 1)
+            i = rng.randrange(n)
+            rows[i] = [0] * n
+            for j in rng.sample([j for j in range(n) if j != i], min(2, n - 1)):
+                c = rng.randint(-2, 2)
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if k % 4 == 2:
+            b = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(n)]
+        else:
+            b = [rng.randint(-9, 9) for _ in range(n)]
+        return IntMatrix(rows), b
+
+    def test_seeded_matrices(self):
+        rng = random.Random(1968)
+        singular = 0
+        for k in range(3000):
+            m, b = self._case(rng, k)
+            d = determinant(m)
+            adj = self._outcome(adjugate, m)
+            if d:
+                n = m.rows
+                assert m @ IntMatrix(adj) == IntMatrix([[d * (i == j) for j in range(n)] for i in range(n)])
+            else:
+                assert adj is SingularMatrixError
+            if k % 10 == 0:
+                assert adj == self._outcome(fraction_adjugate, m), m
+            x = self._outcome(fraction_solve, m, b)
+            assert self._outcome(solve_rational, m, b) == x, (m, b)
+            if isinstance(x, tuple):  # integral_solution as the rational solve read it
+                x = tuple(map(int, x)) if all(v.denominator == 1 for v in x) else None
+            assert self._outcome(integral_solution, m, b) == x, (m, b)
+            singular += not d
+        assert singular >= 750
+
+    def test_shape_errors(self):
+        for f in (solve_rational, integral_solution, fraction_solve):
+            with pytest.raises(DimensionMismatchError):
+                f(IntMatrix([[1, 2]]), (1,))
+            with pytest.raises(DimensionMismatchError):
+                f(IntMatrix.identity(2), (1, 2, 3))
+        with pytest.raises(DimensionMismatchError):
+            adjugate(IntMatrix([[1, 2]]))
 
 
 class TestHermiteNormalForm:

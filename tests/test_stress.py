@@ -8,6 +8,7 @@ from helpers import (
     caratheodory_contains,
     random_polytope,
     random_rational_point,
+    random_simplex,
     triangle_overlap_area2,
 )
 from latticeforge import (
@@ -76,14 +77,6 @@ class TestDisjointnessPrefilterAgainstLP:
     """Bounding-box and separating-facet tests, with their LP fallback,
     against the bare margin LP on every pair, in dimensions 3 and 4."""
 
-    def _random_simplex(self, rng, dim):
-        while True:
-            pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 1)]
-            try:
-                return LatticeSimplex(pts)
-            except DegeneratePolytopeError:
-                continue
-
     def _check(self, monkeypatch, dim, seed, pairs=300):
         fallbacks = []
         original = lp.max_min_margin
@@ -96,8 +89,8 @@ class TestDisjointnessPrefilterAgainstLP:
         rng = random.Random(seed)
         overlaps = 0
         for _ in range(pairs):
-            a = self._random_simplex(rng, dim)
-            b = self._random_simplex(rng, dim)
+            a = random_simplex(rng, dim)
+            b = random_simplex(rng, dim)
             rows = _interior_inequalities(a) + _interior_inequalities(b)
             expected = max_min_margin(rows, dim) > 0
             assert _interiors_intersect(a, b) == expected, (a, b)

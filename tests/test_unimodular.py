@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cofactor_interior_rows,
+    fraction_solve,
     full_placing_search,
     multiset_decompositions,
     pairwise_verify_cover,
     random_polytope,
+    random_simplex,
     random_unimodular_simplex,
     staircase_cells,
 )
@@ -36,10 +39,15 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge import lp, sumsets, unimodular
-from latticeforge.errors import DegeneratePolytopeError, LatticeForgeError
+from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
-from latticeforge.geometry import is_affinely_independent
-from latticeforge.unimodular import _facets_match, _interiors_intersect, has_unique_triangulation
+from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
+from latticeforge.unimodular import (
+    _facets_match,
+    _interior_inequalities,
+    _interiors_intersect,
+    has_unique_triangulation,
+)
 
 
 def simplex_of(p: LatticePolytope) -> LatticeSimplex:
@@ -100,11 +108,37 @@ class TestDecomposeInSimplex:
         # exhaustive oracle over all 3-multisets of the vertices
         assert multiset_decompositions(s.vertices, (2, 1), 3) == [d.parts]
 
-    def test_failed_integral_solve_is_an_error(self, monkeypatch):
-        # must raise even under python -O, which strips assert statements
-        monkeypatch.setattr(unimodular, "integral_solution", lambda m, b: None)
-        with pytest.raises(LatticeForgeError, match="integrally"):
-            decompose_in_simplex(STD3, (1, 0, 0), 1)
+    def test_weights_recombine_and_match_rational_oracle(self):
+        # seeded unimodular simplices in dims 1-5, each also with its vertices
+        # permuted, so both det signs occur; the oracle is the rational solve
+        # of the difference system, and a point of the box outside the dilate
+        # must be refused exactly when the oracle has a negative weight
+        rng = random.Random(1968)
+        signs, refused = set(), 0
+        for _ in range(40):
+            dim = rng.randint(1, 5)
+            s = random_unimodular_simplex(rng, dim, spread=4)
+            perm = list(s.vertices)
+            rng.shuffle(perm)
+            for cell in (s, LatticeSimplex(perm)):
+                signs.add(cell.det)
+                h = rng.randint(1, 3)
+                inside = lattice_points(dilate(cell.hull(), h))
+                lo, hi = dilate(cell.hull(), h).bounding_box()
+                box = [tuple(rng.randint(a, b) for a, b in zip(lo, hi)) for _ in range(5)]
+                for p in rng.sample(inside, min(5, len(inside))) + box:
+                    tail = fraction_solve(cell.difference_matrix, vec_sub(p, vec_scale(cell.vertices[0], h)))
+                    expected = [h - sum(tail), *tail]
+                    if min(expected) < 0:
+                        with pytest.raises(PointOutsideError):
+                            decompose_in_simplex(cell, p, h)
+                        refused += 1
+                        continue
+                    w = [x for _, x in decompose_in_simplex(cell, p, h).weights]
+                    assert tuple(map(sum, zip(*map(vec_scale, cell.vertices, w)))) == p
+                    assert sum(w) == h
+                    assert w == expected
+        assert signs == {-1, 1} and refused >= 100
 
     def test_not_unimodular_rejected(self):
         with pytest.raises(NotUnimodularError):
@@ -143,6 +177,22 @@ class TestDecomposeInSimplex:
                     d = decompose_in_simplex(s, p, h)
                     assert tuple(sum(c) for c in zip(*d.parts)) == p
                     assert sum(w for _, w in d.weights) == h
+
+
+class TestInteriorInequalities:
+    def test_equal_to_cofactor_rows(self):
+        # seeded simplices in dims 1-6, each also with its first two vertices
+        # swapped, which flips the det sign: the adjugate rows equal the rows
+        # of one cofactor elimination per facet, entry for entry and in order
+        rng = random.Random(42)
+        signs = Counter()
+        for k in range(300):
+            s = random_simplex(rng, 1 + k % 6)
+            v = s.vertices
+            for cell in (s, LatticeSimplex((v[1], v[0], *v[2:]))):
+                signs[cell.det > 0] += 1
+                assert _interior_inequalities(cell) == cofactor_interior_rows(cell), cell
+        assert min(signs.values()) == 300
 
 
 class TestVerifyCover:
