@@ -296,13 +296,15 @@ def _cmd_idp_check(args, poly: LatticePolytope):
 
 
 def _verify_cover_file(path: str, poly: LatticePolytope) -> tuple:
-    """Load a cover file over `poly` and certify it: (cover, certification)."""
+    """Load a cover file over `poly` and certify it: (cover carrying the
+    certification's status, certification)."""
     cover_data = parse_cover_data(parse_strict_json(_read_file(path)))
     if cover_data["dim"] != poly.dim:
         raise PolytopeFileError("cover dimension does not match the polytope")
     cells = tuple(LatticeSimplex(c) for c in cover_data["cells"])
     cover = SimplicialCover(target=poly, cells=cells, kind=cover_data["kind"])
-    return cover, verify_cover(cover)
+    cert = verify_cover(cover)
+    return replace(cover, certified=cert.status), cert
 
 
 def _cmd_decompose(args, poly: LatticePolytope):
@@ -319,7 +321,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         candidate, cert = _verify_cover_file(args.cover, poly)
         cover_source = {"path": args.cover, "certification": cert.status, "problems": list(cert.problems)}
         if cert.status == "certified":
-            cover = replace(candidate, certified="certified")
+            cover = candidate
     else:
         cover = find_unimodular_triangulation(
             poly, attempts=_positive(args.attempts, "--attempts"), seed=args.seed
@@ -357,12 +359,12 @@ def _cmd_decompose(args, poly: LatticePolytope):
 
 def _cmd_triangulate(args, poly: LatticePolytope):
     if args.verify_cover is not None:
-        candidate, cert = _verify_cover_file(args.verify_cover, poly)
+        cover, cert = _verify_cover_file(args.verify_cover, poly)
         result = {
             "mode": "verify",
             "certification": cert.status,
             "problems": list(cert.problems),
-            "cover": _cover_json(candidate),
+            "cover": _cover_json(cover),
         }
         ok = cert.status != "uncertified"
         return result, (EXIT_OK if ok else EXIT_NEGATIVE), [f"cover status: {cert.status}"]

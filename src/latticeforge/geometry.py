@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, IntMatrix, adjugate, determinant, echelon_insert, rank_of_rows
+from .linalg import DIM_CAP, IntMatrix, adjugate, determinant, echelon_insert
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
@@ -367,14 +367,13 @@ class LatticePolytope:
         self.generators = tuple(gens)
         self.dim = dim
 
-        # Coordinates `cols` on which the affine hull projects injectively.
+        # Coordinates `cols` on which the affine hull projects injectively:
+        # each column of the differences kept iff independent of those before it.
         start = _affine_basis(gens)
         hull_dim = len(start) - 1
         diffs = [vec_sub(q, start[0]) for q in start[1:]]
-        cols = []
-        for j in range(dim):
-            if rank_of_rows([[row[c] for c in cols + [j]] for row in diffs]) > len(cols):
-                cols.append(j)
+        echelon = []
+        cols = [j for j in range(dim) if echelon_insert(echelon, [r[j] for r in diffs])]
 
         def lift(normal, coords):
             at = dict(zip(coords, normal))

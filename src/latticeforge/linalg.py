@@ -280,14 +280,3 @@ def echelon_insert(echelon: list, row: Sequence[int]) -> bool:
     g = gcd(*v)
     echelon.append((lead, [x // g for x in v]))
     return True
-
-
-def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a raw list of integer rows (no size cap; internal).
-
-    Fraction-free: one echelon_insert per row, all arithmetic on ints.
-    """
-    echelon = []
-    for row in rows:
-        echelon_insert(echelon, row)
-    return len(echelon)

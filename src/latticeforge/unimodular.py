@@ -16,8 +16,9 @@ sum proves that the cells tile the target.  Only a cover that fails the
 matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
 separating-facet tests on integer data (facet rows from the same adjugate),
-with an exact rational LP as the fallback for pairs neither test separates.
-That fallback is the only use of ``lp`` in the package.
+with the margin LP, solved exactly as its dual on an integer tableau, as the
+fallback for pairs neither test separates.  That fallback is the only use
+of ``lp`` in the package.
 """
 
 from __future__ import annotations

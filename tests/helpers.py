@@ -12,8 +12,9 @@ cover certification by testing every pair of cells, hulls placed in sorted
 order with every generator a vertex candidate, run enumeration by one
 recursive call per coordinate, run bitsets by pairwise merges, placing
 with one elimination per new boundary facet, exact solves (and the adjugate
-built from them) by rational Gauss-Jordan elimination, and a cell's facet
-rows from one cofactor elimination per facet.
+built from them) by rational Gauss-Jordan elimination, a cell's facet
+rows from one cofactor elimination per facet, and the simplex LP on a
+Fraction tableau, with the margin LP in its primal encoding.
 """
 
 import itertools
@@ -53,7 +54,7 @@ from latticeforge.geometry import (
     _primitive_row,
     vec_dot,
 )
-from latticeforge.linalg import IntMatrix, determinant, rank_of_rows
+from latticeforge.linalg import IntMatrix, determinant
 
 
 def cofactor_determinant(rows):
@@ -182,6 +183,109 @@ def feasible_nonneg(a, b):
     n = len(a[0]) if a else 0
     status, _, _ = lp.solve_min([0] * n, a, b)
     return status == lp.OPTIMAL
+
+
+def _fraction_pivot(tab, basis, row, col):
+    inv = 1 / tab[row][col]
+    tab[row] = [x * inv for x in tab[row]]
+    pivot_row = tab[row]
+    for r in range(len(tab)):
+        if r != row and tab[r][col]:
+            factor = tab[r][col]
+            tab[r] = [x - factor * y for x, y in zip(tab[r], pivot_row)]
+    basis[row] = col
+
+
+def _fraction_minimize(tab, basis, obj, ncols):
+    m = len(tab)
+    while True:
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return lp.OPTIMAL
+        best = None
+        for r in range(m):
+            a = tab[r][col]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
+                    best = (ratio, r)
+        if best is None:
+            return lp.UNBOUNDED
+        row = best[1]
+        _fraction_pivot(tab, basis, row, col)
+        factor = obj[col]
+        obj[:] = [x - factor * y for x, y in zip(obj, tab[row])]
+
+
+def fraction_solve_min(c, a, b):
+    """lp.solve_min on a Fraction tableau: the same two phases, Bland's rule
+    on rational entries, each pivot row divided through by its pivot."""
+    m = len(a)
+    n = len(c)
+    tab = []
+    for row, rhs in zip(a, b):
+        fr = [Fraction(x) for x in row] + [Fraction(rhs)]
+        if fr[-1] < 0:
+            fr = [-x for x in fr]
+        tab.append(fr)
+    total = n + m
+    for i in range(m):
+        tab[i] = tab[i][:-1] + [Fraction(int(j == i)) for j in range(m)] + [tab[i][-1]]
+    basis = [n + i for i in range(m)]
+    obj = [Fraction(0)] * (total + 1)
+    for j in range(n):
+        obj[j] = -sum(tab[i][j] for i in range(m))
+    obj[-1] = -sum(tab[i][-1] for i in range(m))
+    _fraction_minimize(tab, basis, obj, total)
+    if -obj[-1] != 0:
+        return lp.INFEASIBLE, None, None
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tab[r][j] != 0), None)
+            if col is None:
+                continue
+            _fraction_pivot(tab, basis, r, col)
+        keep.append(r)
+    tab = [tab[r][:n] + [tab[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+    obj = [Fraction(x) for x in c] + [Fraction(0)]
+    for r, var in enumerate(basis):
+        if obj[var]:
+            factor = obj[var]
+            obj = [x - factor * y for x, y in zip(obj, tab[r])]
+    if _fraction_minimize(tab, basis, obj, n) == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for r, var in enumerate(basis):
+        x[var] = tab[r][-1]
+    return lp.OPTIMAL, tuple(x), -obj[-1]
+
+
+def fraction_max_min_margin(ineqs, n):
+    """lp.max_min_margin as the primal LP on the Fraction tableau: x = u - w,
+    the margin g - f, one slack per row a.x - margin - s = beta."""
+    m = len(ineqs)
+    nvars = 2 * n + 2 + m
+    rows = []
+    rhs = []
+    for k, (a, beta) in enumerate(ineqs):
+        row = [Fraction(0)] * nvars
+        for j in range(n):
+            row[j] = Fraction(a[j])
+            row[n + j] = Fraction(-a[j])
+        row[2 * n] = Fraction(-1)
+        row[2 * n + 1] = Fraction(1)
+        row[2 * n + 2 + k] = Fraction(-1)
+        rows.append(row)
+        rhs.append(Fraction(beta))
+    c = [Fraction(0)] * nvars
+    c[2 * n] = Fraction(-1)
+    c[2 * n + 1] = Fraction(1)
+    status, _, value = fraction_solve_min(c, rows, rhs)
+    if status != lp.OPTIMAL:
+        raise LatticeForgeError(f"margin LP did not solve: {status}")
+    return -value
 
 
 def _hull_feasible(points, q, dim):
@@ -528,7 +632,7 @@ def sorted_placing_hull(points):
     diffs = [tuple(a - b for a, b in zip(q, start[0])) for q in start[1:]]
     cols = []
     for j in range(dim):
-        if rank_of_rows([[row[c] for c in cols + [j]] for row in diffs]) > len(cols):
+        if fraction_rank_of_rows([[row[c] for c in cols + [j]] for row in diffs]) > len(cols):
             cols.append(j)
 
     def lift(normal, coords):

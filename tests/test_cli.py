@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import pytest
 
+from helpers import staircase_cells
 from latticeforge import cli
 from latticeforge.cli import (
     build_parser,
@@ -226,6 +228,24 @@ class TestTriangulate:
         code, report, _ = run(capsys, "triangulate", "--example", "cube-2", "--verify-cover", cover)
         assert code == 0
         assert report["result"]["certification"] == "vertices-only"
+
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_verify_cover_reports_the_certified_cover(self, capsys, tmp_path, pairwise):
+        # the staircase of cube-3 passes facet matching; next to a copy
+        # shifted by e_1 and flipped in y it covers {0,1,2}x{0,1}^2, but not
+        # face to face, so the pairwise test certifies it
+        cells = staircase_cells(3)
+        target = ["--example", "cube-3"]
+        if pairwise:
+            cells += [[(x + 1, 1 - y, z) for x, y, z in c] for c in cells]
+            box = itertools.product((0, 1, 2), (0, 1), (0, 1))
+            target = [write(tmp_path, "box.json", {"dim": 3, "vertices": [list(v) for v in box]})]
+        cover = write(tmp_path, "cover.json", {"dim": 3, "cells": cells})
+        code, report, _ = run(capsys, "triangulate", *target, "--verify-cover", cover)
+        assert code == 0
+        assert report["result"]["certification"] == "certified"
+        assert report["result"]["cover"]["certified"] == "certified"
+        assert len(report["result"]["cover"]["cells"]) == len(cells)
 
 
 class TestFindEll:

@@ -1,7 +1,13 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
-from helpers import feasible_nonneg
+import pytest
+
+from helpers import feasible_nonneg, fraction_max_min_margin, fraction_solve_min, random_simplex
+from latticeforge.errors import LatticeForgeError
 from latticeforge.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_margin, solve_min
+from latticeforge.unimodular import _interior_inequalities
 
 
 class TestSolveMin:
@@ -103,3 +109,81 @@ class TestMaxMinMargin:
         rows = _interior_inequalities(s) + _interior_inequalities(t)
         assert max_min_margin(rows, 3) <= 0
         assert not _interiors_intersect(s, t)
+
+    def test_unbounded_margin_is_an_error(self):
+        # x >= 0 alone: the margin grows with x
+        for solve in (max_min_margin, fraction_max_min_margin):
+            with pytest.raises(LatticeForgeError, match="^margin LP did not solve: unbounded$"):
+                solve([((1,), 0)], 1)
+
+
+def _random_lp(rng, k):
+    """A seeded LP with m <= 6 rows and n <= 8 variables: rational data on
+    odd k; right-hand sides from a point x0 >= 0 (so feasible) on half the
+    k; one row a combination of the first two on every third k (redundant);
+    zero costs (a feasibility problem, whose x is the vertex phase 1 ends
+    at) on every fifth k, and nonnegative costs (so bounded) on the next."""
+    m, n = rng.randint(1, 6), rng.randint(1, 8)
+    if k % 2:
+        def value():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    else:
+        def value():
+            return rng.randint(-3, 3)
+    a = [[value() for _ in range(n)] for _ in range(m)]
+    if k % 4 < 2:
+        x0 = [abs(value()) for _ in range(n)]
+        b = [sum(p * q for p, q in zip(row, x0)) for row in a]
+    else:
+        b = [value() for _ in range(m)]
+    redundant = k % 3 == 0 and m > 1
+    if redundant:
+        s, t = value(), value()
+        a[-1] = [s * p + t * q for p, q in zip(a[0], a[1])]
+        b[-1] = s * b[0] + t * b[1]
+    if k % 5 == 0:
+        c = [0] * n
+    else:
+        c = [abs(value()) if k % 5 == 1 else value() for _ in range(n)]
+    return c, a, b, redundant
+
+
+class TestSolveMinAgainstFraction:
+    """The integer tableau against the Fraction tableau it replaced: the
+    same (status, x, value), entry for entry, on 5,000 seeded LPs."""
+
+    def test_seeded_lps(self):
+        rng = random.Random(2718)
+        statuses, redundant = Counter(), Counter()
+        for k in range(5000):
+            c, a, b, is_redundant = _random_lp(rng, k)
+            got = solve_min(c, a, b)
+            assert got == fraction_solve_min(c, a, b), (c, a, b)
+            status, x, value = got
+            if status == OPTIMAL:
+                assert all(type(t) is Fraction for t in (*x, value))
+                assert [sum(map(lambda p, q: p * q, row, x)) for row in a] == b
+                assert sum(map(lambda p, q: p * q, c, x)) == value
+            statuses[status] += 1
+            redundant[status] += is_redundant
+        assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 500
+        assert min(redundant[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 200
+
+
+class TestMarginAgainstFraction:
+    """max_min_margin, the dual on the integer tableau, against the primal
+    encoding on the Fraction tableau: equal values on 1,500 seeded pairs of
+    simplices in dims 1-8, fewer pairs where the oracle is slow."""
+
+    def test_random_simplex_pairs(self):
+        rng = random.Random(1968)
+        signs = Counter()
+        for dim, count in zip(range(1, 9), (600, 450, 250, 100, 40, 25, 20, 15)):
+            for _ in range(count):
+                s, t = random_simplex(rng, dim), random_simplex(rng, dim)
+                rows = _interior_inequalities(s) + _interior_inequalities(t)
+                margin = max_min_margin(rows, dim)
+                assert margin == fraction_max_min_margin(rows, dim), (s.vertices, t.vertices)
+                signs[(margin > 0) - (margin < 0)] += 1
+        assert sum(signs.values()) == 1500
+        assert min(signs.values()) >= 100, signs

@@ -339,16 +339,17 @@ class TestBitsetWidth:
         with pytest.raises(ResourceLimitError, match="h=5: sumset would evaluate too many pairs"):
             idp_scan(dilate(unit_cube(3), 2), 6)
 
-    def test_check_beyond_the_box_cap_sums_first(self, monkeypatch):
-        # idp_check(p, 6) sums up to h = 6 before it meets 6*p's box, and
-        # S_6 = S_5 + S_1 takes 1331 * 27 pairs, S_5 only 729 * 27
+    def test_check_beyond_the_box_cap_refused_at_once(self, monkeypatch):
+        # 220*cube-3 has a box of 221^3 > 10^7 cells: refused before any
+        # lattice point is enumerated or any sum is built
+        monkeypatch.setattr(sumsets, "lattice_points", lambda p: pytest.fail("enumerated"))
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap of 10000000 cells$"):
+            idp_check(unit_cube(3), 220)
+        # the box cap comes first even where S_6 = S_5 + S_1 would exceed the pair cap
         monkeypatch.setattr(geometry, "BOX_CAP", 1000)
         monkeypatch.setattr(sumsets, "PAIR_CAP", 1331 * 27 - 1)
-        p = dilate(unit_cube(3), 2)
-        with pytest.raises(ResourceLimitError, match="^sumset would evaluate too many pairs"):
-            idp_check(p, 6)
-        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap"):
-            idp_check(p, 5)
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap of 1000"):
+            idp_check(dilate(unit_cube(3), 2), 6)
 
 
 class TestIdpScanAgainstPerH:
