@@ -477,6 +477,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _encode(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for string keys, without its
+    pure-Python encoder; `indent` is the line break before a closing bracket."""
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_encode(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + f",{inner}".join([_encode(v, inner) for v in value]) + indent + "]"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -504,7 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "result": result,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_encode(report))
     for line in summary:
         print(line, file=sys.stderr)
     return code

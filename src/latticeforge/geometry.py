@@ -4,26 +4,29 @@ Points are plain tuples of Python ints; rational query points are tuples of
 ``fractions.Fraction``.  Membership, barycentric coordinates, dilation and
 lattice-point enumeration are all decided exactly.
 
-One integer kernel answers every hull question: a beneath-beyond placing
-routine (``_placing_cells``) that keeps the hull boundary as oriented integer
-facet rows.  A placing pass eliminates only for its first simplex, one
-elimination per facet; each new facet's row comes from its two neighbours.
-``LatticePolytope`` runs it once over its generators, extreme points first,
-in a coordinate projection that is injective on their affine hull, and
-keeps the facet rows, the affine equations, the vertices and the normalized
-volume.
+``LatticePolytope`` finds its facet rows by double description
+(``_facet_rows``): starting from a simplex, each further generator keeps the
+integer rows it does not violate and joins each adjacent pair of a violated
+and a kept row into one row through it.  Rows carry the bitmask of the
+generators tight on them, which decides adjacency and, afterwards, which
+generators are vertices.  The placing routine (``_placing_cells``), a
+beneath-beyond pass that keeps the hull boundary as oriented integer facet
+rows, triangulates; it eliminates only for its first simplex, one
+elimination per facet, and each new facet's row comes from its two
+neighbours.  It gives the normalized volume, on first use.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
-runs.  No LP is involved.
+runs, or sets their bits in a packed bitset.  No LP is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from functools import reduce
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
@@ -151,7 +154,7 @@ def barycentric(s: LatticeSimplex, q: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The hull kernel: integer beneath-beyond placing.
+# The hull kernels: integer beneath-beyond placing and double description.
 # ---------------------------------------------------------------------------
 
 
@@ -324,26 +327,81 @@ def _placing_cells(points: Sequence[Point], dim: int):
     return boundary
 
 
-def _placing_boundary(points: Sequence[Point], dim: int) -> dict:
-    """The hull boundary that _placing_cells returns once every point is placed."""
-    cells = _placing_cells(points, dim)
-    try:
-        while True:
-            next(cells)
-    except StopIteration as done:
-        return done.value
+def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
+    """(rows, masks) of the full-dimensional conv(points) by double description.
 
+    Motzkin et al. (1953): rows[k] = (a, b) is a primitive facet row,
+    a.x <= b on the hull, and masks[k] the bitmask of the points tight on it.
+    The _cell_facet rows of the simplex that `start` indexes begin; each
+    other point p, farthest from the bounding box's centre first, keeps the
+    rows it does not violate and joins each adjacent pair of a violated row
+    F and a row G that p lies strictly beneath into one row through p: the
+    pencil row of _placing_cells, from F's height above p and G's depth
+    below it, masked with F's and G's common points plus p.
 
-def _extremes_first(points: Sequence[Point]) -> list:
-    """The points, those that maximize (s.x, x) for a sign vector s first.
-
-    One point per s in {1, -1}^dim, each a vertex of the hull, in the order
-    of the sign vectors; the rest follow in their given order.
+    Two rows are adjacent iff they share at least dim - 1 tight points and
+    no third row is tight on all of them: their common points then span a
+    ridge.  Both tests read at[j], the bitmask of the rows tight at point j.
+    The rows tight at dim - 1 or more of F's points come from a bit-sliced
+    count over F's points, and the rows tight at every common point are one
+    AND of their at[j].
     """
-    first = {}
-    for signs in product((1, -1), repeat=len(points[0])):
-        first[max(points, key=lambda x: (vec_dot(signs, x), x))] = None
-    return [*first, *(p for p in points if p not in first)]
+    dim = len(points[0])
+    first = [points[i] for i in start]
+    rows = [_primitive_row(*_cell_facet(first, skip)[1:]) for skip in range(dim + 1)]
+    masks = [sum(1 << j for j in start if j != i) for i in start]
+    starters = set(start)
+    # the points farthest from the box's centre first: they tend to be
+    # vertices, and a point met inside the hull only has its tight bits set
+    mins, maxs = [min(col) for col in zip(*points)], [max(col) for col in zip(*points)]
+    order = sorted(
+        range(len(points)),
+        key=lambda i: -sum((2 * x - a - b) ** 2 for x, a, b in zip(points[i], mins, maxs)),
+    )
+    for i in order:
+        if i in starters:
+            continue
+        p = points[i]
+        heights = [sum(map(mul, a, p)) - b for a, b in rows]
+        masks = [z | (t == 0) << i for z, t in zip(masks, heights)]
+        if max(heights) <= 0:
+            continue
+        violated = [k for k, t in enumerate(heights) if t > 0]
+        beneath = sum(1 << k for k, t in enumerate(heights) if t < 0)
+        # at[j] for each point j of a violated row
+        need = reduce(or_, [masks[f] for f in violated])
+        at = dict.fromkeys(_bits(need), 0)
+        for k, z in enumerate(masks):
+            for j in _bits(z & need):
+                at[j] |= 1 << k
+        every = (1 << len(rows)) - 1
+        new_rows, new_masks = [], []
+        for f in violated:
+            # reach[c]: the rows tight at c or more of F's points
+            reach = [every] + [0] * (dim - 1)
+            for j in _bits(masks[f]):
+                reach = [every, *(r | fewer & at[j] for r, fewer in zip(reach[1:], reach))]
+            for g in _bits(reach[-1] & beneath):
+                common = masks[f] & masks[g]
+                if reduce(and_, [at[j] for j in _bits(common)], every).bit_count() > 2:
+                    continue
+                (n_f, b_f), (n_g, b_g), eta, g_p = rows[f], rows[g], heights[f], heights[g]
+                row = [eta * a - g_p * c for a, c in zip(n_g, n_f)]
+                new_rows.append(_primitive_row(row, eta * b_g - g_p * b_f))
+                new_masks.append(common | 1 << i)
+        kept = [k for k, t in enumerate(heights) if t <= 0]
+        rows, masks = [rows[k] for k in kept] + new_rows, [masks[k] for k in kept] + new_masks
+    return rows, masks
+
+
+def _bits(z: int) -> list:
+    """Positions of the set bits of z >= 0, lowest first."""
+    out = []
+    while z:
+        low = z & -z
+        out.append(low.bit_length() - 1)
+        z ^= low
+    return out
 
 
 def _primitive_row(normal: Sequence[int], offset: int) -> tuple:
@@ -389,38 +447,18 @@ class LatticePolytope:
                 a, b = _primitive_row(normal, vec_dot(normal, start[0]))
                 rows.update({(a, b), (tuple(-x for x in a), -b)})
 
-        # The hull is placed extreme points first, so most other generators
-        # are met inside it and add nothing.  Its rows and volume do not
-        # depend on the order: only the facets' triangulation does.
-        volume = 0
-        candidates = gens
+        self._hull_dim = hull_dim
+        self._volume = None
+        self.vertices = self.generators
         if hull_dim:
             proj = [tuple(g[c] for c in cols) for g in gens]
-            boundary = _placing_boundary(_extremes_first(proj), hull_dim).values()
-            for _, normal, offset in boundary:
-                # cone from a hull point over each boundary facet tiles the hull
-                volume += offset - vec_dot(normal, proj[0])
-                rows.add(_primitive_row(lift(normal, cols), offset))
-            # every vertex is a point of a boundary facet
-            on_boundary = {q for fpts, _, _ in boundary for q in fpts}
-            candidates = [g for g, q in zip(gens, proj) if q in on_boundary]
+            facets, masks = _facet_rows(proj, [gens.index(q) for q in start])
+            rows.update((tuple(lift(a, cols)), b) for a, b in facets)
+            # g is a vertex iff no other generator is tight on every facet g
+            # is tight on, the face those facets cut out then being {g}
+            meet = [reduce(and_, (z for z in masks if z >> i & 1), -1) for i in range(len(gens))]
+            self.vertices = tuple(g for i, g in enumerate(gens) if meet[i] == 1 << i)
         self._facets = tuple(sorted(rows))
-        self._hull_dim = hull_dim
-        self._volume = volume if hull_dim == dim else 0
-
-        # g is a vertex iff it alone maximizes the sum of its tight facet
-        # normals: that sum lies inside g's normal cone exactly when the cone
-        # is full-dimensional, and is constant on the face g is interior to.
-        # When g does not alone maximize it, the face that does has a vertex
-        # other than g, and every vertex is a candidate: the candidates are
-        # the only rivals to compare.
-        def is_vertex(g):
-            tight = [a for a, b in self._facets if vec_dot(a, g) == b]
-            direction = [sum(col) for col in zip(*tight)] or [0] * dim
-            top = vec_dot(direction, g)
-            return all(vec_dot(direction, h) < top for h in candidates if h != g)
-
-        self.vertices = tuple(g for g in candidates if is_vertex(g))
         full = hull_dim == dim and len(self.vertices) == dim + 1
         self._simplex = LatticeSimplex(self.vertices) if full else None
 
@@ -463,7 +501,14 @@ class LatticePolytope:
 
 
 def normalized_volume(p: LatticePolytope) -> int:
-    """n! times Euclidean volume as an exact integer; 0 for flat polytopes."""
+    """n! times Euclidean volume as an exact integer; 0 for flat polytopes.
+
+    Computed on first use, as the sum of the cell volumes of one placing
+    pass over the vertices, and kept in the polytope.
+    """
+    if p._volume is None:
+        full = p.is_full_dimensional()
+        p._volume = sum(v for _, v in _placing_cells(p.vertices, p.dim)) if full else 0
     return p._volume
 
 
@@ -480,8 +525,8 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
 
     Built from p's parts, with no hull pass: h*P has the vertices h*v, the
     primitive rows (a, h*b) in the same sorted order, the same affine
-    dimension and h^dim times the normalized volume.  The result equals
-    LatticePolytope of the scaled vertices slot for slot.
+    dimension and h^dim times the normalized volume, once p's is known.  The
+    result equals LatticePolytope of the scaled vertices slot for slot.
     """
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {h!r}")
@@ -490,7 +535,7 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     scaled.dim = p.dim
     scaled._facets = tuple((a, h * b) for a, b in p._facets)
     scaled._hull_dim = p._hull_dim
-    scaled._volume = h**p.dim * p._volume
+    scaled._volume = None if p._volume is None else h**p.dim * p._volume
     scaled._simplex = None if p._simplex is None else LatticeSimplex(scaled.vertices)
     return scaled
 
@@ -510,7 +555,7 @@ def _check_box(mins: Sequence[int], maxs: Sequence[int]) -> None:
         raise ResourceLimitError(f"bounding box exceeds the enumeration cap of {BOX_CAP} cells")
 
 
-def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: Sequence[int]) -> list:
+def _lattice_runs(levels: Sequence, mins: Sequence[int], maxs: Sequence[int], weights=None):
     """Integer points of the box mins..maxs that satisfy per-coordinate rows, as runs.
 
     levels[k] holds rows (a, b) that bound x_k given x_0..x_{k-1}: each
@@ -525,6 +570,15 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
     prefixes extend to a point (the facet rows of each coordinate
     projection) make every prefix visited extend to a point of the real
     hull; relaxed rows may visit more.
+
+    Given packing `weights` (the last one 1), it returns instead the int
+    with bit sum_k weights[k] * (x_k - mins[k]) set for each point x.  The
+    packed prefix is carried down the nesting, so a run from lo to hi is
+    the bit range start..stop - 1, start = base + lo, and it is set as it
+    is found: its start bit into one bytearray and its stop bit into
+    another.  The runs are disjoint, so they have distinct starts and
+    distinct stops, and their union is the stops' int less the starts' int.
+    No run tuple is built and no per-run dot product is taken.
     """
     last = len(levels) - 1
     flat = [row for level in levels for row in level]
@@ -533,6 +587,10 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
     # cols[k]: the coefficients of x_k in the rows of the later levels
     cols = [[a[k] for a, _ in flat[end:]] for k, end in enumerate(ends)]
     runs = []
+    bits = weights is not None
+    steps = weights if bits else [0] * len(levels)
+    size = (sum(w * (b - a) for w, a, b in zip(steps, mins, maxs)) + 1) // 8 + 1
+    starts, stops = bytearray(size), bytearray(size)
 
     def interval(k, slack):
         # slack: b - sum_{i<k} a_i x_i for the rows of levels k, k+1, ...
@@ -548,13 +606,13 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
                     lo = t
         return lo, hi
 
-    def lift(k, prefix, slack):
+    def lift(k, prefix, base, slack):
         lo, hi = interval(k, slack)
-        col = cols[k]
+        col, w = cols[k], steps[k]
         rest = slack[len(coefs[k]) :]
         if k + 1 < last:
             for x in range(lo, hi + 1):
-                lift(k + 1, prefix + (x,), [s - c * x for s, c in zip(rest, col)])
+                lift(k + 1, prefix + (x,), base + w * x, [s - c * x for s, c in zip(rest, col)])
             return
         # given the second-to-last coordinate x, a row of the last level with
         # coefficients (cx, c) for it and the last coordinate bounds the last
@@ -574,16 +632,25 @@ def _lattice_runs(levels: Sequence[Sequence[tuple]], mins: Sequence[int], maxs: 
                 if t > v:
                     v = t
             if v <= u:
-                runs.append((prefix + (x,), v, u))
+                if bits:
+                    at = base + w * x
+                    start, stop = at + v, at + u + 1
+                    starts[start >> 3] |= 1 << (start & 7)
+                    stops[stop >> 3] |= 1 << (stop & 7)
+                else:
+                    runs.append((prefix + (x,), v, u))
 
     slack = [b for _, b in flat]
+    base = -sum(map(mul, steps, mins))
     if last:
-        lift(0, (), slack)
+        lift(0, (), base, slack)
     else:
         lo, hi = interval(0, slack)
         if lo <= hi:
             runs.append(((), lo, hi))
-    return runs
+            if bits:
+                return (1 << base + hi + 1) - (1 << base + lo)
+    return int.from_bytes(stops, "little") - int.from_bytes(starts, "little") if bits else runs
 
 
 def _projection_rows(p: LatticePolytope) -> list:

@@ -15,9 +15,9 @@ are then in lexicographic order, and unpacking is exact.
 set, so they keep sets of packed ints.  The IDP check enumerates the
 dilate's box anyway, so it keeps bitsets (bit v set iff v packs a member):
 S_h = OR over a in S_1 of S_{h-1} << a, carried across h, and the dilate
-from runs of consecutive packed values, as the int of the runs' stop bits
-less the int of their start bits.  The dilate's size and the guard that no
-sum escapes it (S_h & ~dilate) are one int operation each; the witnesses
+as geometry's enumeration sets the bits of its runs of consecutive packed
+values, each as it is found.  The dilate's size and the guard that no sum
+escapes it (S_h & ~dilate) are one int operation each; the witnesses
 (dilate & ~S_h) are read from that int's non-zero bytes, low byte first,
 which is lexicographic order.
 """
@@ -98,6 +98,11 @@ def _check_points(n: int) -> None:
         raise ResourceLimitError(f"sumset exceeded the {POINTSET_CAP}-point cap")
 
 
+def _check_h_max(h_max) -> None:
+    if not isinstance(h_max, int) or isinstance(h_max, bool) or h_max < 1:
+        raise ValueError(f"h_max must be a positive integer, got {h_max!r}")
+
+
 def _add(s, t) -> set:
     """{a + b : a in s, b in t} for packed points, under both caps."""
     _check_pairs(len(s), len(t))
@@ -162,23 +167,6 @@ class IdpReport:
     dilate_size: int
 
 
-def _runs_bitset(runs: Iterable[tuple], width: int) -> int:
-    """The int with bits start..start+length-1 set for each (start, length) run.
-
-    The runs are disjoint, length >= 1 and start + length <= width.  A run
-    is (1 << stop) - (1 << start), stop = start + length.  Disjoint runs
-    have distinct starts and distinct stops, so their union is the sum of
-    their stop bits less the sum of their start bits: two bytearrays,
-    filled in one pass and read as ints once.
-    """
-    starts, stops = bytearray(width // 8 + 1), bytearray(width // 8 + 1)
-    for start, length in runs:
-        stop = start + length
-        starts[start >> 3] |= 1 << (start & 7)
-        stops[stop >> 3] |= 1 << (stop & 7)
-    return int.from_bytes(stops, "little") - int.from_bytes(starts, "little")
-
-
 #: bytes.translate table that sends every non-zero byte to 1
 _NONZERO = bytes([0]) + bytes([1]) * 255
 #: the set bit positions of each byte value, lowest first
@@ -211,11 +199,12 @@ def _next_sum(summed: int, packed: Sequence[int]) -> int:
     return out
 
 
-def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
+def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, levels: Optional[list]):
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
 
-    `base` is p's lattice points; h*p is enumerated over the rows of p's
-    coordinate projections.  The radix is that of h_top*p, h_top the largest
+    `base` is p's lattice points; h*p is enumerated over `levels`, the rows
+    of p's coordinate projections (_projection_rows, None when h_max is 1),
+    each scaled to (a, h*b).  The radix is that of h_top*p, h_top the largest
     h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
     h_top + 1 the pair cap is checked and then the box cap raised, the h at
     which enumerating that dilate would raise it.
@@ -228,12 +217,15 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
     h_top = 1
     while h_top < h_max and _box_fits(*box(h_top + 1)):
         h_top += 1
+    # lo, the least coordinates of the lattice points, is p's box corner `mins`
     radix, lo = _hfold_radix(base, h_top)
     packed = radix.pack(base, lo)
-    levels = _projection_rows(p) if h_max > 1 else None
     # the packed points of h*p lie in [0, h * span], span that of p's top corner
     (span,) = radix.pack([maxs], lo)
-    summed = dilated = _runs_bitset(((v, 1) for v in packed), span + 1)
+    bits = bytearray(span // 8 + 1)
+    for v in packed:
+        bits[v >> 3] |= 1 << (v & 7)
+    summed = dilated = int.from_bytes(bits, "little")
     for h in range(1, h_top + 1):
         if h > 1:
             summed = _next_sum(summed, packed)
@@ -241,14 +233,8 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
             continue
         offset = [h * a for a in lo]
         if h > 1:
-            shift = sum(map(mul, offset, radix.weights))
-            weights = radix.weights[:-1]
-            runs = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], *box(h))
-            dilated = _runs_bitset(
-                ((sum(map(mul, prefix, weights)) + first - shift, last - first + 1)
-                 for prefix, first, last in runs),
-                h * span + 1,
-            )
+            rows = [[(a, h * b) for a, b in level] for level in levels]
+            dilated = _lattice_runs(rows, *box(h), radix.weights)
         if summed & ~dilated:
             # A sum of lattice points always lies in the dilated hull; reaching
             # here means enumeration or summation is broken, not mathematics.
@@ -273,24 +259,25 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
         raise ValueError(f"number of summands must be a positive integer, got {h!r}")
     # refused at once when h*p's box is over the cap: no bitset would fit
     _check_box(*dilate(p, h).bounding_box())
-    (report,) = _idp_reports(p, lattice_points(p), h, every=False)
+    levels = _projection_rows(p) if h > 1 else None
+    (report,) = _idp_reports(p, lattice_points(p), h, every=False, levels=levels)
     return report
 
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     """idp_check for every h = 1..h_max, in order, each sumset built once."""
-    return _idp_scan(p, h_max, None)
+    _check_h_max(h_max)
+    return _idp_scan(p, h_max, None, _projection_rows(p) if h_max > 1 else None)
 
 
-def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple]) -> tuple:
-    """idp_scan, given p's lattice points `base` when the caller has enumerated them."""
-    if not isinstance(h_max, int) or isinstance(h_max, bool) or h_max < 1:
-        raise ValueError(f"h_max must be a positive integer, got {h_max!r}")
+def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple], levels: Optional[list]) -> tuple:
+    """idp_scan for a checked h_max, given p's `levels` for _idp_reports and
+    p's lattice points `base` when the caller has enumerated them."""
     reports = []
     try:
         if base is None:
             base = lattice_points(p)
-        for report in _idp_reports(p, base, h_max, every=True):
+        for report in _idp_reports(p, base, h_max, every=True, levels=levels):
             reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1

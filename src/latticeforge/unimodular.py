@@ -7,7 +7,7 @@ cell's cached adjugate, with no rational solve.  Covers extend this to
 polytopes: a certified unimodular triangulation yields a decomposition of
 any lattice point of the dilate by locating a containing cell.
 
-Placing triangulations come from the integer hull kernel in ``geometry``.
+Placing triangulations come from the integer placing kernel in ``geometry``.
 Certification is exact throughout: volumes are compared as integers
 (normalized volume = |det|), and a triangulation is first certified by
 facet matching: every cell facet is either shared by exactly two cells on
@@ -42,6 +42,7 @@ from .geometry import (
     LatticeSimplex,
     Point,
     _placing_cells,
+    _projection_rows,
     as_point,
     contains,
     dilate,
@@ -52,7 +53,7 @@ from .geometry import (
     vec_sub,
 )
 from .linalg import hermite_normal_form
-from .sumsets import _idp_scan
+from .sumsets import _check_h_max, _idp_scan
 
 
 def lattice_index(s: LatticeSimplex) -> int:
@@ -443,10 +444,14 @@ def find_ell(
     if not isinstance(ell_max, int) or isinstance(ell_max, bool) or ell_max < 1:
         raise ValueError(f"ell_max must be a positive integer, got {ell_max!r}")
     _check_attempts(attempts)
+    _check_h_max(h_max)
     rows = []
     found = None
+    # the rows of p's coordinate projections, scaled to (a, ell*b) for ell*p
+    levels = None if h_max == 1 else _projection_rows(p)
     for ell in range(1, ell_max + 1):
         scaled = dilate(p, ell)
+        scaled_levels = None if levels is None else [[(a, ell * b) for a, b in lv] for lv in levels]
         # One enumeration of the row's lattice points serves the search, the
         # uniqueness test and the h = 1 sumset.
         pts = lattice_points(scaled)
@@ -465,7 +470,7 @@ def find_ell(
                 ell=ell,
                 certificate=status,
                 cell_count=len(cover.cells) if cover is not None else None,
-                idp=_idp_scan(scaled, h_max, pts),
+                idp=_idp_scan(scaled, h_max, pts, scaled_levels),
             )
         )
     return EllReport(ell=found, per_ell=tuple(rows))

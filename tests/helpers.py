@@ -8,13 +8,15 @@ library's own earlier, slower implementations, kept to cross-check the
 paths that replaced them: the bounding-box scan, tuple sumsets by repeated
 doubling, the per-h IDP check, facet normals from cofactor minors, ranks
 and affine bases by rational elimination, dilates by a fresh hull pass,
-cover certification by testing every pair of cells, hulls placed in sorted
-order with every generator a vertex candidate, run enumeration by one
-recursive call per coordinate, run bitsets by pairwise merges, placing
-with one elimination per new boundary facet, exact solves (and the adjugate
-built from them) by rational Gauss-Jordan elimination, a cell's facet
-rows from one cofactor elimination per facet, and the simplex LP on a
-Fraction tableau, with the margin LP in its primal encoding.
+cover certification by testing every pair of cells, hulls read off a
+placing triangulation (in sorted order with every generator a vertex
+candidate, or extreme points first with the boundary points as candidates),
+run enumeration by one recursive call per coordinate, run bitsets from run
+ends and by pairwise merges, placing with one elimination per new boundary
+facet, exact solves (and the adjugate built from them) by rational
+Gauss-Jordan elimination, a cell's facet rows from one cofactor
+elimination per facet, and the simplex LP on a Fraction tableau, with the
+margin LP in its primal encoding.
 """
 
 import itertools
@@ -50,7 +52,7 @@ from latticeforge.geometry import (
     _affine_basis,
     _cell_facet,
     _facet_normal,
-    _placing_boundary,
+    _placing_cells,
     _primitive_row,
     vec_dot,
 )
@@ -619,9 +621,34 @@ def staircase_cells(dim):
     return cells
 
 
-def sorted_placing_hull(points):
+def placing_boundary(points, dim):
+    """The hull boundary that geometry._placing_cells returns once every point is placed."""
+    cells = _placing_cells(points, dim)
+    try:
+        while True:
+            next(cells)
+    except StopIteration as done:
+        return done.value
+
+
+def extremes_first(points):
+    """The points, those that maximize (s.x, x) for a sign vector s first.
+
+    One point per s in {1, -1}^dim, each a vertex of the hull, in the order
+    of the sign vectors; the rest follow in their given order.
+    """
+    first = {}
+    for signs in itertools.product((1, -1), repeat=len(points[0])):
+        first[max(points, key=lambda x: (vec_dot(signs, x), x))] = None
+    return [*first, *(p for p in points if p not in first)]
+
+
+def sorted_placing_hull(points, extremes=False):
     """LatticePolytope(points) as built by placing the generators in sorted
-    order and testing every generator as a vertex against all the others."""
+    order and testing every generator as a vertex against all the others,
+    its facet rows read off the placing boundary and its volume summed over
+    the boundary facets.  With `extremes`, the generators are placed extreme
+    points first and only those on a boundary facet are vertex candidates."""
     gens = sorted(set(tuple(p) for p in points))
     dim = len(gens[0])
     p = LatticePolytope.__new__(LatticePolytope)
@@ -647,22 +674,28 @@ def sorted_placing_hull(points):
             a, b = _primitive_row(normal, vec_dot(normal, start[0]))
             rows.update({(a, b), (tuple(-x for x in a), -b)})
     volume = 0
+    candidates = gens
     if hull_dim:
         proj = [tuple(g[c] for c in cols) for g in gens]
-        for _, normal, offset in _placing_boundary(proj, hull_dim).values():
+        boundary = placing_boundary(extremes_first(proj) if extremes else proj, hull_dim).values()
+        for _, normal, offset in boundary:
             volume += offset - vec_dot(normal, proj[0])
             rows.add(_primitive_row(lift(normal, cols), offset))
+        if extremes:
+            on_boundary = {q for fpts, _, _ in boundary for q in fpts}
+            candidates = [g for g, q in zip(gens, proj) if q in on_boundary]
     p._facets = tuple(sorted(rows))
     p._hull_dim = hull_dim
     p._volume = volume if hull_dim == dim else 0
 
+    # g is a vertex iff it alone maximizes the sum of its tight facet normals
     def is_vertex(g):
         tight = [a for a, b in p._facets if vec_dot(a, g) == b]
         direction = [sum(col) for col in zip(*tight)] or [0] * dim
         top = vec_dot(direction, g)
-        return all(vec_dot(direction, h) < top for h in gens if h != g)
+        return all(vec_dot(direction, h) < top for h in candidates if h != g)
 
-    p.vertices = tuple(g for g in gens if is_vertex(g))
+    p.vertices = tuple(g for g in candidates if is_vertex(g))
     full = hull_dim == dim and len(p.vertices) == dim + 1
     p._simplex = LatticeSimplex(p.vertices) if full else None
     return p
@@ -695,6 +728,18 @@ def recursive_lattice_runs(levels, mins, maxs):
 
     lift(0, (), [b for _, b in flat])
     return runs
+
+
+def runs_bitset(runs, width):
+    """The int with bits start..start+length-1 set for each disjoint
+    (start, length) run, start + length <= width: the sum of the runs' stop
+    bits less the sum of their start bits, filled in two bytearrays."""
+    starts, stops = bytearray(width // 8 + 1), bytearray(width // 8 + 1)
+    for start, length in runs:
+        stop = start + length
+        starts[start >> 3] |= 1 << (start & 7)
+        stops[stop >> 3] |= 1 << (stop & 7)
+    return int.from_bytes(stops, "little") - int.from_bytes(starts, "little")
 
 
 def pairwise_bitset(runs):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from helpers import (
     caratheodory_contains,
     cofactor_facet_normal,
     elimination_placing_cells,
+    extremes_first,
+    pairwise_bitset,
     random_point_set,
     random_polytope,
     random_rational_point,
@@ -34,7 +37,6 @@ from latticeforge import find_ell, find_unimodular_triangulation, geometry, lina
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import (
     _box_rows,
-    _extremes_first,
     _facet_normal,
     _lattice_runs,
     _placing_cells,
@@ -298,13 +300,13 @@ class TestDilateBuildCount:
     def test_no_hull_pass(self, monkeypatch):
         polytopes = [build() for build in self.CASES]
         calls = []
-        original = geometry._placing_boundary
+        original = geometry._facet_rows
 
-        def counting(points, dim):
-            calls.append(dim)
-            return original(points, dim)
+        def counting(points, start):
+            calls.append(start)
+            return original(points, start)
 
-        monkeypatch.setattr(geometry, "_placing_boundary", counting)
+        monkeypatch.setattr(geometry, "_facet_rows", counting)
         for p in polytopes:
             for h in (1, 2, 3):
                 assert dilate(p, h).vertices == tuple(tuple(h * x for x in v) for v in p.vertices)
@@ -500,7 +502,7 @@ class TestPlacingRowUpdatesAgainstElimination:
 
     @staticmethod
     def assert_same_placing(points, dim, rng):
-        for order in (sorted(points), rng.sample(points, len(points)), _extremes_first(points)):
+        for order in (sorted(points), rng.sample(points, len(points)), extremes_first(points)):
             expected = _drain(elimination_placing_cells(order, dim))
             assert _drain(_placing_cells(order, dim)) == expected, order
 
@@ -587,14 +589,16 @@ class TestPlacingEliminationCount:
     def test_search_totals(self, monkeypatch):
         cube, reeve = unit_cube(4), reeve_simplex()
         calls = self._count(monkeypatch)
-        # the lexicographic order succeeds: one pass, the first simplex's 5 facets
+        # the lexicographic order succeeds: one pass, the first simplex's 5
+        # facets; certifying it computes the volume, one more pass over the
+        # vertices and 5 more
         assert find_unimodular_triangulation(cube) is not None
-        assert len(calls) == 5
+        assert len(calls) == 10
         calls.clear()
         # 81 placing passes (one at ell = 1, a simplex; 20 per row above), and
-        # the hulls of the scan's coordinate projections, 2 + 3 per row
+        # the hulls of P's coordinate projections, 2 + 3 once for every row
         assert find_ell(reeve, 5, 3).ell is None
-        assert len(calls) == 142
+        assert len(calls) == 122
 
 
 class TestRunsAgainstRecursiveLift:
@@ -617,6 +621,29 @@ class TestRunsAgainstRecursiveLift:
                     expected = recursive_lattice_runs(rows, mins, maxs)
                     assert _lattice_runs(rows, mins, maxs) == expected, (p.generators, h)
 
+    def test_packed_bits(self):
+        # given packing weights, the bits of the runs' points, set as the
+        # runs are found, against the runs packed and merged pairwise
+        rng = random.Random(417)
+        for k in range(100):
+            dim = 1 + k % 5
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
+            levels = _projection_rows(p)
+            for h in (1, 2, 3):
+                q = dilate(p, h)
+                mins, maxs = q.bounding_box()
+                radices = [b - a + 1 + rng.choice((0, 0, 3)) for a, b in zip(mins, maxs)]
+                weights = [math.prod(radices[j + 1 :]) for j in range(dim)]
+                for rows in (_box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
+                    packed = [
+                        (sum(w * (x - m) for w, x, m in zip(weights, prefix + (lo,), mins)), hi - lo + 1)
+                        for prefix, lo, hi in recursive_lattice_runs(rows, mins, maxs)
+                    ]
+                    bits = _lattice_runs(rows, mins, maxs, weights)
+                    assert bits == pairwise_bitset(packed), (p.generators, h)
+                assert bits.bit_count() == len(lattice_points(q))
+
     def test_empty_and_point_boxes(self):
         # rows that no point meets, and a box of one cell, in dims 1-3
         for dim in (1, 2, 3):
@@ -627,13 +654,21 @@ class TestRunsAgainstRecursiveLift:
             assert recursive_lattice_runs(levels, zeros, [3] * dim) == []
             point = [[(e, 0), (tuple(-x for x in e), 0)] for e in unit]
             assert _lattice_runs(point, zeros, zeros) == [((0,) * (dim - 1), 0, 0)]
+            weights = [4**j for j in reversed(range(dim))]
+            assert _lattice_runs(levels, zeros, [3] * dim, weights) == 0
+            assert _lattice_runs(point, zeros, zeros, weights) == 1
+            # the whole box: the last stop bit is the first of a new byte
+            box = [[(e, 3), (tuple(-x for x in e), 0)] for e in unit]
+            assert _lattice_runs(box, zeros, [3] * dim, weights) == (1 << 4**dim) - 1
 
 
 class TestHullAgainstSortedPlacing:
-    """LatticePolytope, placed extreme points first with only boundary points
-    as vertex candidates, against the hull placed in sorted order with every
-    generator a candidate: facet rows, vertices, volume, simplex and
-    dimension agree slot for slot."""
+    """LatticePolytope, its facet rows by double description and its vertices
+    read off the rows' tight sets, against the hulls read off a placing
+    triangulation (sorted order with every generator a vertex candidate, and
+    extreme points first with the boundary points as candidates): every
+    slot agrees, the volume compared through normalized_volume, on seeded
+    sets in dimensions 1-8, flat and full, on grids and on cubes."""
 
     # the bruteforce benchmark's inputs: needle, 2*cube-3, 3*a2, cube-4, grid 4^3
     BRUTEFORCE = (
@@ -646,13 +681,14 @@ class TestHullAgainstSortedPlacing:
 
     @staticmethod
     def assert_same_hull(points):
-        p, q = LatticePolytope(points), sorted_placing_hull(points)
-        assert p.generators == q.generators
-        assert p.facets() == q.facets(), points
-        assert p.vertices == q.vertices, points
-        assert normalized_volume(p) == normalized_volume(q), points
-        assert p.as_simplex() == q.as_simplex(), points
-        assert p.is_full_dimensional() == q.is_full_dimensional()
+        p = LatticePolytope(points)
+        assert p._volume is None
+        for q in (sorted_placing_hull(points), sorted_placing_hull(points, extremes=True)):
+            for slot in LatticePolytope.__slots__:
+                if slot not in ("_simplex", "_volume"):
+                    assert getattr(p, slot) == getattr(q, slot), (points, slot)
+            assert p.as_simplex() == q.as_simplex(), points
+            assert normalized_volume(p) == normalized_volume(q), points
 
     def test_random_point_sets(self):
         rng = random.Random(410)
@@ -664,6 +700,23 @@ class TestHullAgainstSortedPlacing:
             flats += not LatticePolytope(points).is_full_dimensional()
             self.assert_same_hull(points)
         assert flats >= 50
+
+    def test_high_dimensions(self):
+        # dims 6-8: up to 14 points, a third of the sets flat
+        rng = random.Random(414)
+        flats = 0
+        for k in range(36):
+            dim = 6 + k % 3
+            points = [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(dim + rng.randint(1, 6))]
+            if k % 3 == 0:
+                # affine combinations x + y - z of dim - 1 points stay in their affine hull
+                base = points[: dim - 1]
+                points = base + [
+                    tuple(x + y - z for x, y, z in zip(*rng.sample(base, 3))) for _ in range(rng.randint(1, 6))
+                ]
+            flats += not LatticePolytope(points).is_full_dimensional()
+            self.assert_same_hull(points)
+        assert flats >= 12
 
     def test_dense_clouds(self):
         # many interior and boundary points per vertex
@@ -678,6 +731,12 @@ class TestHullAgainstSortedPlacing:
         self.assert_same_hull(list(itertools.product(range(4), repeat=3)))
         self.assert_same_hull(list(itertools.product(range(3), repeat=4)))
 
+    def test_cubes(self):
+        # coplanar-heavy: every facet of cube-n holds 2^(n-1) generators
+        for n in range(1, 8):
+            self.assert_same_hull(list(itertools.product((0, 1), repeat=n)))
+        self.assert_same_hull(list(itertools.product((0, 1), (0, 1, 2), (0, 1), (-1, 0, 1))))
+
     def test_bruteforce_projection_hulls(self):
         hulls = 0
         for gens in self.BRUTEFORCE:
@@ -687,6 +746,70 @@ class TestHullAgainstSortedPlacing:
                 hulls += 1
             self.assert_same_hull(gens)
         assert hulls == 11
+
+    def test_many_simplicial_facets(self):
+        # points in general position in dims 6-7: hundreds of facets
+        rng = random.Random(419)
+        for dim, size in ((6, 22), (7, 18)):
+            points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(size)]
+            self.assert_same_hull(points)
+            assert len(LatticePolytope(points).facets()) > 200
+
+    def test_insertion_orders(self):
+        # _facet_rows in any order: the same rows, and each mask the points tight on its row
+        rng = random.Random(415)
+        checked = 0
+        for k in range(120):
+            dim = 2 + k % 4
+            points = list({tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 8)})
+            q = LatticePolytope(points)
+            if not q.is_full_dimensional():
+                continue
+            rng.shuffle(points)
+            index = {v: i for i, v in enumerate(points)}
+            rows, masks = geometry._facet_rows(points, [index[v] for v in geometry._affine_basis(points)])
+            assert sorted(rows) == list(q.facets()), points
+            for (a, b), mask in zip(rows, masks):
+                assert mask == sum(1 << i for i, v in enumerate(points) if geometry.vec_dot(a, v) == b)
+            checked += 1
+        assert checked >= 100
+
+
+class TestLazyVolume:
+    """The normalized volume is computed on first use, from one placing pass
+    over the vertices, and kept; dilate scales a known volume and leaves an
+    unknown one unknown, to be computed from its own vertices."""
+
+    def test_computed_once(self, monkeypatch):
+        p = unit_cube(4)
+        assert p._volume is None
+        passes = []
+        original = geometry._placing_cells
+
+        def counting(points, dim):
+            passes.append(list(points))
+            return original(points, dim)
+
+        monkeypatch.setattr(geometry, "_placing_cells", counting)
+        assert normalized_volume(p) == normalized_volume(p) == 24
+        assert passes == [list(p.vertices)]
+        flat = LatticePolytope([(0, 0, 0), (1, 2, 3), (2, 0, 1)])
+        assert normalized_volume(flat) == 0 and len(passes) == 1
+
+    def test_dilate(self, monkeypatch):
+        rng = random.Random(416)
+        for k in range(60):
+            dim = 1 + k % 4
+            p = LatticePolytope(random_point_set(rng, dim, flat=k % 4 == 0))
+            for h in (1, 2, 3):
+                q = dilate(p, h)
+                assert q._volume is None
+                assert normalized_volume(q) == normalized_volume(rehull_dilate(p, h))
+            volume = normalized_volume(p)
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_placing_cells", None)  # no pass: the volume is scaled
+                for h in (1, 2, 3):
+                    assert normalized_volume(dilate(p, h)) == h**dim * volume
 
 
 class TestVertexExtraction:

@@ -14,6 +14,7 @@ from helpers import (
     per_h_idp_check,
     random_point_set,
     random_polytope,
+    runs_bitset,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -25,6 +26,7 @@ from latticeforge import (
     idp_check,
     idp_scan,
     lattice_points,
+    normalized_volume,
     point_set,
     sumset,
 )
@@ -37,7 +39,7 @@ from latticeforge.fixtures import (
     unit_square,
 )
 from latticeforge.geometry import contains, vec_add, vec_scale
-from latticeforge.sumsets import _bit_indices, _runs_bitset, find_sum_decomposition
+from latticeforge.sumsets import _bit_indices, find_sum_decomposition
 
 
 REEVE_VERTICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2))
@@ -188,9 +190,9 @@ class TestRunsBitset:
             [(60, 4)],  # ends on the top bit of a width-64 span
         ]
         for runs in cases:
-            assert _runs_bitset(runs, 64 + 1) == pairwise_bitset(runs), runs
-        assert _runs_bitset([(60, 4)], 64) == pairwise_bitset([(60, 4)]) == 0xF << 60
-        assert _runs_bitset([(0, 64)], 64) == (1 << 64) - 1
+            assert runs_bitset(runs, 64 + 1) == pairwise_bitset(runs), runs
+        assert runs_bitset([(60, 4)], 64) == pairwise_bitset([(60, 4)]) == 0xF << 60
+        assert runs_bitset([(0, 64)], 64) == (1 << 64) - 1
 
     def test_random_runs(self):
         rng = random.Random(413)
@@ -200,7 +202,7 @@ class TestRunsBitset:
                 length = rng.randint(1, 40)
                 runs.append((at, length))
                 at += length + rng.choice((0, 0, rng.randint(1, 30)))
-            assert _runs_bitset(runs, at) == pairwise_bitset(runs)
+            assert runs_bitset(runs, at) == pairwise_bitset(runs)
 
 
 class TestIdpCheck:
@@ -307,10 +309,12 @@ class TestBitsetWidth:
         return widths
 
     def test_assembled_cube_is_the_cube(self):
-        for n in range(2, 6):
+        # unit_cube computes its volume on first use, so it is compared there
+        for n in range(2, 7):
             a, b = assembled_unit_cube(n), unit_cube(n)
-            for slot in ("generators", "vertices", "dim", "_facets", "_hull_dim", "_volume", "_simplex"):
+            for slot in ("generators", "vertices", "dim", "_facets", "_hull_dim", "_simplex"):
                 assert getattr(a, slot) == getattr(b, slot), (n, slot)
+            assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
 
     def test_pair_cap_before_the_box_cap(self, monkeypatch):
         # (h+1)^8 <= 10^7 up to h_top = 6; |S_4| * |S_1| = 5^8 * 2^8 > PAIR_CAP.

@@ -803,6 +803,12 @@ class TestFindEll:
         with pytest.raises(ValueError):
             find_ell(unit_square(), ell_max=0, h_max=1)
 
+    def test_h_max_checked_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(unimodular, "_placing_search", None)
+        for h_max in (0, True, 2.0):
+            with pytest.raises(ValueError, match="h_max"):
+                find_ell(unit_cube(5), ell_max=3, h_max=h_max)
+
     def test_lattice_points_enumerated_once_per_row(self, monkeypatch):
         # per row: l*P once for the search, the uniqueness test and h = 1,
         # then h*(l*P) for h = 2, 3 as runs
@@ -814,9 +820,9 @@ class TestFindEll:
             calls.append(p)
             return original(p)
 
-        def counting_runs(levels, mins, maxs):
+        def counting_runs(levels, *box_and_weights):
             calls.append(levels)
-            return original_runs(levels, mins, maxs)
+            return original_runs(levels, *box_and_weights)
 
         monkeypatch.setattr(unimodular, "lattice_points", counting)
         monkeypatch.setattr(sumsets, "lattice_points", counting)
