@@ -30,7 +30,7 @@ from operator import and_, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, IntMatrix, adjugate, determinant, echelon_insert
+from .linalg import DIM_CAP, IntMatrix, _bareiss, adjugate, echelon_insert
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
@@ -54,9 +54,13 @@ def as_point(p: Sequence[int]) -> Point:
 
 def as_rat_point(q: Sequence, dim: int) -> RatPoint:
     qt = tuple(Fraction(x) for x in q)
-    if len(qt) != dim:
-        raise DimensionMismatchError(f"expected a point of dimension {dim}, got {len(qt)}")
+    _check_length(qt, dim)
     return qt
+
+
+def _check_length(q: tuple, dim: int) -> None:
+    if len(q) != dim:
+        raise DimensionMismatchError(f"expected a point of dimension {dim}, got {len(q)}")
 
 
 def vec_add(p: Point, q: Point) -> Point:
@@ -92,9 +96,14 @@ def is_affinely_independent(points: Iterable[Sequence[int]]) -> bool:
 
 
 class LatticeSimplex:
-    """n+1 affinely independent lattice points in Z^n, in a fixed order."""
+    """n+1 affinely independent lattice points in Z^n, in a fixed order.
 
-    __slots__ = ("vertices", "dim", "difference_matrix", "det", "_adj_rows")
+    det is the determinant of the differences v_i - v_0, from one Bareiss
+    elimination on them as rows (a matrix and its transpose share it); the
+    difference matrix, those differences as columns, is built on first read.
+    """
+
+    __slots__ = ("vertices", "dim", "det", "_diff", "_adj_rows")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = tuple(as_point(v) for v in vertices)
@@ -107,15 +116,23 @@ class LatticeSimplex:
             )
         if len(set(verts)) != len(verts):
             raise DegeneratePolytopeError("simplex vertices must be distinct")
-        diff = IntMatrix.from_columns([vec_sub(v, verts[0]) for v in verts[1:]])
-        det = determinant(diff)
+        base = verts[0]
+        det = _bareiss([[a - b for a, b in zip(v, base)] for v in verts[1:]], False)[0]
         if det == 0:
             raise DegeneratePolytopeError("simplex vertices are affinely dependent")
         self.vertices = verts
         self.dim = dim
-        self.difference_matrix = diff
         self.det = det
+        self._diff = None
         self._adj_rows = None
+
+    @property
+    def difference_matrix(self) -> IntMatrix:
+        """The matrix whose columns are v_i - v_0, i = 1..n."""
+        if self._diff is None:
+            base = self.vertices[0]
+            self._diff = IntMatrix.from_columns([vec_sub(v, base) for v in self.vertices[1:]])
+        return self._diff
 
     def _adjugate_rows(self):
         if self._adj_rows is None:
@@ -267,30 +284,34 @@ def _placing_cells(points: Sequence[Point], dim: int):
     inside G, and not on G's hyperplane, since then F and G would be
     coplanar, p would see G too, and R would not be on the horizon.
 
-    Next to the boundary, each ridge (a frozenset of dim - 1 points) maps to
-    the keys of the two boundary facets that share it.  A ridge of a visible
-    facet is on the horizon iff its other owner is not visible; otherwise
-    it becomes interior and leaves the map.
+    Boundary facets and ridges are keyed by the bitmask of their points'
+    indices, one bit per distinct point, so a ridge is its facet's key less
+    one bit and a new facet its ridge's key plus p's bit; the bits are
+    assigned after the first yield, so a caller that stops at the first
+    cell pays nothing for them.  Next to the boundary, each ridge (dim - 1
+    points) maps to the keys of the two boundary facets that share it.  A
+    ridge of a visible facet is on the horizon iff its other owner is not
+    visible; otherwise it becomes interior and leaves the map.
 
-    When the generator is exhausted it returns the boundary: a dict from
-    facet vertex set to (facet points, outward normal, offset), meaning
-    normal.x <= offset on the hull.
+    When the generator is exhausted it returns the boundary: a list of
+    (facet points, outward normal, offset), meaning normal.x <= offset on
+    the hull, in the order the facets joined it.
     """
     start = _affine_basis(points)
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     first = tuple(start)
     facet = _cell_facet(first, 0)
-    boundary = {frozenset(facet[0]): facet}
     _, normal, offset = facet
     yield first, offset - vec_dot(normal, first[0])
-    for skip in range(1, dim + 1):
-        facet = _cell_facet(first, skip)
-        boundary[frozenset(facet[0])] = facet
+    bit = {q: 1 << i for i, q in enumerate(points)}
+    boundary = {}
+    for f in [facet] + [_cell_facet(first, skip) for skip in range(1, dim + 1)]:
+        boundary[sum(bit[q] for q in f[0])] = f
     ridges = {}
-    for key in boundary:
-        for q in key:
-            ridges.setdefault(key - {q}, []).append(key)
+    for key, (fpts, _, _) in boundary.items():
+        for q in fpts:
+            ridges.setdefault(key ^ bit[q], []).append(key)
     starters = set(start)
     for p in points:
         if p in starters:
@@ -301,11 +322,12 @@ def _placing_cells(points: Sequence[Point], dim: int):
             if height > 0:
                 visible[key] = height
         new_cells = []
+        p_bit = bit[p]
         for key, height in visible.items():
             fpts, normal, offset = boundary.pop(key)
             new_cells.append((fpts + (p,), height))
             for s, u in enumerate(fpts):
-                ridge = key - {u}
+                ridge = key ^ bit[u]
                 owners = ridges.get(ridge)
                 if owners is None:
                     continue  # interior: its other owner, also visible, came first
@@ -318,13 +340,13 @@ def _placing_cells(points: Sequence[Point], dim: int):
                 g_u = g_offset - sum(map(mul, g_normal, u))
                 row = tuple((height * a - g_p * c) // g_u for a, c in zip(g_normal, normal))
                 new_pts = fpts[:s] + fpts[s + 1 :] + (p,)
-                new_key = frozenset(new_pts)
+                new_key = ridge | p_bit
                 boundary[new_key] = (new_pts, row, (height * g_offset - g_p * offset) // g_u)
                 owners[owners[0] != key] = new_key
-                for r in ridge:
-                    ridges.setdefault(new_key - {r}, []).append(new_key)
+                for r in new_pts[:-1]:
+                    ridges.setdefault(new_key ^ bit[r], []).append(new_key)
         yield from new_cells
-    return boundary
+    return list(boundary.values())
 
 
 def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
@@ -504,7 +526,8 @@ def normalized_volume(p: LatticePolytope) -> int:
     """n! times Euclidean volume as an exact integer; 0 for flat polytopes.
 
     Computed on first use, as the sum of the cell volumes of one placing
-    pass over the vertices, and kept in the polytope.
+    pass over the vertices, and kept in the polytope; or kept from such a
+    pass run elsewhere (_record_volume).
     """
     if p._volume is None:
         full = p.is_full_dimensional()
@@ -512,9 +535,31 @@ def normalized_volume(p: LatticePolytope) -> int:
     return p._volume
 
 
+def _record_volume(p: LatticePolytope, order: Sequence[Point], volume: int) -> None:
+    """Keep `volume`, the cell volume sum of a placing pass over `order` run
+    to the end, as p's normalized volume, when `order` is exactly p.vertices.
+
+    That pass is the one normalized_volume would run, so its sum is the
+    value it would compute.  A pass over any other sequence, such as all the
+    lattice points of p, is not recorded: a check of that pass's cells
+    against p's volume would then be checking the pass against itself.
+    """
+    if p._volume is None and tuple(order) == p.vertices:
+        p._volume = volume
+
+
 def contains(p: LatticePolytope, q: Sequence) -> bool:
-    """Exact membership of a (rational) point in the polytope."""
-    qt = as_rat_point(q, p.dim)
+    """Exact membership of a point in the polytope.
+
+    A point of ints is tested against the integer facet rows as it is; any
+    other is read as Fractions and tested on their common-denominator
+    numerators.
+    """
+    qt = tuple(q)
+    if all(isinstance(x, int) for x in qt):
+        _check_length(qt, p.dim)
+        return all(vec_dot(a, qt) <= b for a, b in p.facets())
+    qt = as_rat_point(qt, p.dim)
     den = lcm(*(x.denominator for x in qt))
     num = [x.numerator * (den // x.denominator) for x in qt]
     return all(vec_dot(a, num) <= b * den for a, b in p.facets())

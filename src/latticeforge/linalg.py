@@ -95,17 +95,19 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-def _bareiss(m: IntMatrix, jordan: bool) -> tuple:
-    """(det, adj) of a square matrix by one fraction-free elimination; (0, None) if singular.
+def _bareiss(rows: Sequence[Sequence[int]], jordan: bool) -> tuple:
+    """(det, adj) of a square integer matrix m, given as rows, by one
+    fraction-free elimination; (0, None) if singular.
 
     At each pivot the rows below it (with `jordan`, all other rows of [m | I])
     take a Bareiss step, (pivot * row - lead * pivot row) / previous pivot,
     exact because every entry stays a minor.  The last pivot d is det up to
     the sign of the row swaps.  With `jordan` the pass ends at [d*I | d*inv(m)],
     whose right block times that sign is adj(m); without it adj is None.
+    The rows are copied, not changed.
     """
-    n = m.rows
-    a = [list(row) for row in m.data]
+    n = len(rows)
+    a = [list(row) for row in rows]
     if jordan:
         for i, row in enumerate(a):
             row.extend(int(i == j) for j in range(n))
@@ -136,7 +138,7 @@ def determinant(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination (no rounding, no rational blow-up)."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant requires a square matrix")
-    return _bareiss(m, False)[0]
+    return _bareiss(m.data, False)[0]
 
 
 def _adj_times(m: IntMatrix, b: Sequence) -> tuple:
@@ -145,7 +147,7 @@ def _adj_times(m: IntMatrix, b: Sequence) -> tuple:
         raise DimensionMismatchError("solve requires a square matrix")
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side length does not match")
-    d, adj = _bareiss(m, True)
+    d, adj = _bareiss(m.data, True)
     if not d:
         raise SingularMatrixError("matrix is singular")
     return d, [sum(map(mul, row, b)) for row in adj]
@@ -252,7 +254,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     """Adjugate matrix: adj(m) = det(m) * inverse(m), always integral."""
     if m.rows != m.cols:
         raise DimensionMismatchError("adjugate requires a square matrix")
-    d, adj = _bareiss(m, True)
+    d, adj = _bareiss(m.data, True)
     if not d:
         raise SingularMatrixError("adjugate of a singular matrix is not supported here")
     return IntMatrix(adj)

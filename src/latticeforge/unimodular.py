@@ -43,6 +43,7 @@ from .geometry import (
     Point,
     _placing_cells,
     _projection_rows,
+    _record_volume,
     as_point,
     contains,
     dilate,
@@ -342,6 +343,9 @@ def find_unimodular_triangulation(
     would stay in the finished triangulation.
     Each cell's normalized volume comes with it from the placing routine,
     so simplices are built only for an order whose cells all have volume 1.
+    When the lattice points are the vertices (a 0/1 cube), the
+    lexicographic pass is the pass normalized_volume runs, so its cell count
+    is kept as the target's volume and certifying places no second time.
     Returns the first certified cover, or None.  None only proves
     nonexistence when the lattice points admit a single triangulation
     (see has_unique_triangulation); otherwise it just means "not found".
@@ -372,6 +376,8 @@ def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
                 break
             cells.append(vertices)
         else:
+            # each cell has volume 1; an order that is p's vertices gives p's volume
+            _record_volume(p, order, len(cells))
             cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex, cells)))
             if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")

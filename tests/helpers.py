@@ -622,7 +622,7 @@ def staircase_cells(dim):
 
 
 def placing_boundary(points, dim):
-    """The hull boundary that geometry._placing_cells returns once every point is placed."""
+    """The hull boundary facets that geometry._placing_cells returns once every point is placed."""
     cells = _placing_cells(points, dim)
     try:
         while True:
@@ -677,7 +677,7 @@ def sorted_placing_hull(points, extremes=False):
     candidates = gens
     if hull_dim:
         proj = [tuple(g[c] for c in cols) for g in gens]
-        boundary = placing_boundary(extremes_first(proj) if extremes else proj, hull_dim).values()
+        boundary = placing_boundary(extremes_first(proj) if extremes else proj, hull_dim)
         for _, normal, offset in boundary:
             volume += offset - vec_dot(normal, proj[0])
             rows.add(_primitive_row(lift(normal, cols), offset))
@@ -790,4 +790,4 @@ def elimination_placing_cells(points, dim):
             new_cells.append((cell, height))
             add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
         yield from new_cells
-    return boundary
+    return list(boundary.values())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     _hull_feasible,
     box_scan_lattice_points,
     caratheodory_contains,
+    cofactor_determinant,
     cofactor_facet_normal,
     elimination_placing_cells,
     extremes_first,
@@ -16,6 +18,7 @@ from helpers import (
     random_point_set,
     random_polytope,
     random_rational_point,
+    random_simplex,
     random_unimodular_simplex,
     recursive_lattice_runs,
     rehull_dilate,
@@ -42,6 +45,7 @@ from latticeforge.geometry import (
     _placing_cells,
     _projection_rows,
 )
+from latticeforge.linalg import IntMatrix
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
 
 
@@ -75,6 +79,55 @@ class TestSimplex:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             LatticeSimplex([(0.0, 0), (1, 0), (0, 1)])
+
+
+class TestSimplexDeterminant:
+    """LatticeSimplex's det, one elimination on its difference rows, against
+    determinant(IntMatrix) of its difference matrix and the cofactor
+    expansion in dims 1-8; the difference matrix, built on first read, is
+    IntMatrix.from_columns of v_i - v_0; dependent vertices and an over-cap
+    dimension raise the errors they raised when the matrix came first."""
+
+    def test_random_simplices(self):
+        rng = random.Random(1313)
+        signs = set()
+        for dim in range(1, 9):
+            for _ in range(16 if dim < 7 else 3):
+                s = random_simplex(rng, dim)
+                assert s._diff is None
+                diffs = [tuple(a - b for a, b in zip(v, s.vertices[0])) for v in s.vertices[1:]]
+                matrix = IntMatrix.from_columns(diffs)
+                assert s.difference_matrix == matrix and s._diff is s.difference_matrix
+                assert s.det == linalg.determinant(matrix)
+                assert s.det == cofactor_determinant([list(r) for r in matrix.data])
+                signs.add(s.det > 0)
+        assert signs == {True, False}
+
+    def test_dependent_vertices(self):
+        rng = random.Random(1314)
+        checked = 0
+        for dim in range(2, 9):
+            for _ in range(10):
+                verts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+                # an integer affine combination of the others: dependent, and distinct
+                c = [rng.randint(-2, 2) for _ in verts[1:]]
+                extra = tuple(
+                    a + sum(k * (v[j] - a) for k, v in zip(c, verts[1:])) for j, a in enumerate(verts[0])
+                )
+                verts.insert(rng.randint(0, dim), extra)
+                if len(set(verts)) < len(verts):
+                    continue
+                with pytest.raises(DegeneratePolytopeError, match="affinely dependent"):
+                    LatticeSimplex(verts)
+                checked += 1
+        assert checked >= 50
+        with pytest.raises(DegeneratePolytopeError, match="distinct"):
+            LatticeSimplex([(2,), (2,)])
+
+    def test_over_cap_dimension(self):
+        verts = [(0,) * 9] + [tuple(int(i == j) for j in range(9)) for i in range(9)]
+        with pytest.raises(ResourceLimitError, match="capped at 8, got 9"):
+            LatticeSimplex(verts)
 
 
 class TestBarycentric:
@@ -127,6 +180,39 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             contains(unit_square(), (1, 1, 1))
+
+    def test_integer_points_as_fractions(self):
+        # a point of ints, tested as it is, gets the verdict of the same
+        # point written with Fractions, on full and flat polytopes
+        rng = random.Random(1415)
+        verdicts = Counter()
+        for k in range(200):
+            dim = 1 + k % 8
+            flat = k % 3 == 0
+            p = LatticePolytope(random_point_set(rng, dim, flat=flat))
+            points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(6)]
+            for q in points + list(p.generators):
+                inside = contains(p, q)
+                assert inside == contains(p, tuple(map(Fraction, q))), (p, q)
+                if dim <= 3:
+                    assert inside == caratheodory_contains(p.vertices, q)
+                verdicts[flat, inside] += 1
+            for q in ((0,) * (dim + 1), (0,) * (dim - 1), (Fraction(1, 2),) * (dim + 1)):
+                with pytest.raises(DimensionMismatchError, match=f"dimension {dim}, got {len(q)}"):
+                    contains(p, q)
+        assert min(verdicts.values()) >= 40, verdicts
+
+    def test_integer_points_make_no_fraction(self, monkeypatch):
+        # a certified search tests every cell vertex with contains; its
+        # Fraction-free path is the one for points of ints
+        def refuse(*args):
+            pytest.fail(f"Fraction{args} constructed")
+
+        monkeypatch.setattr(geometry, "Fraction", refuse)
+        for p in (unit_cube(3), dilate(unit_cube(3), 2), stretched_simplex()):
+            assert all(contains(p, q) for q in lattice_points(p))
+            assert not contains(p, (3, 0, 0))
+            assert find_unimodular_triangulation(p) is not None
 
     def test_matches_caratheodory_oracle_low_dim(self):
         rng = random.Random(42)
@@ -481,14 +567,14 @@ class TestPlacingCellVolumes:
 
 
 def _drain(cells):
-    """Every (cell, volume) a placing pass yields, and its returned boundary
-    as a list of items; or the error it raises."""
+    """Every (cell, volume) a placing pass yields, and the boundary facets it
+    returns; or the error it raises."""
     try:
         yielded = []
         while True:
             yielded.append(next(cells))
     except StopIteration as done:
-        return yielded, list(done.value.items())
+        return yielded, done.value
     except DegeneratePolytopeError as error:
         return str(error)
 
@@ -496,7 +582,7 @@ def _drain(cells):
 class TestPlacingRowUpdatesAgainstElimination:
     """_placing_cells, each new facet's row from its two neighbours, against
     the kernel that eliminates once per facet: the same (cell, volume)
-    sequence and the same boundary, item for item and in order (keys, facet
+    sequence and the same boundary, facet for facet and in order (facet
     points, rows), for the points inserted in lex, shuffled and extremes-first
     order; the same error on affinely dependent inputs."""
 
@@ -527,6 +613,16 @@ class TestPlacingRowUpdatesAgainstElimination:
         self.assert_same_placing(list(itertools.product(range(3), repeat=4)), 4, rng)
         for ell in (1, 2, 3, 4):
             self.assert_same_placing(list(lattice_points(dilate(reeve_simplex(), ell))), 3, rng)
+
+    def test_past_64_points(self):
+        # facet and ridge keys are bitmasks of point indices: here they span
+        # several machine words
+        rng = random.Random(912)
+        grid = list(itertools.product(range(5), repeat=3))
+        reeve = list(lattice_points(dilate(reeve_simplex(), 5)))
+        assert (len(grid), len(reeve)) == (125, 76)
+        for points in (grid, reeve):
+            self.assert_same_placing(points, 3, rng)
 
     def test_dependent_inputs(self):
         rng = random.Random(911)
@@ -590,10 +686,10 @@ class TestPlacingEliminationCount:
         cube, reeve = unit_cube(4), reeve_simplex()
         calls = self._count(monkeypatch)
         # the lexicographic order succeeds: one pass, the first simplex's 5
-        # facets; certifying it computes the volume, one more pass over the
-        # vertices and 5 more
+        # facets; the cube's lattice points are its vertices, so that pass is
+        # also the volume pass, and certifying it runs no second one
         assert find_unimodular_triangulation(cube) is not None
-        assert len(calls) == 10
+        assert len(calls) == 5
         calls.clear()
         # 81 placing passes (one at ell = 1, a simplex; 20 per row above), and
         # the hulls of P's coordinate projections, 2 + 3 once for every row

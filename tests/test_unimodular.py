@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -38,7 +39,7 @@ from latticeforge import (
     placing_triangulation,
     verify_cover,
 )
-from latticeforge import lp, sumsets, unimodular
+from latticeforge import geometry, lp, sumsets, unimodular
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
@@ -467,7 +468,8 @@ class TestMarginLPCount:
         for p in (unit_cube(3), unit_cube(4), dilate(unit_cube(3), 2)):
             cover = find_unimodular_triangulation(p)
             assert cover is not None and cover.certified == "certified"
-            assert len(cover.cells) == normalized_volume(p)
+            # from a fresh polytope: a cube's search pass is its volume pass
+            assert len(cover.cells) == normalized_volume(LatticePolytope(p.vertices))
         assert margin_calls == []
 
     def test_pair_no_facet_separates_takes_one_lp(self, margin_calls):
@@ -479,6 +481,52 @@ class TestMarginLPCount:
         assert is_unimodular(a) and is_unimodular(b)
         assert not _interiors_intersect(a, b)
         assert margin_calls == [Fraction(-1, 16)]
+
+
+class TestSearchVolume:
+    """The search's placing pass doubles as the volume pass exactly when the
+    lattice points are the vertices: cube-n is placed once and gets volume
+    n!; 2*cube-3 gets the search's pass over its 27 points and an
+    independent pass over its 8 vertices."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        original = geometry._placing_cells
+
+        def counting(points, dim):
+            calls.append(list(points))
+            return original(points, dim)
+
+        monkeypatch.setattr(geometry, "_placing_cells", counting)
+        monkeypatch.setattr(unimodular, "_placing_cells", counting)
+        return calls
+
+    def test_cubes_place_once(self, passes):
+        for n in range(1, 7):
+            p = unit_cube(n)
+            passes.clear()
+            cover = find_unimodular_triangulation(p)
+            assert cover is not None and cover.certified == "certified"
+            assert passes == [list(p.vertices)]
+            assert p._volume == math.factorial(n) == len(cover.cells)
+
+    def test_other_lattice_points_keep_the_vertex_pass(self, passes):
+        p = dilate(unit_cube(3), 2)
+        cover = find_unimodular_triangulation(p)
+        assert cover is not None and cover.certified == "certified"
+        assert passes == [list(lattice_points(p)), list(p.vertices)]
+        assert len(p.vertices) == 8 and p._volume == 8 * math.factorial(3) == len(cover.cells)
+
+    def test_only_the_vertex_sequence_is_recorded(self):
+        p = unit_cube(3)
+        geometry._record_volume(p, list(reversed(p.vertices)), 6)
+        geometry._record_volume(p, list(p.vertices)[:-1], 6)
+        assert p._volume is None
+        geometry._record_volume(p, list(p.vertices), 6)
+        assert p._volume == 6
+        geometry._record_volume(p, list(p.vertices), 7)
+        assert p._volume == 6
 
 
 def _unimodular_images(seed, count):
