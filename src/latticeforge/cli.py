@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
@@ -25,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fixtures import example
-from .geometry import LatticePolytope, LatticeSimplex, contains, lattice_points
+from .geometry import LatticePolytope, LatticeSimplex, contains, dilate, lattice_points
 from .sumsets import IdpReport, find_sum_decomposition, idp_check, idp_scan
 from .unimodular import (
     Decomposition,
@@ -312,7 +311,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
     h = _positive(args.h, "--h")
     if len(point) != poly.dim:
         raise PolytopeFileError(f"--point has dimension {len(point)}, polytope has {poly.dim}")
-    if not contains(poly, tuple(Fraction(x, h) for x in point)):
+    if not contains(dilate(poly, h), point):
         raise PointOutsideError(f"{point} is not in the {h}-fold dilate of the polytope")
 
     cover = None

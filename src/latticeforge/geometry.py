@@ -11,9 +11,12 @@ and a kept row into one row through it.  Rows carry the bitmask of the
 generators tight on them, which decides adjacency and, afterwards, which
 generators are vertices.  The placing routine (``_placing_cells``), a
 beneath-beyond pass that keeps the hull boundary as oriented integer facet
-rows, triangulates; it eliminates only for its first simplex, one
-elimination per facet, and each new facet's row comes from its two
-neighbours.  It gives the normalized volume, on first use.
+rows, triangulates; it eliminates only for its first simplex, and each new
+facet's row comes from its two neighbours.  It gives the normalized volume,
+on first use.  Every facet row of a simplex, there, at the start of the
+double description and in a cell's interior test, comes from one
+fraction-free Gauss-Jordan adjugate of its difference columns
+(``_simplex_facets``), which also gives a flat hull's affine equations.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -30,7 +33,7 @@ from operator import and_, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, IntMatrix, _bareiss, adjugate, echelon_insert
+from .linalg import DIM_CAP, IntMatrix, _bareiss, echelon_insert
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
@@ -56,6 +59,12 @@ def as_rat_point(q: Sequence, dim: int) -> RatPoint:
     qt = tuple(Fraction(x) for x in q)
     _check_length(qt, dim)
     return qt
+
+
+def _check_positive(value, what: str) -> None:
+    """Refuse anything but an int >= 1 (bool included) as `what`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _check_length(q: tuple, dim: int) -> None:
@@ -100,7 +109,8 @@ class LatticeSimplex:
 
     det is the determinant of the differences v_i - v_0, from one Bareiss
     elimination on them as rows (a matrix and its transpose share it); the
-    difference matrix, those differences as columns, is built on first read.
+    difference matrix, those differences as columns, is built on first read,
+    and so is its adjugate (_difference_adjugate).
     """
 
     __slots__ = ("vertices", "dim", "det", "_diff", "_adj_rows")
@@ -136,7 +146,7 @@ class LatticeSimplex:
 
     def _adjugate_rows(self):
         if self._adj_rows is None:
-            self._adj_rows = adjugate(self.difference_matrix).data
+            self._adj_rows = _difference_adjugate(self.vertices)[1]
         return self._adj_rows
 
     def barycentric(self, q: Sequence) -> tuple:
@@ -175,60 +185,28 @@ def barycentric(s: LatticeSimplex, q: Sequence) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _facet_normal(points: Sequence[Point]) -> tuple:
-    """Integer normal of the hyperplane through n points in R^n (cofactors).
+def _difference_adjugate(vertices: Sequence[Point]) -> tuple:
+    """(det, adj) of the matrix whose columns are v_i - v_0, from one
+    fraction-free Gauss-Jordan pass (linalg._bareiss); (1, ()) for one vertex."""
+    base = vertices[0]
+    return _bareiss(list(zip(*[vec_sub(v, base) for v in vertices[1:]])), True)
 
-    Against the normal N, the simplex spanned by these points and one more
-    point p has normalized volume |N.p - N.points[0]|.
 
-    N_j is (-1)^j times the minor of the difference rows without column j.
-    One fraction-free (Bareiss) elimination brings the rows to echelon form;
-    its last pivot is, up to the sign of the row swaps, the minor on the
-    pivot columns, which fixes N at the one free column q.  The other entries
-    follow by back-substitution, each division exact because N is integral.
-    Affinely dependent points give the zero vector.
+def _simplex_facets(vertices: Sequence[Point], det: int, adj) -> list:
+    """Facet rows of a simplex from its _difference_adjugate (det, adj).
+
+    rows[i] = (a, b) means a.x >= b on the simplex, with equality on the
+    facet opposite vertices[i]: row i >= 1 is |det| times the barycentric
+    weight of vertex i, which is sign(det) * adj_{i-1}, and row 0 is |det|
+    minus their sum.  So a.x - b is the normalized volume of that facet
+    coned to x, signed positive on the simplex's side, and the negated row
+    (-a, -b) is the facet's outward cofactor row, the one integer row (N, c)
+    with N.x - c zero on the facet and -|det| at the opposite vertex.
     """
-    n = len(points[0])
-    base = points[0]
-    rows = [[a - b for a, b in zip(q, base)] for q in points[1:]]
-    pivots, free, sign, prev = [], [], 1, 1
-    for c in range(n):
-        r = len(pivots)
-        for pr in range(r, n - 1):
-            if rows[pr][c]:
-                break
-        else:
-            free.append(c)
-            if len(free) > 1:
-                return (0,) * n
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
-        top = rows[r]
-        d = top[c]
-        for i in range(r + 1, n - 1):
-            row = rows[i]
-            f = row[c]
-            rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(c)
-        prev = d
-    (q,) = free
-    normal = [0] * n
-    normal[q] = -sign * prev if q % 2 else sign * prev
-    for row, c in zip(reversed(rows), reversed(pivots)):
-        normal[c] = -vec_dot(row, normal) // row[c]
-    return tuple(normal)
-
-
-def _cell_facet(cell: Sequence[Point], skip: int) -> tuple:
-    """Facet opposite cell[skip] as (points, normal, offset), normal.x <= offset on the cell."""
-    fpts = cell[:skip] + cell[skip + 1 :]
-    normal = _facet_normal(fpts)
-    offset = vec_dot(normal, fpts[0])
-    if vec_dot(normal, cell[skip]) > offset:
-        return fpts, tuple(-x for x in normal), -offset
-    return fpts, normal, offset
+    v0 = vertices[0]
+    tail = [tuple(-x for x in row) if det < 0 else row for row in adj]
+    head = tuple(-sum(col) for col in zip(*tail))
+    return [(head, vec_dot(head, v0) - abs(det))] + [(a, vec_dot(a, v0)) for a in tail]
 
 
 def _affine_basis(points: Sequence[Point]) -> list:
@@ -262,27 +240,28 @@ def _placing_cells(points: Sequence[Point], dim: int):
     later, so a caller may stop at the first cell it rejects.
 
     The hull boundary is kept as it changes, each boundary facet with its
-    outward cofactor row (N, b) as _cell_facet computes it: N.x - b is the
-    signed normalized volume of the facet coned to x, positive outside.
-    Only the first simplex is eliminated (_facet_normal), one facet at a
-    time: the facet opposite its first point, whose row gives the first
-    cell's volume, before the first yield, and its other dim facets only
-    when the caller resumes.  Every later facet's row comes from its two
-    neighbours.  Let p see the facet F = (N_F, b_F) at height
-    eta = N_F.p - b_F > 0, and let the ridge R = F - {u} be shared with a
-    boundary facet G = (N_G, b_G) that p does not see: g_p = N_G.p - b_G <= 0
-    and g_u = b_G - N_G.u.  The new facet R + {p} gets the row
+    outward cofactor row (N, b): N.x - b is the signed normalized volume of
+    the facet coned to x, positive outside.  Only the first simplex is
+    eliminated, twice: a forward Bareiss pass gives its determinant, whose
+    absolute value is the first cell's volume, before the first yield; only
+    when the caller resumes does one Gauss-Jordan pass give the outward rows
+    of all its dim + 1 facets (the negated _simplex_facets).  Every later
+    facet's row comes from its two neighbours.  Let p see the facet
+    F = (N_F, b_F) at height eta = N_F.p - b_F > 0, and let the ridge
+    R = F - {u} be shared with a boundary facet G = (N_G, b_G) that p does
+    not see: g_p = N_G.p - b_G <= 0 and g_u = b_G - N_G.u.  The new facet
+    R + {p} gets the row
 
         ((eta * N_G - g_p * N_F) / g_u,  (eta * b_G - g_p * b_F) / g_u).
 
     Every row that vanishes on R is a combination of F's and G's rows.  This
     one vanishes at p, and at u it is -eta, minus the volume of the cell
-    F + {p} on its inner side.  The outward cofactor row of R + {p}, the one
-    _cell_facet(F + (p,), s) returns, meets the same two conditions, so the
-    two rows agree entry for entry, scale and sign included, and both
-    divisions are exact because that row is integral.  g_u > 0: u lies
-    inside G, and not on G's hyperplane, since then F and G would be
-    coplanar, p would see G too, and R would not be on the horizon.
+    F + {p} on its inner side.  The outward cofactor row of R + {p} in the
+    cell F + {p}, the negated _simplex_facets row opposite u, meets the same
+    two conditions, so the two rows agree entry for entry, scale and sign
+    included, and both divisions are exact because that row is integral.
+    g_u > 0: u lies inside G, and not on G's hyperplane, since then F and G
+    would be coplanar, p would see G too, and R would not be on the horizon.
 
     Boundary facets and ridges are keyed by the bitmask of their points'
     indices, one bit per distinct point, so a ridge is its facet's key less
@@ -301,13 +280,13 @@ def _placing_cells(points: Sequence[Point], dim: int):
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     first = tuple(start)
-    facet = _cell_facet(first, 0)
-    _, normal, offset = facet
-    yield first, offset - vec_dot(normal, first[0])
+    base = first[0]
+    yield first, abs(_bareiss([vec_sub(v, base) for v in first[1:]], False)[0])
     bit = {q: 1 << i for i, q in enumerate(points)}
     boundary = {}
-    for f in [facet] + [_cell_facet(first, skip) for skip in range(1, dim + 1)]:
-        boundary[sum(bit[q] for q in f[0])] = f
+    for skip, (a, b) in enumerate(_simplex_facets(first, *_difference_adjugate(first))):
+        fpts = first[:skip] + first[skip + 1 :]
+        boundary[sum(bit[q] for q in fpts)] = (fpts, tuple(-x for x in a), -b)
     ridges = {}
     for key, (fpts, _, _) in boundary.items():
         for q in fpts:
@@ -354,7 +333,8 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
 
     Motzkin et al. (1953): rows[k] = (a, b) is a primitive facet row,
     a.x <= b on the hull, and masks[k] the bitmask of the points tight on it.
-    The _cell_facet rows of the simplex that `start` indexes begin; each
+    The outward rows of the simplex that `start` indexes begin, its negated
+    _simplex_facets made primitive, from one adjugate; each
     other point p, farthest from the bounding box's centre first, keeps the
     rows it does not violate and joins each adjacent pair of a violated row
     F and a row G that p lies strictly beneath into one row through p: the
@@ -370,7 +350,8 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
     """
     dim = len(points[0])
     first = [points[i] for i in start]
-    rows = [_primitive_row(*_cell_facet(first, skip)[1:]) for skip in range(dim + 1)]
+    inner = _simplex_facets(first, *_difference_adjugate(first))
+    rows = [_primitive_row([-x for x in a], -b) for a, b in inner]
     masks = [sum(1 << j for j in start if j != i) for i in start]
     starters = set(start)
     # the points farthest from the box's centre first: they tend to be
@@ -459,15 +440,20 @@ class LatticePolytope:
             at = dict(zip(coords, normal))
             return [at.get(c, 0) for c in range(dim)]
 
-        # Each other coordinate is an affine function of `cols` on the hull:
-        # one equation, kept as a pair of opposite rows.
+        # Each other coordinate j is an affine function of `cols` on the hull:
+        # with M the differences on `cols` as columns and D_j their row j,
+        # det(M) * (x_j - v0_j) = (D_j adj(M)) . (x_cols - v0_cols).  One
+        # equation per j, kept as a pair of opposite rows; a single point
+        # has det 1, no adjugate and x_j = v0_j.
         rows = set()
-        for j in range(dim):
-            if j not in cols:
-                coords = cols + [j]
-                normal = lift(_facet_normal([tuple(v[c] for c in coords) for v in start]), coords)
-                a, b = _primitive_row(normal, vec_dot(normal, start[0]))
-                rows.update({(a, b), (tuple(-x for x in a), -b)})
+        if hull_dim < dim:
+            det, adj = _difference_adjugate([tuple(v[c] for c in cols) for v in start])
+            for j in range(dim):
+                if j not in cols:
+                    normal = lift([vec_dot([d[j] for d in diffs], col) for col in zip(*adj)], cols)
+                    normal[j] = -det
+                    a, b = _primitive_row(normal, vec_dot(normal, start[0]))
+                    rows.update({(a, b), (tuple(-x for x in a), -b)})
 
         self._hull_dim = hull_dim
         self._volume = None
@@ -573,8 +559,7 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     dimension and h^dim times the normalized volume, once p's is known.  The
     result equals LatticePolytope of the scaled vertices slot for slot.
     """
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {h!r}")
+    _check_positive(h, "dilation factor")
     scaled = LatticePolytope.__new__(LatticePolytope)
     scaled.generators = scaled.vertices = tuple(vec_scale(v, h) for v in p.vertices)
     scaled.dim = p.dim

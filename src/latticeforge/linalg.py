@@ -4,6 +4,7 @@ Everything is computed with Python's arbitrary-precision integers, and every
 elimination is fraction-free (Bareiss steps, each division exact).  Solves
 read the adjugate: ``adj.b`` divided exactly by det is the integral solution,
 and ``Fraction`` enters only in the final division of ``solve_rational``.
+The same adjugate gives every facet row of a simplex (``geometry``).
 There is deliberately no floating point anywhere: every predicate downstream
 (membership, unimodularity, volumes) reduces to the exact operations here.
 """
@@ -104,14 +105,15 @@ def _bareiss(rows: Sequence[Sequence[int]], jordan: bool) -> tuple:
     exact because every entry stays a minor.  The last pivot d is det up to
     the sign of the row swaps.  With `jordan` the pass ends at [d*I | d*inv(m)],
     whose right block times that sign is adj(m); without it adj is None.
-    The rows are copied, not changed.
+    The empty matrix has det 1 and the empty adjugate.  The rows are copied,
+    not changed.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     if jordan:
         for i, row in enumerate(a):
             row.extend(int(i == j) for j in range(n))
-    width = len(a[0])
+    width = 2 * n if jordan else n
     sign, prev = 1, 1
     for k in range(n):
         for r in range(k, n):

@@ -35,6 +35,7 @@ from .geometry import (
     Point,
     _box_fits,
     _check_box,
+    _check_positive,
     _lattice_runs,
     _projection_rows,
     as_point,
@@ -98,11 +99,6 @@ def _check_points(n: int) -> None:
         raise ResourceLimitError(f"sumset exceeded the {POINTSET_CAP}-point cap")
 
 
-def _check_h_max(h_max) -> None:
-    if not isinstance(h_max, int) or isinstance(h_max, bool) or h_max < 1:
-        raise ValueError(f"h_max must be a positive integer, got {h_max!r}")
-
-
 def _add(s, t) -> set:
     """{a + b : a in s, b in t} for packed points, under both caps."""
     _check_pairs(len(s), len(t))
@@ -138,8 +134,7 @@ def sumset(s: Sequence[Point], t: Sequence[Point]) -> tuple:
 
 def hfold_sumset(s: Sequence[Point], h: int) -> tuple:
     """The h-fold sumset of s, built as S_h = S_{h-1} + s."""
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"number of summands must be a positive integer, got {h!r}")
+    _check_positive(h, "number of summands")
     base = point_set(s)
     if not base:
         return ()
@@ -255,8 +250,7 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
 
 def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     """Brute-force comparison of h * (lattice points) against the h-dilate."""
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"number of summands must be a positive integer, got {h!r}")
+    _check_positive(h, "number of summands")
     # refused at once when h*p's box is over the cap: no bitset would fit
     _check_box(*dilate(p, h).bounding_box())
     levels = _projection_rows(p) if h > 1 else None
@@ -266,7 +260,7 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     """idp_check for every h = 1..h_max, in order, each sumset built once."""
-    _check_h_max(h_max)
+    _check_positive(h_max, "h_max")
     return _idp_scan(p, h_max, None, _projection_rows(p) if h_max > 1 else None)
 
 
@@ -297,8 +291,7 @@ def find_sum_decomposition(
     target = as_point(target)
     if pts and len(pts[0]) != len(target):
         raise DimensionMismatchError("target dimension does not match the points")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"number of parts must be a positive integer, got {h!r}")
+    _check_positive(h, "number of parts")
     if math.comb(len(pts) + h - 1, h) > POINTSET_CAP:
         raise ResourceLimitError("multiset search space exceeds the desk-scale cap")
     for combo in itertools.combinations_with_replacement(pts, h):

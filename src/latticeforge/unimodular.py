@@ -15,10 +15,11 @@ opposite sides of it or lies on a facet of the target, which with the volume
 sum proves that the cells tile the target.  Only a cover that fails the
 matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
-separating-facet tests on integer data (facet rows from the same adjugate),
-with the margin LP, solved exactly as its dual on an integer tableau, as the
-fallback for pairs neither test separates.  That fallback is the only use
-of ``lp`` in the package.
+separating-facet tests on integer data (facet rows from the same adjugate,
+through geometry's one kernel for a simplex's facet rows), with the margin
+LP, solved exactly as its dual on an integer tableau, as the fallback for
+pairs neither test separates.  That fallback is the only use of ``lp`` in
+the package.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .geometry import (
     LatticePolytope,
     LatticeSimplex,
     Point,
+    _check_positive,
     _placing_cells,
     _projection_rows,
     _record_volume,
+    _simplex_facets,
     as_point,
     contains,
     dilate,
@@ -54,7 +57,7 @@ from .geometry import (
     vec_sub,
 )
 from .linalg import hermite_normal_form
-from .sumsets import _check_h_max, _idp_scan
+from .sumsets import _idp_scan
 
 
 def lattice_index(s: LatticeSimplex) -> int:
@@ -119,8 +122,7 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
     pt = as_point(p)
     if len(pt) != s.dim:
         raise DimensionMismatchError("point dimension does not match the simplex")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"h must be a positive integer, got {h!r}")
+    _check_positive(h, "h")
     target = vec_sub(pt, vec_scale(s.vertices[0], h))
     tail = [s.det * vec_dot(row, target) for row in s._adjugate_rows()]
     w = (h - sum(tail), *tail)
@@ -179,16 +181,9 @@ def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) 
 
 
 def _interior_inequalities(cell: LatticeSimplex):
-    """Facet rows (a, b) with a.x >= b on the cell, strict on its interior.
-
-    Row i >= 1 is |det| times the barycentric weight of vertex i, which is
-    sign(det) * adj_{i-1} from the cached adjugate; row 0 is |det| minus
-    their sum.  Each is its facet's negated cofactor normal, entry for entry.
-    """
-    v0 = cell.vertices[0]
-    tail = [tuple(-x for x in row) if cell.det < 0 else row for row in cell._adjugate_rows()]
-    head = tuple(-sum(col) for col in zip(*tail))
-    return [(head, vec_dot(head, v0) - abs(cell.det))] + [(a, vec_dot(a, v0)) for a in tail]
+    """Facet rows (a, b) with a.x >= b on the cell, strict on its interior:
+    geometry._simplex_facets of the cell's cached adjugate."""
+    return _simplex_facets(cell.vertices, cell.det, cell._adjugate_rows())
 
 
 def _separates(rows, vertices) -> bool:
@@ -350,13 +345,8 @@ def find_unimodular_triangulation(
     nonexistence when the lattice points admit a single triangulation
     (see has_unique_triangulation); otherwise it just means "not found".
     """
-    _check_attempts(attempts)
+    _check_positive(attempts, "attempts")
     return _placing_search(p, lattice_points(p), attempts, seed)
-
-
-def _check_attempts(attempts) -> None:
-    if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
-        raise ValueError(f"attempts must be a positive integer, got {attempts!r}")
 
 
 def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
@@ -405,8 +395,7 @@ def decompose(
     pt = as_point(point)
     if len(pt) != p.dim:
         raise DimensionMismatchError("point dimension does not match the polytope")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"h must be a positive integer, got {h!r}")
+    _check_positive(h, "h")
     if cover.certified != "certified":
         raise ValueError("decompose requires a cover with certified status")
     q = tuple(Fraction(x, h) for x in pt)
@@ -447,10 +436,9 @@ def find_ell(
     with the direct h-fold verdicts for h = 1..h_max, so the two can be
     cross-checked; `ell` is the smallest certified factor, or None.
     """
-    if not isinstance(ell_max, int) or isinstance(ell_max, bool) or ell_max < 1:
-        raise ValueError(f"ell_max must be a positive integer, got {ell_max!r}")
-    _check_attempts(attempts)
-    _check_h_max(h_max)
+    _check_positive(ell_max, "ell_max")
+    _check_positive(attempts, "attempts")
+    _check_positive(h_max, "h_max")
     rows = []
     found = None
     # the rows of p's coordinate projections, scaled to (a, ell*b) for ell*p

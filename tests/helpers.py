@@ -1,22 +1,25 @@
 """Shared random generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own computation paths:
-determinants by cofactor expansion, hull membership by exhaustive
-Caratheodory search, h-fold sums by naive iteration, decompositions by
-multiset enumeration.  They are slow and obviously correct.  Some are the
-library's own earlier, slower implementations, kept to cross-check the
-paths that replaced them: the bounding-box scan, tuple sumsets by repeated
-doubling, the per-h IDP check, facet normals from cofactor minors, ranks
-and affine bases by rational elimination, dilates by a fresh hull pass,
-cover certification by testing every pair of cells, hulls read off a
+determinants by cofactor expansion, facet normals by one determinant per
+cofactor minor, hull membership by exhaustive Caratheodory search, h-fold
+sums by naive iteration, decompositions by multiset enumeration.  They are
+slow and obviously correct.  Some are the library's own earlier, slower
+implementations, kept to cross-check the paths that replaced them: the
+bounding-box scan, tuple sumsets by repeated doubling, the per-h IDP check,
+a facet's cofactor normal by one fraction-free elimination per facet
+(_facet_normal, and _cell_facet orienting it against the opposite vertex),
+where the library reads all of a simplex's facet rows off one adjugate,
+ranks and affine bases by rational elimination, dilates by a fresh hull
+pass, cover certification by testing every pair of cells, hulls read off a
 placing triangulation (in sorted order with every generator a vertex
-candidate, or extreme points first with the boundary points as candidates),
-run enumeration by one recursive call per coordinate, run bitsets from run
-ends and by pairwise merges, placing with one elimination per new boundary
-facet, exact solves (and the adjugate built from them) by rational
-Gauss-Jordan elimination, a cell's facet rows from one cofactor
-elimination per facet, and the simplex LP on a Fraction tableau, with the
-margin LP in its primal encoding.
+candidate, or extreme points first with the boundary points as candidates,
+the affine-hull equations from _facet_normal), run enumeration by one
+recursive call per coordinate, run bitsets from run ends and by pairwise
+merges, placing with one elimination per new boundary facet, exact solves
+(and the adjugate built from them) by rational Gauss-Jordan elimination, a
+cell's facet rows from one cofactor elimination per facet, and the simplex
+LP on a Fraction tableau, with the margin LP in its primal encoding.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from latticeforge import (
     IdpReport,
@@ -49,9 +53,8 @@ from latticeforge.errors import (
     SingularMatrixError,
 )
 from latticeforge.geometry import (
+    Point,
     _affine_basis,
-    _cell_facet,
-    _facet_normal,
     _placing_cells,
     _primitive_row,
     vec_dot,
@@ -139,6 +142,62 @@ def fraction_adjugate(m):
             raise LatticeForgeError("adjugate column is not integral")
         cols.append(tuple(int(v) for v in x))
     return IntMatrix.from_columns(cols)
+
+
+def _facet_normal(points: Sequence[Point]) -> tuple:
+    """Integer normal of the hyperplane through n points in R^n (cofactors).
+
+    Against the normal N, the simplex spanned by these points and one more
+    point p has normalized volume |N.p - N.points[0]|.
+
+    N_j is (-1)^j times the minor of the difference rows without column j.
+    One fraction-free (Bareiss) elimination brings the rows to echelon form;
+    its last pivot is, up to the sign of the row swaps, the minor on the
+    pivot columns, which fixes N at the one free column q.  The other entries
+    follow by back-substitution, each division exact because N is integral.
+    Affinely dependent points give the zero vector.
+    """
+    n = len(points[0])
+    base = points[0]
+    rows = [[a - b for a, b in zip(q, base)] for q in points[1:]]
+    pivots, free, sign, prev = [], [], 1, 1
+    for c in range(n):
+        r = len(pivots)
+        for pr in range(r, n - 1):
+            if rows[pr][c]:
+                break
+        else:
+            free.append(c)
+            if len(free) > 1:
+                return (0,) * n
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r]
+        d = top[c]
+        for i in range(r + 1, n - 1):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = d
+    (q,) = free
+    normal = [0] * n
+    normal[q] = -sign * prev if q % 2 else sign * prev
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        normal[c] = -vec_dot(row, normal) // row[c]
+    return tuple(normal)
+
+
+def _cell_facet(cell: Sequence[Point], skip: int) -> tuple:
+    """Facet opposite cell[skip] as (points, normal, offset), normal.x <= offset on the cell."""
+    fpts = cell[:skip] + cell[skip + 1 :]
+    normal = _facet_normal(fpts)
+    offset = vec_dot(normal, fpts[0])
+    if vec_dot(normal, cell[skip]) > offset:
+        return fpts, tuple(-x for x in normal), -offset
+    return fpts, normal, offset
 
 
 def cofactor_interior_rows(cell):

@@ -150,6 +150,28 @@ class TestDecompose:
         assert code == 2
         assert "not in the 2-fold dilate" in err
 
+    def test_dilate_membership_on_a_full_polytope(self, capsys):
+        # interior, boundary and outside points of 2 * cube-2
+        for point, code in (("1,1", 0), ("2,0", 0), ("2,1", 0), ("3,1", 2), ("-1,0", 2)):
+            got, _, err = run(capsys, "decompose", "--example", "cube-2", f"--point={point}", "--h", "2")
+            assert got == code, point
+            assert ("is not in the 2-fold dilate" in err) == (code == 2), point
+
+    def test_dilate_membership_on_a_flat_polytope(self, capsys, tmp_path):
+        # a lattice triangle T on a slanted plane in Z^4: a point of 3T passes
+        # the membership check and then meets the search's refusal of a flat
+        # polytope; a point off the plane or beyond T's edges is outside
+        path = write(tmp_path, "flat.json", {"dim": 4, "vertices": [[0, 0, 0, 0], [1, 0, 1, 2], [0, 1, 2, 1]]})
+        for point, inside in (("1,1,3,3", True), ("3,0,3,6", True), ("2,1,4,5", True),
+                              ("1,1,1,1", False), ("4,0,4,8", False), ("-1,0,-1,-2", False)):
+            code, report, err = run(capsys, "decompose", path, f"--point={point}", "--h", "3")
+            assert code == 2 and report is None, point
+            if inside:
+                assert err == "error: placing triangulation needs a full-dimensional polytope\n", point
+            else:
+                point_tuple = tuple(int(x) for x in point.split(","))
+                assert err == f"error: {point_tuple} is not in the 3-fold dilate of the polytope\n"
+
     def test_with_explicit_cover(self, capsys, tmp_path):
         cover = write(tmp_path, "cover.json", {
             "dim": 2,

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    _cell_facet,
+    _facet_normal,
     _hull_feasible,
     box_scan_lattice_points,
     caratheodory_contains,
@@ -40,9 +42,9 @@ from latticeforge import find_ell, find_unimodular_triangulation, geometry, lina
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import (
     _box_rows,
-    _facet_normal,
     _lattice_runs,
     _placing_cells,
+    _primitive_row,
     _projection_rows,
 )
 from latticeforge.linalg import IntMatrix
@@ -638,21 +640,50 @@ class TestPlacingRowUpdatesAgainstElimination:
             self.assert_same_placing(points, dim, rng)
 
 
+class TestStartRowsAgainstCofactors:
+    """The rows both hull kernels start from, one adjugate for all of the
+    first simplex's facets, against one cofactor elimination per facet
+    (_cell_facet): _placing_cells' boundary on a simplex's own vertices
+    (facet points, outward row, offset) and _facet_rows' primitive rows,
+    entry for entry and in order, on seeded simplices in dims 1-8, each also
+    with its first two vertices swapped, which flips the det sign."""
+
+    def test_random_simplices(self):
+        rng = random.Random(4242)
+        signs = Counter()
+        for k in range(160):
+            dim = 1 + k % 8
+            v = random_simplex(rng, dim, bound=3).vertices
+            for first in (v, (v[1], v[0], *v[2:])):
+                det = LatticeSimplex(first).det
+                signs[det > 0] += 1
+                facets = [_cell_facet(first, skip) for skip in range(dim + 1)]
+                yielded, boundary = _drain(_placing_cells(list(first), dim))
+                assert yielded == [(first, abs(det))]
+                assert boundary == facets, first
+                rows, masks = geometry._facet_rows(list(first), list(range(dim + 1)))
+                assert rows == [_primitive_row(normal, offset) for _, normal, offset in facets], first
+                assert masks == [sum(1 << j for j in range(dim + 1) if j != i) for i in range(dim + 1)]
+        assert min(signs.values()) == 160
+
+
 class TestPlacingEliminationCount:
-    """Exact counts of _facet_normal eliminations: one for a placing pass
-    abandoned at its first cell, dim + 1 for a pass run to the end however
-    many cells it makes, and pinned totals for a search and a dilation scan."""
+    """Exact counts of the eliminations geometry runs (linalg._bareiss, each
+    logged as (order, jordan)): one determinant pass for a placing pass
+    abandoned at its first cell, a determinant and then one Gauss-Jordan
+    pass for a pass run to the end however many cells it makes, and pinned
+    totals for a search and a dilation scan."""
 
     @staticmethod
     def _count(monkeypatch):
         calls = []
-        original = geometry._facet_normal
+        original = geometry._bareiss
 
-        def counting(points):
-            calls.append(len(points))
-            return original(points)
+        def counting(rows, jordan):
+            calls.append((len(rows), jordan))
+            return original(rows, jordan)
 
-        monkeypatch.setattr(geometry, "_facet_normal", counting)
+        monkeypatch.setattr(geometry, "_bareiss", counting)
         return calls
 
     POINT_SETS = (
@@ -671,7 +702,7 @@ class TestPlacingEliminationCount:
             cells = _placing_cells(points, len(points[0]))
             next(cells)
             cells.close()
-            assert calls == [len(points[0])], points
+            assert calls == [(len(points[0]), False)], points
 
     def test_whole_pass(self, monkeypatch):
         sets = [build() for build in self.POINT_SETS]
@@ -680,21 +711,32 @@ class TestPlacingEliminationCount:
             dim = len(points[0])
             calls.clear()
             yielded, boundary = _drain(_placing_cells(points, dim))
-            assert len(yielded) > 1 and calls == [dim] * (dim + 1), points
+            assert len(yielded) > 1 and calls == [(dim, False), (dim, True)], points
 
     def test_search_totals(self, monkeypatch):
         cube, reeve = unit_cube(4), reeve_simplex()
         calls = self._count(monkeypatch)
-        # the lexicographic order succeeds: one pass, the first simplex's 5
-        # facets; the cube's lattice points are its vertices, so that pass is
-        # also the volume pass, and certifying it runs no second one
+        # the lexicographic order succeeds: one pass (its first simplex's
+        # determinant and adjugate), then the 24 cells' determinants as
+        # LatticeSimplex; the cube's lattice points are its vertices, so that
+        # pass is also the volume pass, and certifying it runs no second one
         assert find_unimodular_triangulation(cube) is not None
-        assert len(calls) == 5
+        assert Counter(calls) == {(4, False): 1 + 24, (4, True): 1}
         calls.clear()
-        # 81 placing passes (one at ell = 1, a simplex; 20 per row above), and
-        # the hulls of P's coordinate projections, 2 + 3 once for every row
+        # 81 placing passes (one at ell = 1, a simplex; 20 per row above),
+        # each with a determinant, 12 of them past their first cell with an
+        # adjugate; the 5 dilates of the simplex P each build a LatticeSimplex;
+        # the hulls of P's coordinate projections, once: the segment is a
+        # simplex, and each hull's start simplex gives one adjugate
         assert find_ell(reeve, 5, 3).ell is None
-        assert len(calls) == 122
+        assert Counter(calls) == {
+            (3, False): 81 + 5,
+            (3, True): 12,
+            (1, False): 1,
+            (1, True): 1,
+            (2, True): 1,
+        }
+        assert len(calls) == 101
 
 
 class TestRunsAgainstRecursiveLift:
@@ -796,6 +838,32 @@ class TestHullAgainstSortedPlacing:
             flats += not LatticePolytope(points).is_full_dimensional()
             self.assert_same_hull(points)
         assert flats >= 50
+
+    def test_every_affine_dimension(self):
+        # in Z^n, n = 1..8, sets of every affine dimension k = 0..n-1: the
+        # equations come from a k x k adjugate, and a single point (k = 0)
+        # has none; k = 1 includes segments with no other generator
+        rng = random.Random(416)
+        seen = Counter()
+        for n in range(1, 9):
+            for k in range(n):
+                for _ in range(3 if n < 7 else 1):
+                    while True:
+                        base = tuple(rng.randint(-2, 2) for _ in range(n))
+                        dirs = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(k)]
+                        combos = [[int(i == j) for j in range(k)] for i in range(k)]
+                        combos += [[rng.randint(-1, 2) for _ in range(k)] for _ in range(rng.randint(0, 4))]
+                        points = [base] + [
+                            tuple(b + sum(c * d[j] for c, d in zip(cs, dirs)) for j, b in enumerate(base))
+                            for cs in combos
+                        ]
+                        p = LatticePolytope(points)
+                        if p._hull_dim == k:
+                            break
+                    seen[k, len(p.generators)] += 1
+                    self.assert_same_hull(points)
+        assert sum(seen[0, size] for size in range(9)) == seen[0, 1] == 3 * 6 + 2
+        assert seen[1, 2] >= 3
 
     def test_high_dimensions(self):
         # dims 6-8: up to 14 points, a third of the sets flat

@@ -40,7 +40,7 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge import geometry, lp, sumsets, unimodular
-from latticeforge.errors import DegeneratePolytopeError
+from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
 from latticeforge.unimodular import (
@@ -182,13 +182,13 @@ class TestDecomposeInSimplex:
 
 class TestInteriorInequalities:
     def test_equal_to_cofactor_rows(self):
-        # seeded simplices in dims 1-6, each also with its first two vertices
+        # seeded simplices in dims 1-8, each also with its first two vertices
         # swapped, which flips the det sign: the adjugate rows equal the rows
         # of one cofactor elimination per facet, entry for entry and in order
         rng = random.Random(42)
         signs = Counter()
         for k in range(300):
-            s = random_simplex(rng, 1 + k % 6)
+            s = random_simplex(rng, 1 + k % 8)
             v = s.vertices
             for cell in (s, LatticeSimplex((v[1], v[0], *v[2:]))):
                 signs[cell.det > 0] += 1
@@ -878,3 +878,51 @@ class TestFindEll:
         report = find_ell(reeve_simplex(), ell_max=5, h_max=3)
         assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
         assert len(calls) == 5 * 3
+
+
+class TestPositiveIntegerArguments:
+    """Every count argument refuses 0, -1, True and 2.0 with one ValueError
+    message per entry point, unchanged from when each carried its own check;
+    find_ell refuses before any enumeration or search."""
+
+    BAD = (0, -1, True, 2.0)
+
+    @staticmethod
+    def entry_points():
+        square = unit_square()
+        cover = find_unimodular_triangulation(square)
+        pts = lattice_points(square)
+        return [
+            ("dilation factor", lambda v: dilate(square, v)),
+            ("h", lambda v: decompose_in_simplex(STD3, (0, 0, 0), v)),
+            ("h", lambda v: decompose(square, cover, (1, 1), v)),
+            ("attempts", lambda v: find_unimodular_triangulation(square, attempts=v)),
+            ("ell_max", lambda v: find_ell(square, ell_max=v, h_max=1)),
+            ("attempts", lambda v: find_ell(square, ell_max=1, h_max=1, attempts=v)),
+            ("h_max", lambda v: find_ell(square, ell_max=1, h_max=v)),
+            ("h_max", lambda v: idp_scan(square, v)),
+            ("number of summands", lambda v: sumsets.hfold_sumset(pts, v)),
+            ("number of summands", lambda v: sumsets.idp_check(square, v)),
+            ("number of parts", lambda v: sumsets.find_sum_decomposition(pts, (1, 1), v)),
+        ]
+
+    def test_messages(self):
+        for what, call in self.entry_points():
+            for value in self.BAD:
+                with pytest.raises(ValueError) as caught:
+                    call(value)
+                assert str(caught.value) == f"{what} must be a positive integer, got {value!r}"
+
+    def test_check_order(self, monkeypatch):
+        square = unit_square()
+        monkeypatch.setattr(unimodular, "lattice_points", None)
+        monkeypatch.setattr(unimodular, "_placing_search", None)
+        with pytest.raises(ValueError, match="^ell_max"):
+            find_ell(square, ell_max=0, h_max=0, attempts=0)
+        with pytest.raises(ValueError, match="^attempts"):
+            find_ell(square, ell_max=1, h_max=0, attempts=0)
+        # the simplex's index and the point's dimension are checked before h
+        with pytest.raises(NotUnimodularError):
+            decompose_in_simplex(A2, (0, 0, 0), 0)
+        with pytest.raises(DimensionMismatchError):
+            decompose_in_simplex(STD3, (0, 0), 0)
