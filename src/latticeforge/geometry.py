@@ -328,18 +328,19 @@ def _placing_cells(points: Sequence[Point], dim: int):
     return list(boundary.values())
 
 
-def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
+def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) -> tuple:
     """(rows, masks) of the full-dimensional conv(points) by double description.
 
     Motzkin et al. (1953): rows[k] = (a, b) is a primitive facet row,
     a.x <= b on the hull, and masks[k] the bitmask of the points tight on it.
     The outward rows of the simplex that `start` indexes begin, its negated
-    _simplex_facets made primitive, from one adjugate; each
-    other point p, farthest from the bounding box's centre first, keeps the
-    rows it does not violate and joins each adjacent pair of a violated row
-    F and a row G that p lies strictly beneath into one row through p: the
-    pencil row of _placing_cells, from F's height above p and G's depth
-    below it, masked with F's and G's common points plus p.
+    _simplex_facets made primitive, read off (det, adj), its
+    _difference_adjugate, which the caller has taken; each other point p,
+    farthest from the bounding box's centre first, keeps the rows it does
+    not violate and joins each adjacent pair of a violated row F and a row
+    G that p lies strictly beneath into one row through p: the pencil row of
+    _placing_cells, from F's height above p and G's depth below it, masked
+    with F's and G's common points plus p.
 
     Two rows are adjacent iff they share at least dim - 1 tight points and
     no third row is tight on all of them: their common points then span a
@@ -349,8 +350,7 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int]) -> tuple:
     AND of their at[j].
     """
     dim = len(points[0])
-    first = [points[i] for i in start]
-    inner = _simplex_facets(first, *_difference_adjugate(first))
+    inner = _simplex_facets([points[i] for i in start], det, adj)
     rows = [_primitive_row([-x for x in a], -b) for a, b in inner]
     masks = [sum(1 << j for j in start if j != i) for i in start]
     starters = set(start)
@@ -440,14 +440,16 @@ class LatticePolytope:
             at = dict(zip(coords, normal))
             return [at.get(c, 0) for c in range(dim)]
 
-        # Each other coordinate j is an affine function of `cols` on the hull:
-        # with M the differences on `cols` as columns and D_j their row j,
+        # One adjugate of the start simplex projected to `cols` serves the
+        # affine hull and the facet rows.  Each other coordinate j is an
+        # affine function of `cols` on the hull: with M the differences on
+        # `cols` as columns and D_j their row j,
         # det(M) * (x_j - v0_j) = (D_j adj(M)) . (x_cols - v0_cols).  One
         # equation per j, kept as a pair of opposite rows; a single point
         # has det 1, no adjugate and x_j = v0_j.
+        det, adj = _difference_adjugate([tuple(v[c] for c in cols) for v in start])
         rows = set()
         if hull_dim < dim:
-            det, adj = _difference_adjugate([tuple(v[c] for c in cols) for v in start])
             for j in range(dim):
                 if j not in cols:
                     normal = lift([vec_dot([d[j] for d in diffs], col) for col in zip(*adj)], cols)
@@ -460,7 +462,7 @@ class LatticePolytope:
         self.vertices = self.generators
         if hull_dim:
             proj = [tuple(g[c] for c in cols) for g in gens]
-            facets, masks = _facet_rows(proj, [gens.index(q) for q in start])
+            facets, masks = _facet_rows(proj, [gens.index(q) for q in start], det, adj)
             rows.update((tuple(lift(a, cols)), b) for a, b in facets)
             # g is a vertex iff no other generator is tight on every facet g
             # is tight on, the face those facets cut out then being {g}
@@ -532,6 +534,13 @@ def _record_volume(p: LatticePolytope, order: Sequence[Point], volume: int) -> N
     """
     if p._volume is None and tuple(order) == p.vertices:
         p._volume = volume
+
+
+def _share_volume(p: LatticePolytope, scaled: LatticePolytope, h: int) -> None:
+    """Keep the volume of scaled = dilate(p, h), once known, as p's: h^dim
+    times smaller, so that each later dilate of p carries its own."""
+    if p._volume is None and scaled._volume is not None:
+        p._volume = scaled._volume // h**p.dim
 
 
 def contains(p: LatticePolytope, q: Sequence) -> bool:

@@ -252,16 +252,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
     return IntMatrix(h), IntMatrix(u)
 
 
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(m) = det(m) * inverse(m), always integral."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError("adjugate requires a square matrix")
-    d, adj = _bareiss(m.data, True)
-    if not d:
-        raise SingularMatrixError("adjugate of a singular matrix is not supported here")
-    return IntMatrix(adj)
-
-
 def echelon_insert(echelon: list, row: Sequence[int]) -> bool:
     """Reduce an integer row against an echelon basis; keep it if independent.
 

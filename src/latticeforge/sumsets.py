@@ -14,10 +14,16 @@ are then in lexicographic order, and unpacking is exact.
 `sumset` and `hfold_sumset` take arbitrary sets, whose box can dwarf the
 set, so they keep sets of packed ints.  The IDP check enumerates the
 dilate's box anyway, so it keeps bitsets (bit v set iff v packs a member):
-S_h = OR over a in S_1 of S_{h-1} << a, carried across h, and the dilate
-as geometry's enumeration sets the bits of its runs of consecutive packed
-values, each as it is found.  The dilate's size and the guard that no sum
-escapes it (S_h & ~dilate) are one int operation each; the witnesses
+S_h = OR over a in S_1 of S_{h-1} << a, carried across h.  A dilate below
+the dimension d of a full-dimensional P is enumerated by geometry, which
+sets the bits of its runs of consecutive packed values as it finds them.
+From h = max(d, 2) on, the dilate is built by the same shift-OR from the
+one before it: every lattice point of hP is one of (h-1)P plus one of P
+when h - 1 >= d - 1 (Bruns, Gubeladze and Trung, J. reine angew. Math. 485,
+1997), and each sum of such points lies in hP.  The built set is then
+checked against the Ehrhart count |L(hP)|, which it can only match by
+being all of L(hP).  The dilate's size and the guard that no sum escapes
+it (S_h & ~dilate) are one int operation each; the witnesses
 (dilate & ~S_h) are read from that int's non-zero bytes, low byte first,
 which is lexicographic order.
 """
@@ -41,6 +47,7 @@ from .geometry import (
     as_point,
     dilate,
     lattice_points,
+    normalized_volume,
 )
 
 #: Intermediate point sets larger than this abort with a resource error.
@@ -184,14 +191,42 @@ def _bit_indices(x: int) -> list:
     return found
 
 
-def _next_sum(summed: int, packed: Sequence[int]) -> int:
-    """S_h from S_{h-1} and the packed points of S_1: OR over a in S_1 of S_{h-1} << a."""
-    _check_pairs(summed.bit_count(), len(packed))
+def _shift_or(x: int, packed: Sequence[int]) -> int:
+    """The bitset x + S_1: OR over a in the packed points of S_1 of x << a."""
     out = 0
     for a in packed:
-        out |= summed << a
+        out |= x << a
+    return out
+
+
+def _next_sum(summed: int, packed: Sequence[int]) -> int:
+    """S_h from S_{h-1} and the packed points of S_1, under both caps."""
+    _check_pairs(summed.bit_count(), len(packed))
+    out = _shift_or(summed, packed)
     _check_points(out.bit_count())
     return out
+
+
+def _ehrhart_counts(sizes: Sequence[int], volume: int):
+    """|L(hP)| for h = d, d + 1, ..., from |L(hP)| for h = 0..d-1 (`sizes`,
+    d = len(sizes)) and P's normalized volume.
+
+    |L(hP)| is a polynomial of degree d in h whose leading coefficient is
+    the Euclidean volume, so its d-th difference is the normalized volume.
+    The table holds the backward differences at the last h, orders 0..d;
+    each step adds every order's successor into it, top order first.
+    """
+    table = []
+    for size in sizes:
+        row = [size]
+        for t in table:
+            row.append(row[-1] - t)
+        table = row
+    table.append(volume)
+    while True:
+        for k in range(len(table) - 2, -1, -1):
+            table[k] += table[k + 1]
+        yield table[0]
 
 
 def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, levels: Optional[list]):
@@ -203,6 +238,13 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
     h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
     h_top + 1 the pair cap is checked and then the box cap raised, the h at
     which enumerating that dilate would raise it.
+
+    With `every` and p full-dimensional, of dimension d, only h = 2..d-1 are
+    enumerated.  From h = max(d, 2) on, the dilate is the previous one
+    shifted by p's points (_shift_or, under no cap but the box's, as the
+    enumeration is), and from h = d on its size must equal the Ehrhart
+    count (_ehrhart_counts, from the sizes below d and p's normalized
+    volume); a mismatch means the scan is broken, and raises.
     """
     mins, maxs = p.bounding_box()
 
@@ -221,15 +263,32 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
     for v in packed:
         bits[v >> 3] |= 1 << (v & 7)
     summed = dilated = int.from_bytes(bits, "little")
+    # the dilate sizes below shift_from (one point at h = 0) seed the
+    # Ehrhart counts that each dilate from shift_from on must match
+    shift_from = p.dim if every and p.is_full_dimensional() else h_max + 1
+    sizes, counts = [1], None
     for h in range(1, h_top + 1):
         if h > 1:
             summed = _next_sum(summed, packed)
         if not every and h < h_max:
             continue
         offset = [h * a for a in lo]
-        if h > 1:
-            rows = [[(a, h * b) for a, b in level] for level in levels]
-            dilated = _lattice_runs(rows, *box(h), radix.weights)
+        if h < shift_from:
+            if h > 1:
+                rows = [[(a, h * b) for a, b in level] for level in levels]
+                dilated = _lattice_runs(rows, *box(h), radix.weights)
+            sizes.append(dilated.bit_count())
+        else:
+            if h > 1:
+                dilated = _shift_or(dilated, packed)
+            if counts is None:
+                counts = _ehrhart_counts(sizes, normalized_volume(p))
+            count = next(counts)
+            if dilated.bit_count() != count:
+                raise LatticeForgeError(
+                    f"dilate at h={h} has {dilated.bit_count()} lattice points, "
+                    f"its Ehrhart count is {count}: implementation bug"
+                )
         if summed & ~dilated:
             # A sum of lattice points always lies in the dilated hull; reaching
             # here means enumeration or summation is broken, not mathematics.
@@ -259,7 +318,9 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
 
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
-    """idp_check for every h = 1..h_max, in order, each sumset built once."""
+    """idp_check for every h = 1..h_max, in order: each sumset is built from
+    the one before, and so, from h = max(dim, 2) on for a full-dimensional
+    p, is each dilate."""
     _check_positive(h_max, "h_max")
     return _idp_scan(p, h_max, None, _projection_rows(p) if h_max > 1 else None)
 

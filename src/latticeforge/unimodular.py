@@ -46,6 +46,7 @@ from .geometry import (
     _placing_cells,
     _projection_rows,
     _record_volume,
+    _share_volume,
     _simplex_facets,
     as_point,
     contains,
@@ -467,4 +468,8 @@ def find_ell(
                 idp=_idp_scan(scaled, h_max, pts, scaled_levels),
             )
         )
+        # once a row has its dilate's volume (for its certificate or its
+        # scan's Ehrhart counts), p keeps it and later dilates carry it, so
+        # at most one row runs a volume pass
+        _share_volume(p, scaled, ell)
     return EllReport(ell=found, per_ell=tuple(rows))

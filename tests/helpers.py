@@ -7,6 +7,8 @@ sums by naive iteration, decompositions by multiset enumeration.  They are
 slow and obviously correct.  Some are the library's own earlier, slower
 implementations, kept to cross-check the paths that replaced them: the
 bounding-box scan, tuple sumsets by repeated doubling, the per-h IDP check,
+the IDP scan with every dilate enumerated as runs, where the library
+enumerates only below the dimension and shifts the dilates above it,
 a facet's cofactor normal by one fraction-free elimination per facet
 (_facet_normal, and _cell_facet orienting it against the opposite vertex),
 where the library reads all of a simplex's facet rows off one adjugate,
@@ -16,10 +18,12 @@ placing triangulation (in sorted order with every generator a vertex
 candidate, or extreme points first with the boundary points as candidates,
 the affine-hull equations from _facet_normal), run enumeration by one
 recursive call per coordinate, run bitsets from run ends and by pairwise
-merges, placing with one elimination per new boundary facet, exact solves
-(and the adjugate built from them) by rational Gauss-Jordan elimination, a
-cell's facet rows from one cofactor elimination per facet, and the simplex
-LP on a Fraction tableau, with the margin LP in its primal encoding.
+merges, placing with one elimination per new boundary facet, the adjugate
+as an IntMatrix off one Gauss-Jordan pass, where the library reads the
+pass's rows, exact solves (and the adjugate built from them) by rational
+Gauss-Jordan elimination, a cell's facet rows from one cofactor elimination
+per facet, and the simplex LP on a Fraction tableau, with the margin LP in
+its primal encoding.
 """
 
 import itertools
@@ -43,6 +47,7 @@ from latticeforge import (
     lp,
     normalized_volume,
     placing_triangulation,
+    sumset,
     verify_cover,
 )
 from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
@@ -55,11 +60,13 @@ from latticeforge.errors import (
 from latticeforge.geometry import (
     Point,
     _affine_basis,
+    _lattice_runs,
     _placing_cells,
     _primitive_row,
+    _projection_rows,
     vec_dot,
 )
-from latticeforge.linalg import IntMatrix, determinant
+from latticeforge.linalg import IntMatrix, _bareiss, determinant
 
 
 def cofactor_determinant(rows):
@@ -129,8 +136,20 @@ def fraction_solve(m, b):
     return tuple(a[i][n] for i in range(n))
 
 
+def adjugate(m):
+    """adj(m) = det(m) * inverse(m) as an IntMatrix, off one fraction-free
+    Gauss-Jordan pass (linalg._bareiss), whose (det, adj) the library reads
+    directly; refuses non-square and singular matrices."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("adjugate requires a square matrix")
+    d, adj = _bareiss(m.data, True)
+    if not d:
+        raise SingularMatrixError("adjugate of a singular matrix is not supported here")
+    return IntMatrix(adj)
+
+
 def fraction_adjugate(m):
-    """linalg.adjugate as n rational solves: column j solves m @ x = det(m) * e_j."""
+    """adjugate as n rational solves: column j solves m @ x = det(m) * e_j."""
     d = determinant(m)
     if d == 0:
         raise SingularMatrixError("adjugate of a singular matrix is not supported here")
@@ -451,6 +470,27 @@ def per_h_idp_check(p, h):
     assert summed <= dilated
     witnesses = tuple(sorted(dilated - summed))
     return IdpReport(h, not witnesses, witnesses, len(summed), len(dilated))
+
+
+def runs_idp_scan(p, h_max):
+    """idp_scan with every dilate enumerated: h*p's points from
+    geometry._lattice_runs over p's projection rows scaled to (a, h*b), the
+    sums carried across h as tuple sets (sumset), one IdpReport per h."""
+    base = lattice_points(p)
+    levels = _projection_rows(p)
+    mins, maxs = p.bounding_box()
+    summed, reports = base, []
+    for h in range(1, h_max + 1):
+        if h > 1:
+            summed = sumset(summed, base)
+        rows = [[(a, h * b) for a, b in level] for level in levels]
+        runs = _lattice_runs(rows, [h * a for a in mins], [h * b for b in maxs])
+        dilated = {prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1)}
+        if not set(summed) <= dilated:
+            raise LatticeForgeError("a sum left the enumerated dilate")
+        witnesses = tuple(sorted(dilated.difference(summed)))
+        reports.append(IdpReport(h, not witnesses, witnesses, len(summed), len(dilated)))
+    return tuple(reports)
 
 
 def assembled_unit_cube(n):

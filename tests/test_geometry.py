@@ -661,7 +661,8 @@ class TestStartRowsAgainstCofactors:
                 yielded, boundary = _drain(_placing_cells(list(first), dim))
                 assert yielded == [(first, abs(det))]
                 assert boundary == facets, first
-                rows, masks = geometry._facet_rows(list(first), list(range(dim + 1)))
+                start_adj = geometry._difference_adjugate(first)
+                rows, masks = geometry._facet_rows(list(first), list(range(dim + 1)), *start_adj)
                 assert rows == [_primitive_row(normal, offset) for _, normal, offset in facets], first
                 assert masks == [sum(1 << j for j in range(dim + 1) if j != i) for i in range(dim + 1)]
         assert min(signs.values()) == 160
@@ -727,16 +728,41 @@ class TestPlacingEliminationCount:
         # each with a determinant, 12 of them past their first cell with an
         # adjugate; the 5 dilates of the simplex P each build a LatticeSimplex;
         # the hulls of P's coordinate projections, once: the segment is a
-        # simplex, and each hull's start simplex gives one adjugate
+        # simplex, and each hull's start simplex gives one adjugate; one
+        # volume pass over the 4 vertices (a determinant and an adjugate),
+        # which the scan at ell = 1 takes for its Ehrhart count at h = 3 and
+        # every later row reads as ell^3 times it
         assert find_ell(reeve, 5, 3).ell is None
         assert Counter(calls) == {
-            (3, False): 81 + 5,
-            (3, True): 12,
+            (3, False): 81 + 5 + 1,
+            (3, True): 12 + 1,
             (1, False): 1,
             (1, True): 1,
             (2, True): 1,
         }
-        assert len(calls) == 101
+        assert len(calls) == 103
+
+
+class TestHullEliminationCount:
+    """A hull, flat or not, runs one Gauss-Jordan pass (linalg._bareiss,
+    logged as (order, jordan)): the start simplex's adjugate, projected to
+    the coordinates the affine hull projects injectively onto, gives both
+    a flat hull's equations and the double description's start rows."""
+
+    def test_one_pass_per_hull(self, monkeypatch):
+        calls = TestPlacingEliminationCount._count(monkeypatch)
+        cases = (
+            ([(0, 0, 0, 0), (1, 0, 1, 2), (0, 1, 2, 1)], [(2, True)]),
+            ([(0, 0, 0), (2, 2, 2), (1, 1, 1)], [(1, True)]),
+            (list(itertools.product((0, 1), repeat=3)), [(3, True)]),
+            # a simplex also takes its LatticeSimplex determinant
+            (list(reeve_simplex().vertices), [(3, True), (3, False)]),
+            ([(4, -1, 2)], [(0, True)]),
+        )
+        for points, expected in cases:
+            calls.clear()
+            LatticePolytope(points)
+            assert calls == expected, points
 
 
 class TestRunsAgainstRecursiveLift:
@@ -931,7 +957,9 @@ class TestHullAgainstSortedPlacing:
                 continue
             rng.shuffle(points)
             index = {v: i for i, v in enumerate(points)}
-            rows, masks = geometry._facet_rows(points, [index[v] for v in geometry._affine_basis(points)])
+            start = geometry._affine_basis(points)
+            start_adj = geometry._difference_adjugate(start)
+            rows, masks = geometry._facet_rows(points, [index[v] for v in start], *start_adj)
             assert sorted(rows) == list(q.facets()), points
             for (a, b), mask in zip(rows, masks):
                 assert mask == sum(1 << i for i, v in enumerate(points) if geometry.vec_dot(a, v) == b)

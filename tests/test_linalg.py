@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    adjugate,
     cofactor_determinant,
     fraction_adjugate,
     fraction_affine_basis,
@@ -20,7 +21,7 @@ from latticeforge import (
     solve_rational,
 )
 from latticeforge.geometry import _affine_basis
-from latticeforge.linalg import DIM_CAP, adjugate, echelon_insert
+from latticeforge.linalg import DIM_CAP, echelon_insert
 
 from fractions import Fraction
 

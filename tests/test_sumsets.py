@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from helpers import (
     random_point_set,
     random_polytope,
     runs_bitset,
+    runs_idp_scan,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -385,6 +387,126 @@ class TestIdpScanAgainstPerH:
             reports = idp_scan(p, 4)
             assert reports == tuple(per_h_idp_check(p, h) for h in range(1, 5))
             assert not reports[1].holds
+
+
+class TestShiftedDilates:
+    """idp_scan enumerates h*P only for h = 2..d-1, d the dimension of a
+    full-dimensional P; from h = max(d, 2) on it shifts the dilate before by
+    P's points, and from h = d on checks each dilate's size against the
+    Ehrhart count.  Against the scan that enumerates every dilate
+    (runs_idp_scan), report for report, with the enumerations counted."""
+
+    @staticmethod
+    def count_runs(monkeypatch):
+        calls = []
+        original = sumsets._lattice_runs
+
+        def counting(levels, *box_and_weights):
+            calls.append(len(levels))
+            return original(levels, *box_and_weights)
+
+        monkeypatch.setattr(sumsets, "_lattice_runs", counting)
+        return calls
+
+    @staticmethod
+    def full_polytopes():
+        rng = random.Random(1997)
+        for k in range(60):
+            dim = 1 + k % 5
+            lo, hi = (-3, -2, -1, -1, 0)[dim - 1], (3, 2, 1, 1, 1)[dim - 1]
+            while True:
+                p = LatticePolytope(
+                    [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 5))]
+                )
+                if p.is_full_dimensional():
+                    break
+            yield p
+        for q in (1, 2, 3, 5):
+            yield reeve_simplex(q)
+        yield LatticePolytope(NEEDLE)
+        # a Reeve-like simplex in dimension 5: its lattice points are its vertices
+        yield LatticePolytope([(0,) * 5] + [tuple(int(i == j) for j in range(5)) for i in range(4)] + [(1, 1, 1, 1, 2)])
+
+    def test_against_enumerated_dilates(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        failing = Counter()
+        for p in self.full_polytopes():
+            d = p.dim
+            calls.clear()
+            reports = idp_scan(p, d + 3)
+            # h = 2..d-1 enumerated, as runs over the d projection levels
+            assert calls == [d] * max(0, d - 2), p.generators
+            assert reports == runs_idp_scan(p, d + 3), p.generators
+            failing[d] += not all(r.holds for r in reports)
+        assert all(failing[d] for d in (3, 4, 5)), failing
+
+    def test_flat_inputs_enumerate_every_h(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        rng = random.Random(1998)
+        flats = [LatticePolytope([(0, 0, 0, 0), (1, 0, 1, 2), (0, 1, 2, 1)])]
+        while len(flats) < 20:
+            p = LatticePolytope(random_point_set(rng, rng.randint(2, 4), True, 2))
+            if p._hull_dim:
+                flats.append(p)
+        for p in flats:
+            calls.clear()
+            assert idp_scan(p, 5) == runs_idp_scan(p, 5), p.generators
+            assert len(calls) == 4, p.generators
+
+    def test_enumerations_below_the_box_cap(self, monkeypatch):
+        # h_top, the largest h whose box is within BOX_CAP, bounds the
+        # enumerated h too: max(0, min(h_top, d - 1) - 1) enumerations
+        calls = self.count_runs(monkeypatch)
+        for d, cap, h_top in ((4, 3**4, 2), (4, 4**4, 3), (4, 6**4, 5), (5, 4**5, 3), (3, 10**7, 6)):
+            monkeypatch.setattr(geometry, "BOX_CAP", cap)
+            calls.clear()
+            if h_top < 6:
+                with pytest.raises(ResourceLimitError, match=f"h={h_top + 1}: bounding box exceeds"):
+                    idp_scan(unit_cube(d), 6)
+            else:
+                assert all(r.holds for r in idp_scan(unit_cube(d), 6))
+            assert len(calls) == max(0, min(h_top, d - 1) - 1), d
+
+    def test_wrong_volume_is_a_library_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sumsets, "normalized_volume", lambda p: normalized_volume(p) + 1)
+        with pytest.raises(LatticeForgeError, match="^dilate at h=3 has 24 lattice points, its Ehrhart count is 25: implementation bug$"):
+            idp_scan(reeve_simplex(), 3)
+        with pytest.raises(LatticeForgeError, match="h=2 .* implementation bug"):
+            idp_scan(unit_square(), 2)
+        # a segment's count is checked from h = 1 on, its own points
+        with pytest.raises(LatticeForgeError, match="h=1 .* implementation bug"):
+            idp_scan(LatticePolytope([(0,), (3,)]), 2)
+        # below the dimension, and at a single h, nothing is counted
+        assert idp_scan(reeve_simplex(), 2) == runs_idp_scan(reeve_simplex(), 2)
+        assert idp_check(reeve_simplex(), 3) == runs_idp_scan(reeve_simplex(), 3)[-1]
+        assert cli.main(["idp-check", "--example", "a2", "--h-max", "3"]) == 2
+        assert "Ehrhart count is 25: implementation bug" in capsys.readouterr().err
+
+    def test_no_point_cap_on_the_dilate(self, monkeypatch):
+        # Reeve(2): |S_h| = C(h+3, 3), |L(hP)| = 4, 11, 24, 45, 76, 119 for
+        # h = 1..6, and boxes of (h+1)^2 (2h+1) cells: 637 at h = 6, 960 at 7.
+        # Only the sums are capped: the 119-point dilate at h = 6 passes a
+        # 100-point cap, and its shift from the 76 points at h = 5 (304
+        # pairs) passes a 224-pair cap, which the sums' 56 * 4 pairs meet.
+        p = reeve_simplex()
+        monkeypatch.setattr(sumsets, "POINTSET_CAP", 100)
+        monkeypatch.setattr(geometry, "BOX_CAP", 900)
+        monkeypatch.setattr(sumsets, "PAIR_CAP", 400)
+        reports = idp_scan(p, 6)
+        assert [r.dilate_size for r in reports] == [4, 11, 24, 45, 76, 119]
+        assert reports == runs_idp_scan(p, 6)
+        # at h_top + 1 = 7: the pairs |S_6| * 4 = 336 pass, the box does not
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=7: bounding box exceeds the enumeration cap of 900 cells$"):
+            idp_scan(p, 7)
+        monkeypatch.setattr(sumsets, "PAIR_CAP", 56 * 4)
+        assert idp_scan(p, 6) == reports
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=7: sumset would evaluate too many pairs$"):
+            idp_scan(p, 7)
+
+    def test_million_point_dilate_refused_by_its_sums(self):
+        # cube-3 is IDP, so S_100 is its 101^3 > 10^6 dilate: refused at h = 100
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=100: sumset exceeded the 1000000-point cap$"):
+            idp_scan(unit_cube(3), 101)
 
 
 class TestInclusionProperty:

@@ -859,7 +859,8 @@ class TestFindEll:
 
     def test_lattice_points_enumerated_once_per_row(self, monkeypatch):
         # per row: l*P once for the search, the uniqueness test and h = 1,
-        # then h*(l*P) for h = 2, 3 as runs
+        # then h*(l*P) for h = 2 as runs; P is a 3-simplex, so h = 3 is the
+        # dilate at h = 2 shifted by l*P's points, and nothing is enumerated
         calls = []
         original = unimodular.lattice_points
         original_runs = sumsets._lattice_runs
@@ -877,7 +878,27 @@ class TestFindEll:
         monkeypatch.setattr(sumsets, "_lattice_runs", counting_runs)
         report = find_ell(reeve_simplex(), ell_max=5, h_max=3)
         assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
-        assert len(calls) == 5 * 3
+        assert len(calls) == 5 * 2
+
+
+    def test_one_volume_pass_per_search(self, monkeypatch):
+        # a1 is certified at every ell, its lattice points are not its
+        # vertices, and the scan stops below its dimension: the row at ell = 1
+        # certifies with a volume pass over its vertices, and later rows, each
+        # once a pass of its own, read ell^3 times that volume
+        passes = []
+        original = geometry._placing_cells
+
+        def counting(points, dim):  # normalized_volume's pass; the search imports its own name
+            passes.append(points)
+            return original(points, dim)
+
+        monkeypatch.setattr(geometry, "_placing_cells", counting)
+        p = stretched_simplex()
+        report = find_ell(p, ell_max=3, h_max=2)
+        assert [row.cell_count for row in report.per_ell] == [2, 16, 54]
+        assert passes == [p.vertices]
+        assert normalized_volume(p) == 2
 
 
 class TestPositiveIntegerArguments:
