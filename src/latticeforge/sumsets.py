@@ -45,9 +45,9 @@ from .geometry import (
     _lattice_runs,
     _projection_rows,
     as_point,
-    dilate,
     lattice_points,
     normalized_volume,
+    vec_scale,
 )
 
 #: Intermediate point sets larger than this abort with a resource error.
@@ -311,7 +311,8 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     """Brute-force comparison of h * (lattice points) against the h-dilate."""
     _check_positive(h, "number of summands")
     # refused at once when h*p's box is over the cap: no bitset would fit
-    _check_box(*dilate(p, h).bounding_box())
+    mins, maxs = p.bounding_box()
+    _check_box(vec_scale(mins, h), vec_scale(maxs, h))
     levels = _projection_rows(p) if h > 1 else None
     (report,) = _idp_reports(p, lattice_points(p), h, every=False, levels=levels)
     return report

@@ -17,9 +17,11 @@ matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
 separating-facet tests on integer data (facet rows from the same adjugate,
 through geometry's one kernel for a simplex's facet rows), with the margin
-LP, solved exactly as its dual on an integer tableau, as the fallback for
-pairs neither test separates.  That fallback is the only use of ``lp`` in
-the package.
+LP as the fallback for pairs neither test separates.  That fallback is the
+only use of ``lp`` in the package: the LP's dual, solved exactly on an
+integer tableau by simplex phase 2 alone, from the basis of the first
+cell's facet rows, with no phase 1 (the general two-phase solver is a test
+oracle).
 """
 
 from __future__ import annotations
@@ -388,7 +390,7 @@ def has_unique_triangulation(p: LatticePolytope) -> bool:
 def decompose(
     p: LatticePolytope, cover: SimplicialCover, point: Sequence[int], h: int
 ) -> Decomposition:
-    """Decompose a lattice point of the h-fold dilate via a certified cover.
+    """Decompose a lattice point of the h-fold dilate via a certified cover of p.
 
     Locates the first cell (in cover order) containing point/h and solves
     there; the parts are h lattice points of p summing to the input.
@@ -399,6 +401,8 @@ def decompose(
     _check_positive(h, "h")
     if cover.certified != "certified":
         raise ValueError("decompose requires a cover with certified status")
+    if cover.target != p:
+        raise ValueError("decompose requires a cover whose target is the polytope")
     q = tuple(Fraction(x, h) for x in pt)
     for cell in cover.cells:
         if cell.contains_point(q):

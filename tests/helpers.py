@@ -22,8 +22,10 @@ merges, placing with one elimination per new boundary facet, the adjugate
 as an IntMatrix off one Gauss-Jordan pass, where the library reads the
 pass's rows, exact solves (and the adjugate built from them) by rational
 Gauss-Jordan elimination, a cell's facet rows from one cofactor elimination
-per facet, and the simplex LP on a Fraction tableau, with the margin LP in
-its primal encoding.
+per facet, the general two-phase simplex method on the integer tableau
+(solve_min), where the library runs phase 2 alone from a known basis, and
+the simplex LP on a Fraction tableau, with the margin LP in its primal
+encoding.
 """
 
 import itertools
@@ -32,6 +34,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -44,7 +47,6 @@ from latticeforge import (
     is_unimodular,
     lattice_index,
     lattice_points,
-    lp,
     normalized_volume,
     placing_triangulation,
     sumset,
@@ -67,6 +69,7 @@ from latticeforge.geometry import (
     vec_dot,
 )
 from latticeforge.linalg import IntMatrix, _bareiss, determinant
+from latticeforge.lp import OPTIMAL, UNBOUNDED, _minimize, _pivot
 
 
 def cofactor_determinant(rows):
@@ -258,11 +261,79 @@ def caratheodory_contains(points, q):
     return False
 
 
+INFEASIBLE = "infeasible"
+
+
+def _integral(values) -> tuple:
+    """(ints, den): the exact rationals `values` times their least common denominator."""
+    fr = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
+
+
+def solve_min(c: Sequence, a: Sequence[Sequence], b: Sequence):
+    """min c.x  subject to  a @ x = b, x >= 0.
+
+    Returns (status, x, value); x and value are None unless status is
+    OPTIMAL.  Everything exact: the rows are scaled by one common
+    denominator and the costs by their own.
+    """
+    n = len(c)
+    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    if any(len(row) != n + 1 for row in rows):
+        raise LatticeForgeError("constraint row length does not match variable count")
+    flat, _ = _integral(x for row in rows for x in row)
+    m = len(rows)
+
+    # Phase 1: artificial variable per row (rhs made >= 0), minimize their sum.
+    tab = []
+    for i in range(m):
+        row = flat[i * (n + 1) : (i + 1) * (n + 1)]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tab.append(row[:-1] + [int(j == i) for j in range(m)] + row[-1:])
+    total = n + m
+    tab.append([int(n <= j < total) - sum(row[j] for row in tab) for j in range(total + 1)])
+    basis = list(range(n, total))
+    status, d = _minimize(tab, basis, total, 1)
+    if status != OPTIMAL:
+        raise LatticeForgeError("phase 1 reported unbounded, but it is bounded below by 0")
+    if tab.pop()[-1]:
+        return INFEASIBLE, None, None
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tab[r][j]), None)
+            if col is None:
+                continue  # redundant constraint
+            d = _pivot(tab, basis, r, col, d)
+        keep.append(r)
+    tab = [tab[r][:n] + tab[r][-1:] for r in keep]
+    basis = [basis[r] for r in keep]
+
+    # Phase 2 on the real objective, its reduced costs over d times the costs' denominator.
+    cost, den = _integral(c)
+    obj = [d * x for x in cost] + [0]
+    for row, var in zip(tab, basis):
+        if cost[var]:
+            obj = [x - cost[var] * y for x, y in zip(obj, row)]
+    tab.append(obj)
+    status, d = _minimize(tab, basis, n, d)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for row, var in zip(tab, basis):
+        x[var] = Fraction(row[-1], d)
+    return OPTIMAL, tuple(x), Fraction(-tab[-1][-1], d * den)
+
+
 def feasible_nonneg(a, b):
     """Is there x >= 0 with a @ x = b?  Phase 1 of the exact LP."""
     n = len(a[0]) if a else 0
-    status, _, _ = lp.solve_min([0] * n, a, b)
-    return status == lp.OPTIMAL
+    status, _, _ = solve_min([0] * n, a, b)
+    return status == OPTIMAL
 
 
 def _fraction_pivot(tab, basis, row, col):
@@ -281,7 +352,7 @@ def _fraction_minimize(tab, basis, obj, ncols):
     while True:
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return lp.OPTIMAL
+            return OPTIMAL
         best = None
         for r in range(m):
             a = tab[r][col]
@@ -290,7 +361,7 @@ def _fraction_minimize(tab, basis, obj, ncols):
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
                     best = (ratio, r)
         if best is None:
-            return lp.UNBOUNDED
+            return UNBOUNDED
         row = best[1]
         _fraction_pivot(tab, basis, row, col)
         factor = obj[col]
@@ -318,7 +389,7 @@ def fraction_solve_min(c, a, b):
     obj[-1] = -sum(tab[i][-1] for i in range(m))
     _fraction_minimize(tab, basis, obj, total)
     if -obj[-1] != 0:
-        return lp.INFEASIBLE, None, None
+        return INFEASIBLE, None, None
     keep = []
     for r in range(m):
         if basis[r] >= n:
@@ -334,12 +405,12 @@ def fraction_solve_min(c, a, b):
         if obj[var]:
             factor = obj[var]
             obj = [x - factor * y for x, y in zip(obj, tab[r])]
-    if _fraction_minimize(tab, basis, obj, n) == lp.UNBOUNDED:
-        return lp.UNBOUNDED, None, None
+    if _fraction_minimize(tab, basis, obj, n) == UNBOUNDED:
+        return UNBOUNDED, None, None
     x = [Fraction(0)] * n
     for r, var in enumerate(basis):
         x[var] = tab[r][-1]
-    return lp.OPTIMAL, tuple(x), -obj[-1]
+    return OPTIMAL, tuple(x), -obj[-1]
 
 
 def fraction_max_min_margin(ineqs, n):
@@ -363,7 +434,7 @@ def fraction_max_min_margin(ineqs, n):
     c[2 * n] = Fraction(-1)
     c[2 * n + 1] = Fraction(1)
     status, _, value = fraction_solve_min(c, rows, rhs)
-    if status != lp.OPTIMAL:
+    if status != OPTIMAL:
         raise LatticeForgeError(f"margin LP did not solve: {status}")
     return -value
 

@@ -272,13 +272,13 @@ class TestMembershipLPCount:
 
     def test_no_lp_solves(self, monkeypatch):
         calls = []
-        original = lp.solve_min
+        original = lp.max_min_margin
 
-        def counting(c, a, b):
-            calls.append(len(a))
-            return original(c, a, b)
+        def counting(ineqs, n):
+            calls.append(len(ineqs))
+            return original(ineqs, n)
 
-        monkeypatch.setattr(lp, "solve_min", counting)
+        monkeypatch.setattr(lp, "max_min_margin", counting)
         cases = (
             (lambda: unit_cube(4), 16),
             (lambda: dilate(unit_cube(3), 2), 27),

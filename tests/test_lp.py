@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import feasible_nonneg, fraction_max_min_margin, fraction_solve_min, random_simplex
+from helpers import (
+    INFEASIBLE,
+    feasible_nonneg,
+    fraction_max_min_margin,
+    fraction_solve_min,
+    random_simplex,
+    solve_min,
+)
 from latticeforge.errors import LatticeForgeError
-from latticeforge.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_margin, solve_min
+from latticeforge.lp import OPTIMAL, UNBOUNDED, max_min_margin
 from latticeforge.unimodular import _interior_inequalities
 
 
@@ -111,10 +118,13 @@ class TestMaxMinMargin:
         assert not _interiors_intersect(s, t)
 
     def test_unbounded_margin_is_an_error(self):
-        # x >= 0 alone: the margin grows with x
-        for solve in (max_min_margin, fraction_max_min_margin):
-            with pytest.raises(LatticeForgeError, match="^margin LP did not solve: unbounded$"):
-                solve([((1,), 0)], 1)
+        # x >= 0 alone: the margin grows with x.  It is no simplex's facet
+        # rows, so the integer dual has no start; the primal oracle finds
+        # the margin unbounded.
+        with pytest.raises(LatticeForgeError, match=r"^margin LP start: 1 rows, fewer than n \+ 1 = 2$"):
+            max_min_margin([((1,), 0)], 1)
+        with pytest.raises(LatticeForgeError, match="^margin LP did not solve: unbounded$"):
+            fraction_max_min_margin([((1,), 0)], 1)
 
 
 def _random_lp(rng, k):
@@ -187,3 +197,35 @@ class TestMarginAgainstFraction:
                 signs[(margin > 0) - (margin < 0)] += 1
         assert sum(signs.values()) == 1500
         assert min(signs.values()) >= 100, signs
+
+
+class TestMarginStart:
+    """The dual starts from the basis of the first n + 1 rows, a simplex's
+    facet rows: the margin does not depend on which cell comes first, and a
+    start that is not a simplex's facet rows is refused."""
+
+    def test_either_cell_first(self):
+        rng = random.Random(1968)
+        for dim, count in zip(range(1, 9), (600, 450, 250, 100, 40, 25, 20, 15)):
+            for _ in range(count):
+                rows_a = _interior_inequalities(random_simplex(rng, dim))
+                rows_b = _interior_inequalities(random_simplex(rng, dim))
+                assert max_min_margin(rows_a + rows_b, dim) == max_min_margin(rows_b + rows_a, dim)
+
+    def test_fewer_rows_than_a_simplex(self):
+        rows = _triangle_rows((0, 0), (1, 0), (0, 1))
+        for k in range(3):
+            with pytest.raises(LatticeForgeError, match=f"^margin LP start: {k} rows, fewer than n"):
+                max_min_margin(rows[:k], 2)
+
+    def test_singular_start(self):
+        # x >= 0 and x >= 1 are parallel: their dual columns (1, 0, 1) are equal
+        rows = [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)] + _triangle_rows((0, 0), (1, 0), (0, 1))
+        with pytest.raises(LatticeForgeError, match="^margin LP start: the first n \\+ 1 rows are singular$"):
+            max_min_margin(rows, 2)
+
+    def test_negative_start(self):
+        # x >= 0 and 2x >= 0 face the same way: y = (2, -1) on the start
+        rows = [((1,), 0), ((2,), 0), ((-1,), -3)]
+        with pytest.raises(LatticeForgeError, match="negative$"):
+            max_min_margin(rows, 1)

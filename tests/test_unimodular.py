@@ -752,6 +752,15 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(p, cover, (1, 1), 2)
 
+    def test_cover_of_another_polytope_rejected(self):
+        # a certified cover of 2*square would give parts ((2, 2),), a point
+        # outside the square
+        p = unit_square()
+        cover = find_unimodular_triangulation(dilate(p, 2))
+        assert cover is not None and cover.certified == "certified"
+        with pytest.raises(ValueError, match="target"):
+            decompose(p, cover, (2, 2), 1)
+
     def test_lying_certificate_detected(self):
         # a cover stamped certified that misses half the square
         p = unit_square()
