@@ -424,7 +424,7 @@ def _add_input_args(sub):
 
 def _add_search_args(sub):
     sub.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
-    sub.add_argument("--seed", type=int, default=0, help="seed for shuffled insertion orders")
+    sub.add_argument("--seed", type=int, default=0, help="seed for the random insertion orders")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +488,9 @@ def _encode(value, indent: str = "\n") -> str:
         items = [f"{_encode(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
         return "{" + inner + f",{inner}".join(items) + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + f",{inner}".join([_encode(v, inner) for v in value]) + indent + "]"
+        # the entries of a point or a row join as they are, with no call each
+        items = [repr(v) if type(v) is int else _encode(v, inner) for v in value]
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
     return json.dumps(value)

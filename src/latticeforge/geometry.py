@@ -11,12 +11,17 @@ and a kept row into one row through it.  Rows carry the bitmask of the
 generators tight on them, which decides adjacency and, afterwards, which
 generators are vertices.  The placing routine (``_placing_cells``), a
 beneath-beyond pass that keeps the hull boundary as oriented integer facet
-rows, triangulates; it eliminates only for its first simplex, and each new
-facet's row comes from its two neighbours.  It gives the normalized volume,
-on first use.  Every facet row of a simplex, there, at the start of the
-double description and in a cell's interior test, comes from one
-fraction-free Gauss-Jordan adjugate of its difference columns
-(``_simplex_facets``), which also gives a flat hull's affine equations.
+rows, triangulates any iterable of points, read one at a time; it
+eliminates only for its first simplex, whose volume is the last pivot of
+the Bareiss elimination that picks its points (``_affine_basis``, which
+also starts the double description), and each new facet's row comes from
+its two neighbours.  It yields a point's cells before it updates the
+boundary, so a caller that stops at a cell pays for no update there.  It
+gives the normalized volume, on first use.  Every facet row of a simplex,
+there, at the start of the double description and in a cell's interior
+test, comes from one fraction-free Gauss-Jordan adjugate of its difference
+columns (``_simplex_facets``), which also gives a flat hull's affine
+equations.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -27,9 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import and_, mul, or_
+from operator import and_, mul, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
@@ -101,7 +106,7 @@ def is_affinely_independent(points: Iterable[Sequence[int]]) -> bool:
     if not pts:
         raise DimensionMismatchError("need at least one point")
     _check_uniform(pts)
-    return len(_affine_basis(pts)) == len(pts)
+    return len(_affine_basis(pts)[0]) == len(pts)
 
 
 class LatticeSimplex:
@@ -209,48 +214,75 @@ def _simplex_facets(vertices: Sequence[Point], det: int, adj) -> list:
     return [(head, vec_dot(head, v0) - abs(det))] + [(a, vec_dot(a, v0)) for a in tail]
 
 
-def _affine_basis(points: Sequence[Point]) -> list:
-    """The first affinely independent points met in order, spanning conv(points).
+def _affine_basis(points: Iterable[Point]) -> tuple:
+    """(start, skipped, pivot): the first affinely independent points met in
+    order, spanning conv(points); the other points read, in order; and the
+    last pivot of the elimination that chose them.
 
-    A point is kept iff its difference from the first point is independent
-    of the differences kept before it, decided by extending one integer
-    echelon basis (linalg.echelon_insert) as the points arrive.
+    One fraction-free (Bareiss) elimination, a row per point: the difference
+    r = p - start[0] is reduced against each row kept before it, in order,
+    as r = (pivot_t * r - r[c_t] * row_t) // pivot_(t-1), with c_t row t's
+    pivot column, pivot_t = row_t[c_t] and pivot_0 = 1.  Every entry is
+    then a minor of the kept differences and r, so the division is exact
+    (Sylvester's identity) and the kept rows' pivot columns are cleared.  p
+    is kept iff r is nonzero, and r's first nonzero entry is the next pivot.
+    Reading stops once len(start[0]) + 1 points are kept, so an iterator is
+    left at the first point not read.  The last pivot is then +-det of the
+    difference rows, the normalized volume of the simplex on `start`; with
+    fewer points kept it is a minor of their differences (1 for no row).
     """
-    base = points[0]
-    start = [base]
-    echelon = []
-    for p in points[1:]:
-        if len(start) == len(base) + 1:
+    it = iter(points)
+    base = next(it)
+    full = len(base) + 1
+    start, skipped = [base], []
+    rows = []  # (pivot column, row reduced against the rows before it)
+    for p in it:
+        r = list(map(sub, p, base))
+        prev = 1
+        for c, row in rows:
+            f, pivot = r[c], row[c]
+            r = [(pivot * x - f * y) // prev for x, y in zip(r, row)]
+            prev = pivot
+        if not any(r):
+            skipped.append(p)
+            continue
+        rows.append((r.index(next(filter(None, r))), r))
+        start.append(p)
+        if len(start) == full:
             break
-        if echelon_insert(echelon, [a - b for a, b in zip(p, base)]):
-            start.append(p)
-    return start
+    return start, skipped, rows[-1][1][rows[-1][0]] if rows else 1
 
 
-def _placing_cells(points: Sequence[Point], dim: int):
+def _placing_cells(points: Iterable[Point], dim: int):
     """Incremental (beneath-beyond) triangulation of conv(points).
 
-    Points are inserted in the given order; a point strictly outside the
-    current hull cones onto every strictly visible boundary facet.  Points
-    inside or on the hull extend nothing (they simply do not become cell
-    vertices).  The cells tile the hull with disjoint interiors.  Each is
-    yielded as it is made, as (cell, normalized volume): the volume of the
-    cone from p over a visible facet is p's height N.p - offset above the
-    facet row, so it costs nothing extra.  A yielded cell is never removed
-    later, so a caller may stop at the first cell it rejects.
+    Points are inserted in the order they arrive from the iterable, read
+    one at a time: an order drawn lazily (unimodular._draw) is drawn only as
+    far as the pass reads it.  Only the points met before the first simplex
+    is complete are held back, and inserted after it in their order.  A
+    point strictly outside the current hull cones onto every strictly
+    visible boundary facet.  Points inside or on the hull extend nothing
+    (they simply do not become cell vertices).  The cells tile the hull with
+    disjoint interiors.  Each is yielded as it is made, as (cell, normalized
+    volume): the volume of the cone from p over a visible facet is p's
+    height N.p - offset above the facet row, so it costs nothing extra.  A
+    yielded cell is never removed later, so a caller may stop at the first
+    cell it rejects, and a point's cells are yielded right after its
+    visibility scan, before the boundary is updated: a caller that stops
+    there pays for no update.
 
     The hull boundary is kept as it changes, each boundary facet with its
     outward cofactor row (N, b): N.x - b is the signed normalized volume of
     the facet coned to x, positive outside.  Only the first simplex is
-    eliminated, twice: a forward Bareiss pass gives its determinant, whose
-    absolute value is the first cell's volume, before the first yield; only
-    when the caller resumes does one Gauss-Jordan pass give the outward rows
-    of all its dim + 1 facets (the negated _simplex_facets).  Every later
-    facet's row comes from its two neighbours.  Let p see the facet
-    F = (N_F, b_F) at height eta = N_F.p - b_F > 0, and let the ridge
-    R = F - {u} be shared with a boundary facet G = (N_G, b_G) that p does
-    not see: g_p = N_G.p - b_G <= 0 and g_u = b_G - N_G.u.  The new facet
-    R + {p} gets the row
+    eliminated.  The elimination that picks its points (_affine_basis) ends
+    at a pivot of +-det, whose absolute value is the first cell's volume,
+    yielded with no further pass; only when the caller resumes does one
+    Gauss-Jordan pass give the outward rows of all its dim + 1 facets (the
+    negated _simplex_facets).  Every later facet's row comes from its two
+    neighbours.  Let p see the facet F = (N_F, b_F) at height
+    eta = N_F.p - b_F > 0, and let the ridge R = F - {u} be shared with a
+    boundary facet G = (N_G, b_G) that p does not see: g_p = N_G.p - b_G <= 0
+    and g_u = b_G - N_G.u.  The new facet R + {p} gets the row
 
         ((eta * N_G - g_p * N_F) / g_u,  (eta * b_G - g_p * b_F) / g_u).
 
@@ -264,25 +296,27 @@ def _placing_cells(points: Sequence[Point], dim: int):
     would be coplanar, p would see G too, and R would not be on the horizon.
 
     Boundary facets and ridges are keyed by the bitmask of their points'
-    indices, one bit per distinct point, so a ridge is its facet's key less
-    one bit and a new facet its ridge's key plus p's bit; the bits are
-    assigned after the first yield, so a caller that stops at the first
-    cell pays nothing for them.  Next to the boundary, each ridge (dim - 1
-    points) maps to the keys of the two boundary facets that share it.  A
-    ridge of a visible facet is on the horizon iff its other owner is not
-    visible; otherwise it becomes interior and leaves the map.
+    bits, so a ridge is its facet's key less one bit and a new facet its
+    ridge's key plus p's bit.  The first simplex's points take the lowest
+    bits after the first yield, and each later point the next bit when it
+    sees a facet: a point that sees none is never a facet's point, and a
+    repeated point sees none, so each facet point has one bit.  Next to the
+    boundary, each ridge (dim - 1 points) maps to the keys of the two
+    boundary facets that share it.  A ridge of a visible facet is on the
+    horizon iff its other owner is not visible; otherwise it becomes
+    interior and leaves the map.
 
     When the generator is exhausted it returns the boundary: a list of
     (facet points, outward normal, offset), meaning normal.x <= offset on
     the hull, in the order the facets joined it.
     """
-    start = _affine_basis(points)
+    points = iter(points)
+    start, skipped, pivot = _affine_basis(points)
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     first = tuple(start)
-    base = first[0]
-    yield first, abs(_bareiss([vec_sub(v, base) for v in first[1:]], False)[0])
-    bit = {q: 1 << i for i, q in enumerate(points)}
+    yield first, abs(pivot)
+    bit = {q: 1 << i for i, q in enumerate(first)}
     boundary = {}
     for skip, (a, b) in enumerate(_simplex_facets(first, *_difference_adjugate(first))):
         fpts = first[:skip] + first[skip + 1 :]
@@ -291,20 +325,19 @@ def _placing_cells(points: Sequence[Point], dim: int):
     for key, (fpts, _, _) in boundary.items():
         for q in fpts:
             ridges.setdefault(key ^ bit[q], []).append(key)
-    starters = set(start)
-    for p in points:
-        if p in starters:
-            continue
+    for p in chain(skipped, points):
         visible = {}
         for key, (_, normal, offset) in boundary.items():
             height = sum(map(mul, normal, p)) - offset
             if height > 0:
                 visible[key] = height
-        new_cells = []
-        p_bit = bit[p]
+        if not visible:
+            continue
+        for key, height in visible.items():
+            yield boundary[key][0] + (p,), height
+        p_bit = bit[p] = 1 << len(bit)
         for key, height in visible.items():
             fpts, normal, offset = boundary.pop(key)
-            new_cells.append((fpts + (p,), height))
             for s, u in enumerate(fpts):
                 ridge = key ^ bit[u]
                 owners = ridges.get(ridge)
@@ -324,7 +357,6 @@ def _placing_cells(points: Sequence[Point], dim: int):
                 owners[owners[0] != key] = new_key
                 for r in new_pts[:-1]:
                     ridges.setdefault(new_key ^ bit[r], []).append(new_key)
-        yield from new_cells
     return list(boundary.values())
 
 
@@ -430,7 +462,7 @@ class LatticePolytope:
 
         # Coordinates `cols` on which the affine hull projects injectively:
         # each column of the differences kept iff independent of those before it.
-        start = _affine_basis(gens)
+        start = _affine_basis(gens)[0]
         hull_dim = len(start) - 1
         diffs = [vec_sub(q, start[0]) for q in start[1:]]
         echelon = []

@@ -334,11 +334,18 @@ def find_unimodular_triangulation(
 ) -> Optional[SimplicialCover]:
     """Search for a certified all-unimodular placing triangulation.
 
-    Tries the lexicographic insertion order first, then seeded shuffles;
+    Tries the lexicographic insertion order first, then uniform random
+    orders, drawn from one random.Random(seed) that the attempts share;
     when the lattice points are the n+1 vertices of a simplex, every order
     places that one simplex, so one order decides.  An order is abandoned
     at its first non-unimodular cell: placing only adds cells, so that cell
-    would stay in the finished triangulation.
+    would stay in the finished triangulation.  A drawn order is drawn front
+    first, a point at a time as the placing routine reads it (_draw), so an
+    abandoned order has drawn only the points it placed and the next
+    attempt draws on from there.  The placing routine takes its first
+    cell's volume from the elimination that picks that cell's points and
+    yields each point's cells before it updates the hull boundary, so an
+    order abandoned at its first cell pays for no facet row.
     Each cell's normalized volume comes with it from the placing routine,
     so simplices are built only for an order whose cells all have volume 1.
     When the lattice points are the vertices (a 0/1 cube), the
@@ -352,6 +359,31 @@ def find_unimodular_triangulation(
     return _placing_search(p, lattice_points(p), attempts, seed)
 
 
+def _draw(rng: random.Random, order: list):
+    """Permute `order` in place into a uniform random order, front first,
+    yielding each entry as it is fixed.
+
+    Fisher-Yates as Durstenfeld gives it (CACM 7, 1964), run from the
+    front: step i swaps order[i] with order[j], j uniform in i..n-1, drawn
+    exactly from rng.getrandbits with rejection (no floats).  The entries
+    yielded so far are order's prefix, and a caller that stops early has
+    drawn only for them; once exhausted, order is the whole permutation.
+    """
+    getrandbits = rng.getrandbits
+    n = len(order)
+    for i in range(n - 1):
+        m = n - i
+        k = (m - 1).bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        j += i
+        order[i], order[j] = order[j], order[i]
+        yield order[i]
+    if n:
+        yield order[-1]
+
+
 def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
     """find_unimodular_triangulation over pts, the lattice points of p enumerated once by the caller."""
     if not p.is_full_dimensional():
@@ -359,17 +391,17 @@ def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
     if len(pts) == p.dim + 1:
         # every order places the one simplex on the n+1 points: one verdict
         attempts = 1
+    rng = random.Random(seed)
     for k in range(attempts):
-        order = list(pts)
-        if k:
-            random.Random(f"{seed}:{k}").shuffle(order)
+        order = list(pts) if k else pts
         cells = []
-        for vertices, volume in _placing_cells(order, p.dim):
+        for vertices, volume in _placing_cells(_draw(rng, order) if k else pts, p.dim):
             if volume != 1:
                 break
             cells.append(vertices)
         else:
-            # each cell has volume 1; an order that is p's vertices gives p's volume
+            # each cell has volume 1, and the draw is complete; an order that
+            # is p's vertices gives p's volume
             _record_volume(p, order, len(cells))
             cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex, cells)))
             if verify_cover(cover).status == "certified":

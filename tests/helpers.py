@@ -52,7 +52,12 @@ from latticeforge import (
     sumset,
     verify_cover,
 )
-from latticeforge.unimodular import Certification, _interior_inequalities, _interiors_intersect
+from latticeforge.unimodular import (
+    Certification,
+    _draw,
+    _interior_inequalities,
+    _interiors_intersect,
+)
 from latticeforge.errors import (
     DegeneratePolytopeError,
     DimensionMismatchError,
@@ -711,22 +716,35 @@ def triangle_overlap_area2(t1, t2):
 def full_placing_search(p, attempts=20, seed=0):
     """find_unimodular_triangulation without its early abort.
 
-    Builds the whole placing triangulation for each insertion order (the
-    same orders: lexicographic, then seeded shuffles) and only then checks
-    that every cell is unimodular.  Returns the first certified cover, or
-    None.
+    Builds the whole placing triangulation for each insertion order and
+    only then checks that every cell is unimodular.  The orders are the
+    search's: lexicographic, then orders drawn by unimodular._draw from one
+    random.Random(seed), each drawn in full here.  The search draws a point
+    only when placing reads it: up to the first simplex's last point, then
+    one point at a time until a point's cell fails.  So after a failed order
+    the generator is set back to its state after the point at which the
+    search stopped: the latest drawn point of the first cell or of the
+    earliest failing cell.  Returns the first certified cover, or None.
     """
     pts = list(lattice_points(p))
+    rng = random.Random(seed)
     for k in range(attempts):
-        if k == 0:
-            order = pts
-        else:
+        order, states = pts, []
+        if k:
             order = pts[:]
-            random.Random(f"{seed}:{k}").shuffle(order)
+            for _ in _draw(rng, order):
+                states.append(rng.getstate())
         cover = placing_triangulation(p, order)
         if all(is_unimodular(c) for c in cover.cells):
             if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")
+        elif k:
+            position = {q: i for i, q in enumerate(order)}
+            read = max(position[v] for v in cover.cells[0].vertices)
+            failed = min(
+                max(position[v] for v in c.vertices) for c in cover.cells if not is_unimodular(c)
+            )
+            rng.setstate(states[max(read, failed)])
     return None
 
 
@@ -824,7 +842,7 @@ def sorted_placing_hull(points, extremes=False):
     p = LatticePolytope.__new__(LatticePolytope)
     p.generators = tuple(gens)
     p.dim = dim
-    start = _affine_basis(gens)
+    start = _affine_basis(gens)[0]
     hull_dim = len(start) - 1
     diffs = [tuple(a - b for a, b in zip(q, start[0])) for q in start[1:]]
     cols = []
@@ -929,7 +947,7 @@ def elimination_placing_cells(points, dim):
     """geometry._placing_cells with every boundary facet's row from its own
     elimination (_cell_facet), all of the first simplex's before its yield,
     and the horizon found by counting the ridges of the visible facets."""
-    start = _affine_basis(points)
+    start = _affine_basis(points)[0]
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     boundary = {}

@@ -381,6 +381,50 @@ class TestRoundTripAndDeterminism:
         assert "version" in report and "wall_time_s" in report
 
 
+class TestEncode:
+    """cli._encode, which joins the entries of a list of ints with no call
+    per entry, prints what json.dumps(value, indent=2, sort_keys=True)
+    prints, byte for byte."""
+
+    VALUES = (
+        {},
+        [],
+        (),
+        0,
+        -7,
+        10**40,
+        True,
+        None,
+        "caf\u00e9 \"q\"\n",
+        1.5,
+        [[], {}, [[]], [-1, 0, 1], (2, -3)],
+        [1, True, None, -2, "x", 0.25, [3, False]],
+        {"b": [[0, -1, 2], [3, 4, -5]], "a": {"ok": False, "empty": [], "none": None}},
+        {"cells": [[[0, 0], [1, 0], [0, 1]]], "idp": [{"h": 1, "holds": True, "witness": None}]},
+        [False, False],
+        [[True], [1], [-1, True]],
+    )
+
+    def test_values(self):
+        for value in self.VALUES:
+            assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangulate", "--example", "cube-3"),
+            ("find-ell", "--example", "a2", "--ell-max", "3", "--h-max", "3"),
+            ("idp-check", "--example", "a2", "--h-max", "3"),
+            ("decompose", "--example", "cube-3", "--point", "1,2,-0", "--h", "2"),
+            ("unimodular-test", "--example", "a1"),
+        ],
+    )
+    def test_reports(self, capsys, argv):
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestStrictParsing:
     def test_reject_nan(self):
         with pytest.raises(PolytopeFileError):

@@ -586,13 +586,15 @@ class TestPlacingRowUpdatesAgainstElimination:
     the kernel that eliminates once per facet: the same (cell, volume)
     sequence and the same boundary, facet for facet and in order (facet
     points, rows), for the points inserted in lex, shuffled and extremes-first
-    order; the same error on affinely dependent inputs."""
+    order, given as a list and as a generator; the same error on affinely
+    dependent inputs."""
 
     @staticmethod
     def assert_same_placing(points, dim, rng):
         for order in (sorted(points), rng.sample(points, len(points)), extremes_first(points)):
             expected = _drain(elimination_placing_cells(order, dim))
             assert _drain(_placing_cells(order, dim)) == expected, order
+            assert _drain(_placing_cells((q for q in order), dim)) == expected, order
 
     def test_random_point_sets(self):
         rng = random.Random(909)
@@ -625,6 +627,36 @@ class TestPlacingRowUpdatesAgainstElimination:
         assert (len(grid), len(reeve)) == (125, 76)
         for points in (grid, reeve):
             self.assert_same_placing(points, 3, rng)
+
+    def test_high_dimensions(self):
+        # dims 7 and 8, a few points past the first simplex, repeats among them
+        rng = random.Random(913)
+        for k in range(12):
+            dim = 7 + k % 2
+            points = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 4)]
+            points += rng.sample(points, 2)
+            self.assert_same_placing(points, dim, rng)
+
+    def test_reads_as_it_places(self):
+        # a point is read only when the cells before it are taken: up to the
+        # first simplex's last point for the first cell, then one at a time,
+        # each point's cells yielded before the next point is read
+        rng = random.Random(914)
+        for k in range(60):
+            dim = 1 + k % 4
+            p = LatticePolytope(random_point_set(rng, dim, flat=False))
+            if not p.is_full_dimensional():
+                continue
+            order = rng.sample(lattice_points(p), len(lattice_points(p)))
+            read = []
+            cells = _placing_cells((read.append(q) or q for q in order), dim)
+            first, _ = next(cells)
+            ready = max(order.index(v) for v in first)
+            assert read == order[: ready + 1], order
+            for cell, _ in cells:
+                # the cell's apex, read then or held back with the first simplex
+                assert read == order[: max(ready, order.index(cell[-1])) + 1], order
+            assert read == order
 
     def test_dependent_inputs(self):
         rng = random.Random(911)
@@ -670,10 +702,10 @@ class TestStartRowsAgainstCofactors:
 
 class TestPlacingEliminationCount:
     """Exact counts of the eliminations geometry runs (linalg._bareiss, each
-    logged as (order, jordan)): one determinant pass for a placing pass
-    abandoned at its first cell, a determinant and then one Gauss-Jordan
-    pass for a pass run to the end however many cells it makes, and pinned
-    totals for a search and a dilation scan."""
+    logged as (order, jordan)): none for a placing pass abandoned at its
+    first cell, whose volume is the last pivot of the elimination that picks
+    its points, one Gauss-Jordan pass for a pass run to the end however many
+    cells it makes, and pinned totals for a search and a dilation scan."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -703,7 +735,7 @@ class TestPlacingEliminationCount:
             cells = _placing_cells(points, len(points[0]))
             next(cells)
             cells.close()
-            assert calls == [(len(points[0]), False)], points
+            assert calls == [], points
 
     def test_whole_pass(self, monkeypatch):
         sets = [build() for build in self.POINT_SETS]
@@ -712,35 +744,34 @@ class TestPlacingEliminationCount:
             dim = len(points[0])
             calls.clear()
             yielded, boundary = _drain(_placing_cells(points, dim))
-            assert len(yielded) > 1 and calls == [(dim, False), (dim, True)], points
+            assert len(yielded) > 1 and calls == [(dim, True)], points
 
     def test_search_totals(self, monkeypatch):
         cube, reeve = unit_cube(4), reeve_simplex()
         calls = self._count(monkeypatch)
         # the lexicographic order succeeds: one pass (its first simplex's
-        # determinant and adjugate), then the 24 cells' determinants as
+        # adjugate), then the 24 cells' determinants as
         # LatticeSimplex; the cube's lattice points are its vertices, so that
         # pass is also the volume pass, and certifying it runs no second one
         assert find_unimodular_triangulation(cube) is not None
-        assert Counter(calls) == {(4, False): 1 + 24, (4, True): 1}
+        assert Counter(calls) == {(4, False): 24, (4, True): 1}
         calls.clear()
         # 81 placing passes (one at ell = 1, a simplex; 20 per row above),
-        # each with a determinant, 12 of them past their first cell with an
-        # adjugate; the 5 dilates of the simplex P each build a LatticeSimplex;
-        # the hulls of P's coordinate projections, once: the segment is a
-        # simplex, and each hull's start simplex gives one adjugate; one
-        # volume pass over the 4 vertices (a determinant and an adjugate),
-        # which the scan at ell = 1 takes for its Ehrhart count at h = 3 and
-        # every later row reads as ell^3 times it
+        # 16 of them past their first cell with an adjugate; the 5 dilates
+        # of the simplex P each build a LatticeSimplex; the hulls of P's
+        # coordinate projections, once: the segment is a simplex, and each
+        # hull's start simplex gives one adjugate; one volume pass over the
+        # 4 vertices (an adjugate), which the scan at ell = 1 takes for its
+        # Ehrhart count at h = 3 and every later row reads as ell^3 times it
         assert find_ell(reeve, 5, 3).ell is None
         assert Counter(calls) == {
-            (3, False): 81 + 5 + 1,
-            (3, True): 12 + 1,
+            (3, False): 5,
+            (3, True): 16 + 1,
             (1, False): 1,
             (1, True): 1,
             (2, True): 1,
         }
-        assert len(calls) == 103
+        assert len(calls) == 25
 
 
 class TestHullEliminationCount:
@@ -957,7 +988,7 @@ class TestHullAgainstSortedPlacing:
                 continue
             rng.shuffle(points)
             index = {v: i for i, v in enumerate(points)}
-            start = geometry._affine_basis(points)
+            start = geometry._affine_basis(points)[0]
             start_adj = geometry._difference_adjugate(start)
             rows, masks = geometry._facet_rows(points, [index[v] for v in start], *start_adj)
             assert sorted(rows) == list(q.facets()), points

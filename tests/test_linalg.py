@@ -328,9 +328,11 @@ class TestHelpers:
 
 
 class TestAffineBasisAgainstFraction:
-    """The fraction-free echelon behind _affine_basis
-    against rational elimination, on seeded row sets in dimensions 1-8 with
-    coordinates in [-4, 4], every second one rank-deficient by construction."""
+    """echelon_insert's ranks and _affine_basis's one fraction-free
+    elimination against rational elimination, on seeded row sets in
+    dimensions 1-8 with coordinates in [-4, 4], every second one
+    rank-deficient by construction; and the elimination's last pivot against
+    the determinant of the chosen difference rows."""
 
     @staticmethod
     def _rows(rng, deficient):
@@ -356,6 +358,39 @@ class TestAffineBasisAgainstFraction:
             rows = self._rows(rng, deficient=k % 2 == 1)
             rank = fraction_rank_of_rows(rows)
             assert echelon_rank(rows) == rank, rows
-            assert _affine_basis(rows) == fraction_affine_basis(rows), rows
+            start, skipped, _ = _affine_basis(rows)
+            assert start == fraction_affine_basis(rows), rows
+            # reading stops at the last point a full basis needs
+            full = len(start) == len(rows[0]) + 1
+            read = rows[: rows.index(start[-1]) + 1] if full else rows
+            assert sorted(start + skipped) == sorted(read), rows
             deficient += rank < min(len(rows), len(rows[0]))
         assert deficient >= 1000
+
+    def test_last_pivot_is_the_determinant(self):
+        # full-dimensional point sequences with dependent points among them:
+        # the pivot is +-det of the chosen differences, and an iterator is
+        # left at the first point after the last chosen one
+        rng = random.Random(1730)
+        signs = set()
+        for k in range(400):
+            dim = 1 + k % 8
+            points = [tuple(rng.randint(-3, 3) for _ in range(dim))]
+            while len(fraction_affine_basis(points)) < dim + 1:
+                if rng.random() < 0.3 and len(points) > 1:
+                    # a dependent point: an affine combination of two read before
+                    a, b = rng.sample(points, 2)
+                    points.append(tuple(2 * x - y for x, y in zip(a, b)))
+                else:
+                    points.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+            tail = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)]
+            it = iter(points + tail)
+            start, skipped, pivot = _affine_basis(it)
+            assert start == fraction_affine_basis(points), points
+            assert start[-1] == points[-1] and list(it) == tail
+            assert sorted(start + skipped) == sorted(points)
+            diffs = IntMatrix([[x - y for x, y in zip(q, start[0])] for q in start[1:]])
+            det = determinant(diffs)
+            assert det and pivot in (det, -det), (points, pivot, det)
+            signs.add(pivot == det)
+        assert signs == {True, False}

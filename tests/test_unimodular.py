@@ -44,6 +44,7 @@ from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
 from latticeforge.unimodular import (
+    _draw,
     _facets_match,
     _interior_inequalities,
     _interiors_intersect,
@@ -366,6 +367,11 @@ class TestFindUnimodularTriangulation:
             find_unimodular_triangulation(LatticePolytope([(0, 0), (1, 1), (2, 2)]))
 
 
+# Its lexicographic order and the first two drawn orders at seed 19 fail;
+# the third drawn order gives a unimodular triangulation.
+DRAWN_ONLY = LatticePolytope([(-2, 0, 0), (0, 1, 1), (1, -1, 1), (1, -1, 2), (1, 0, -1), (2, 0, 0)])
+
+
 class TestSearchEarlyAbortOracle:
     """The search that stops at the first non-unimodular cell against one
     that builds every placing triangulation in full before judging it."""
@@ -395,6 +401,16 @@ class TestSearchEarlyAbortOracle:
             expected = self._outcome(full_placing_search, p, seed=ell)
             assert self._outcome(find_unimodular_triangulation, p, seed=ell) == expected
 
+    def test_drawn_certificates(self):
+        # only drawn orders certify DRAWN_ONLY: at 7 of these 30 seeds, after
+        # 2 to 17 drawn orders that failed, each at its own point
+        found = 0
+        for seed in range(30):
+            expected = self._outcome(full_placing_search, DRAWN_ONLY, seed=seed)
+            assert self._outcome(find_unimodular_triangulation, DRAWN_ONLY, seed=seed) == expected
+            found += expected is not None
+        assert found == 7
+
 
 class TestSimplexSearchOneOrder:
     """A polytope whose lattice points are the n+1 vertices of a simplex is
@@ -404,11 +420,12 @@ class TestSimplexSearchOneOrder:
 
     @staticmethod
     def _count_placings(monkeypatch):
+        # the size of each pass's input, or None for an order drawn as it is read
         calls = []
         original = unimodular._placing_cells
 
         def counting(points, dim):
-            calls.append(len(points))
+            calls.append(len(points) if isinstance(points, (list, tuple)) else None)
             return original(points, dim)
 
         monkeypatch.setattr(unimodular, "_placing_cells", counting)
@@ -438,13 +455,91 @@ class TestSimplexSearchOneOrder:
         assert calls == [5]
         calls.clear()
         assert self._verdict(find_unimodular_triangulation(reeve2)) == expected[1]
-        assert calls == [len(lattice_points(reeve2))] * 20
+        assert calls == [len(lattice_points(reeve2))] + [None] * 19
 
     def test_find_ell_simplex_row(self, monkeypatch):
         calls = self._count_placings(monkeypatch)
         report = find_ell(reeve_simplex(), 1, 1, attempts=20)
         assert report.per_ell[0].certificate == "impossible"
         assert calls == [4]
+
+
+class TestDrawnOrders:
+    """The orders after the lexicographic one are drawn front first
+    (unimodular._draw), one point at a time, from one random.Random(seed)
+    per search."""
+
+    def test_full_draw_is_a_permutation(self):
+        rng = random.Random(5)
+        for n in range(0, 40):
+            pts = [(i, -i) for i in range(n)]
+            order = pts[:]
+            drawn = list(_draw(rng, order))
+            assert drawn == order and sorted(order) == pts
+
+    def test_uniform_over_permutations(self):
+        rng = random.Random(6)
+        counts = Counter(tuple(_draw(rng, [0, 1, 2])) for _ in range(6000))
+        assert len(counts) == 6 and all(850 < c < 1150 for c in counts.values()), counts
+
+    def test_exact_integer_draws(self):
+        # getrandbits only: the float generator is never asked
+        rng = random.Random(7)
+        rng.random = None
+        assert sorted(_draw(rng, list(range(50)))) == list(range(50))
+
+    def test_same_seed_same_sequence(self):
+        pts = list(lattice_points(dilate(reeve_simplex(), 3)))
+        runs = []
+        for _ in range(2):
+            rng = random.Random(11)
+            runs.append([list(_draw(rng, pts[:])) for _ in range(5)])
+        assert runs[0] == runs[1] and len({tuple(o) for o in runs[0]}) == 5
+
+    def test_doomed_prefix_is_the_full_draw_prefix(self):
+        # an attempt that stops after m points leaves the generator where the
+        # next attempt draws on; the m points are the complete draw's first m
+        pts = list(lattice_points(dilate(reeve_simplex(), 2)))
+        rng = random.Random(12)
+        for m in range(len(pts) + 1):
+            state = rng.getstate()
+            order = pts[:]
+            prefix = list(itertools.islice(_draw(rng, order), m))
+            after = rng.getstate()
+            replay = random.Random()
+            replay.setstate(state)
+            full = list(_draw(replay, pts[:]))
+            assert prefix == full[:m] == order[:m]
+            # the search's own pass stops where placing stops reading
+            replay.setstate(state)
+            read = []
+            cells = unimodular._placing_cells((read.append(q) or q for q in _draw(replay, pts[:])), 3)
+            first, volume = next(cells)
+            assert read == full[: len(read)] and len(read) >= 4
+            rng.setstate(after)
+
+    def test_only_a_drawn_order_certifies(self, monkeypatch):
+        assert find_unimodular_triangulation(DRAWN_ONLY, attempts=1) is None
+        assert find_unimodular_triangulation(DRAWN_ONLY, attempts=3, seed=19) is None
+        recorded = []
+        original = unimodular._record_volume
+
+        def recording(p, order, volume):
+            recorded.append((list(order), volume))
+            return original(p, order, volume)
+
+        monkeypatch.setattr(unimodular, "_record_volume", recording)
+        cover = find_unimodular_triangulation(DRAWN_ONLY, attempts=4, seed=19)
+        assert cover is not None and cover.certified == "certified"
+        # the order handed on is the whole drawn order, and places the cover
+        [(order, volume)] = recorded
+        assert sorted(order) == list(lattice_points(DRAWN_ONLY))
+        assert volume == len(cover.cells) == normalized_volume(DRAWN_ONLY)
+        assert placing_triangulation(DRAWN_ONLY, order).cells == cover.cells
+        assert (cover.cells, cover.certified) == (
+            full_placing_search(DRAWN_ONLY, attempts=4, seed=19).cells,
+            "certified",
+        )
 
 
 class TestMarginLPCount:
