@@ -76,19 +76,25 @@ def _check_vector(row, dim: int, what: str) -> tuple:
     return tuple(_check_int(x, f"coordinate of {what}") for x in row)
 
 
-def parse_polytope_data(data) -> dict:
-    """Validate a parsed polytope file into {dim, vertices, name?}."""
+def _check_header(data, what: str, body: str, optional: tuple) -> int:
+    """The dim of a parsed `what` file: a JSON object with the fields 'dim'
+    and `body`, and no others than `optional`, whose dim is an int >= 1."""
     if not isinstance(data, dict):
-        raise PolytopeFileError("polytope file must be a JSON object")
-    allowed = {"dim", "vertices", "name"}
-    unknown = set(data) - allowed
+        raise PolytopeFileError(f"{what} file must be a JSON object")
+    unknown = set(data) - {"dim", body, *optional}
     if unknown:
-        raise PolytopeFileError(f"unknown polytope file fields: {sorted(unknown)}")
-    if "dim" not in data or "vertices" not in data:
-        raise PolytopeFileError("polytope file needs 'dim' and 'vertices' fields")
+        raise PolytopeFileError(f"unknown {what} file fields: {sorted(unknown)}")
+    if "dim" not in data or body not in data:
+        raise PolytopeFileError(f"{what} file needs 'dim' and '{body}' fields")
     dim = _check_int(data["dim"], "dim")
     if dim < 1:
         raise PolytopeFileError("dim must be >= 1")
+    return dim
+
+
+def parse_polytope_data(data) -> dict:
+    """Validate a parsed polytope file into {dim, vertices, name?}."""
+    dim = _check_header(data, "polytope", "vertices", ("name",))
     rows = data["vertices"]
     if not isinstance(rows, list) or not rows:
         raise PolytopeFileError("'vertices' must be a non-empty list")
@@ -103,15 +109,7 @@ def parse_polytope_data(data) -> dict:
 
 def parse_cover_data(data) -> dict:
     """Validate a parsed cover file into {dim, cells, kind}."""
-    if not isinstance(data, dict):
-        raise PolytopeFileError("cover file must be a JSON object")
-    allowed = {"dim", "cells", "kind", "name"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise PolytopeFileError(f"unknown cover file fields: {sorted(unknown)}")
-    if "dim" not in data or "cells" not in data:
-        raise PolytopeFileError("cover file needs 'dim' and 'cells' fields")
-    dim = _check_int(data["dim"], "dim")
+    dim = _check_header(data, "cover", "cells", ("kind", "name"))
     cells_raw = data["cells"]
     if not isinstance(cells_raw, list) or not cells_raw:
         raise PolytopeFileError("'cells' must be a non-empty list of vertex lists")

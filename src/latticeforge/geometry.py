@@ -14,14 +14,16 @@ beneath-beyond pass that keeps the hull boundary as oriented integer facet
 rows, triangulates any iterable of points, read one at a time; it
 eliminates only for its first simplex, whose volume is the last pivot of
 the Bareiss elimination that picks its points (``_affine_basis``, which
-also starts the double description), and each new facet's row comes from
-its two neighbours.  It yields a point's cells before it updates the
-boundary, so a caller that stops at a cell pays for no update there.  It
-gives the normalized volume, on first use.  Every facet row of a simplex,
-there, at the start of the double description and in a cell's interior
-test, comes from one fraction-free Gauss-Jordan adjugate of its difference
-columns (``_simplex_facets``), which also gives a flat hull's affine
-equations.
+also starts the double description, its pivot columns being the
+coordinates a hull projects onto injectively), and each new facet's row
+comes from its two neighbours.  It yields a point's cells before it
+updates the boundary, so a caller that stops at a cell pays for no update
+there.  It gives the normalized volume, on first use.  Every facet row of
+a simplex, there, at the start of the double description and in a cell's
+interior test, comes from one fraction-free Gauss-Jordan adjugate of its
+difference columns (``_simplex_facets``), which also gives a flat hull's
+affine equations.  A hull that is a simplex builds its ``LatticeSimplex``
+only when ``as_simplex`` is called.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -38,7 +40,7 @@ from operator import and_, mul, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, IntMatrix, _bareiss, echelon_insert
+from .linalg import DIM_CAP, IntMatrix, _bareiss
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
@@ -114,11 +116,11 @@ class LatticeSimplex:
 
     det is the determinant of the differences v_i - v_0, from one Bareiss
     elimination on them as rows (a matrix and its transpose share it); the
-    difference matrix, those differences as columns, is built on first read,
-    and so is its adjugate (_difference_adjugate).
+    difference matrix, those differences as columns, is built on each read,
+    and its adjugate (_difference_adjugate) on the first.
     """
 
-    __slots__ = ("vertices", "dim", "det", "_diff", "_adj_rows")
+    __slots__ = ("vertices", "dim", "det", "_adj_rows")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = tuple(as_point(v) for v in vertices)
@@ -138,16 +140,13 @@ class LatticeSimplex:
         self.vertices = verts
         self.dim = dim
         self.det = det
-        self._diff = None
         self._adj_rows = None
 
     @property
     def difference_matrix(self) -> IntMatrix:
-        """The matrix whose columns are v_i - v_0, i = 1..n."""
-        if self._diff is None:
-            base = self.vertices[0]
-            self._diff = IntMatrix.from_columns([vec_sub(v, base) for v in self.vertices[1:]])
-        return self._diff
+        """The matrix whose columns are v_i - v_0, i = 1..n, built on each read."""
+        base = self.vertices[0]
+        return IntMatrix.from_columns([vec_sub(v, base) for v in self.vertices[1:]])
 
     def _adjugate_rows(self):
         if self._adj_rows is None:
@@ -215,9 +214,10 @@ def _simplex_facets(vertices: Sequence[Point], det: int, adj) -> list:
 
 
 def _affine_basis(points: Iterable[Point]) -> tuple:
-    """(start, skipped, pivot): the first affinely independent points met in
-    order, spanning conv(points); the other points read, in order; and the
-    last pivot of the elimination that chose them.
+    """(start, skipped, pivot, cols): the first affinely independent points
+    met in order, spanning conv(points); the other points read, in order;
+    the last pivot of the elimination that chose them; and its pivot
+    columns, one per kept point after the first, in the order kept.
 
     One fraction-free (Bareiss) elimination, a row per point: the difference
     r = p - start[0] is reduced against each row kept before it, in order,
@@ -230,27 +230,32 @@ def _affine_basis(points: Iterable[Point]) -> tuple:
     left at the first point not read.  The last pivot is then +-det of the
     difference rows, the normalized volume of the simplex on `start`; with
     fewer points kept it is a minor of their differences (1 for no row).
+    Each kept row is zero at every earlier pivot column and before its own,
+    so the rows sorted by pivot column are an echelon form of the kept
+    differences, and sorted(cols) is its rank profile: the leftmost
+    coordinates on which conv(points) projects injectively.
     """
     it = iter(points)
     base = next(it)
     full = len(base) + 1
     start, skipped = [base], []
-    rows = []  # (pivot column, row reduced against the rows before it)
+    cols, rows = [], []  # pivot column, row reduced against the rows before it
     for p in it:
         r = list(map(sub, p, base))
         prev = 1
-        for c, row in rows:
+        for c, row in zip(cols, rows):
             f, pivot = r[c], row[c]
             r = [(pivot * x - f * y) // prev for x, y in zip(r, row)]
             prev = pivot
         if not any(r):
             skipped.append(p)
             continue
-        rows.append((r.index(next(filter(None, r))), r))
+        cols.append(r.index(next(filter(None, r))))
+        rows.append(r)
         start.append(p)
         if len(start) == full:
             break
-    return start, skipped, rows[-1][1][rows[-1][0]] if rows else 1
+    return start, skipped, rows[-1][cols[-1]] if rows else 1, cols
 
 
 def _placing_cells(points: Iterable[Point], dim: int):
@@ -311,7 +316,7 @@ def _placing_cells(points: Iterable[Point], dim: int):
     the hull, in the order the facets joined it.
     """
     points = iter(points)
-    start, skipped, pivot = _affine_basis(points)
+    start, skipped, pivot, _ = _affine_basis(points)
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     first = tuple(start)
@@ -448,7 +453,7 @@ def _primitive_row(normal: Sequence[int], offset: int) -> tuple:
 class LatticePolytope:
     """Convex hull of a finite set of lattice points (V-representation)."""
 
-    __slots__ = ("generators", "vertices", "dim", "_simplex", "_facets", "_hull_dim", "_volume")
+    __slots__ = ("generators", "vertices", "dim", "_facets", "_hull_dim", "_volume")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         gens = sorted(set(as_point(p) for p in points))
@@ -460,13 +465,12 @@ class LatticePolytope:
         self.generators = tuple(gens)
         self.dim = dim
 
-        # Coordinates `cols` on which the affine hull projects injectively:
-        # each column of the differences kept iff independent of those before it.
-        start = _affine_basis(gens)[0]
+        # The start simplex's elimination also gives `cols`, its sorted pivot
+        # columns: the leftmost coordinates on which the affine hull projects
+        # injectively, every coordinate for a full-dimensional hull.
+        start, _, _, pivots = _affine_basis(gens)
         hull_dim = len(start) - 1
-        diffs = [vec_sub(q, start[0]) for q in start[1:]]
-        echelon = []
-        cols = [j for j in range(dim) if echelon_insert(echelon, [r[j] for r in diffs])]
+        cols = sorted(pivots)
 
         def lift(normal, coords):
             at = dict(zip(coords, normal))
@@ -482,6 +486,7 @@ class LatticePolytope:
         det, adj = _difference_adjugate([tuple(v[c] for c in cols) for v in start])
         rows = set()
         if hull_dim < dim:
+            diffs = [vec_sub(q, start[0]) for q in start[1:]]
             for j in range(dim):
                 if j not in cols:
                     normal = lift([vec_dot([d[j] for d in diffs], col) for col in zip(*adj)], cols)
@@ -501,12 +506,13 @@ class LatticePolytope:
             meet = [reduce(and_, (z for z in masks if z >> i & 1), -1) for i in range(len(gens))]
             self.vertices = tuple(g for i, g in enumerate(gens) if meet[i] == 1 << i)
         self._facets = tuple(sorted(rows))
-        full = hull_dim == dim and len(self.vertices) == dim + 1
-        self._simplex = LatticeSimplex(self.vertices) if full else None
 
     def as_simplex(self) -> Optional[LatticeSimplex]:
-        """The polytope as a simplex, when it is one (n+1 independent vertices)."""
-        return self._simplex
+        """The polytope as a simplex, when it is one (n+1 independent
+        vertices), built on each call."""
+        if self._hull_dim == self.dim and len(self.vertices) == self.dim + 1:
+            return LatticeSimplex(self.vertices)
+        return None
 
     def is_full_dimensional(self) -> bool:
         return self._hull_dim == self.dim
@@ -607,7 +613,6 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     scaled._facets = tuple((a, h * b) for a, b in p._facets)
     scaled._hull_dim = p._hull_dim
     scaled._volume = None if p._volume is None else h**p.dim * p._volume
-    scaled._simplex = None if p._simplex is None else LatticeSimplex(scaled.vertices)
     return scaled
 
 

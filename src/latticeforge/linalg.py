@@ -4,7 +4,9 @@ Everything is computed with Python's arbitrary-precision integers, and every
 elimination is fraction-free (Bareiss steps, each division exact).  Solves
 read the adjugate: ``adj.b`` divided exactly by det is the integral solution,
 and ``Fraction`` enters only in the final division of ``solve_rational``.
-The same adjugate gives every facet row of a simplex (``geometry``).
+The same adjugate gives every facet row of a simplex (``geometry``), where
+one more row-by-row Bareiss elimination (``geometry._affine_basis``) picks a
+point sequence's affine basis and the coordinates its hull projects onto.
 There is deliberately no floating point anywhere: every predicate downstream
 (membership, unimodularity, volumes) reduces to the exact operations here.
 """
@@ -12,7 +14,6 @@ There is deliberately no floating point anywhere: every predicate downstream
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -250,27 +251,3 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
                 add_multiple(j, pivot, -q)
         pivot += 1
     return IntMatrix(h), IntMatrix(u)
-
-
-def echelon_insert(echelon: list, row: Sequence[int]) -> bool:
-    """Reduce an integer row against an echelon basis; keep it if independent.
-
-    `echelon` holds (lead, row) pairs of primitive integer rows, each zero at
-    the leads of the rows before it.  The new row is cleared at every lead,
-    in that order, by fraction-free elimination (r[c]*v - v[c]*r), so a
-    cleared entry is never refilled.  A nonzero remainder is independent of
-    the basis: it is divided by its gcd and appended, leading at its first
-    nonzero entry, and True is returned.  Otherwise the basis is unchanged.
-    """
-    v = list(row)
-    for c, r in echelon:
-        f = v[c]
-        if f:
-            d = r[c]
-            v = [d * x - f * y for x, y in zip(v, r)]
-    lead = next((c for c, x in enumerate(v) if x), None)
-    if lead is None:
-        return False
-    g = gcd(*v)
-    echelon.append((lead, [x // g for x in v]))
-    return True

@@ -582,7 +582,6 @@ def assembled_unit_cube(n):
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
     p._volume = math.factorial(n)
-    p._simplex = None
     return p
 
 
@@ -884,8 +883,6 @@ def sorted_placing_hull(points, extremes=False):
         return all(vec_dot(direction, h) < top for h in candidates if h != g)
 
     p.vertices = tuple(g for g in candidates if is_vertex(g))
-    full = hull_dim == dim and len(p.vertices) == dim + 1
-    p._simplex = LatticeSimplex(p.vertices) if full else None
     return p
 
 

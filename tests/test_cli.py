@@ -341,6 +341,18 @@ class TestInputHandling:
         code, _, err = run(capsys, "unimodular-test", "/nonexistent/path.json")
         assert code == 2
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_cover_dim_below_one(self, capsys, tmp_path, dim):
+        # the cover header is checked like a polytope file's, before any cell
+        cover = write(tmp_path, "cover.json", {"dim": dim, "cells": [[[0, 0], [1, 0], [0, 1]]]})
+        for argv in (
+            ("unimodular-test", cover),
+            ("triangulate", "--example", "cube-2", "--verify-cover", cover),
+        ):
+            code, report, err = run(capsys, *argv)
+            assert (code, report) == (2, None), argv
+            assert "dim must be >= 1" in err, argv
+
 
 class TestRoundTripAndDeterminism:
     def test_polytope_file_round_trip(self):
@@ -435,8 +447,10 @@ class TestStrictParsing:
             parse_polytope_data({"dim": 2, "vertices": [[0, 0, 0]]})
         with pytest.raises(PolytopeFileError):
             parse_polytope_data({"dim": 2, "vertices": []})
-        with pytest.raises(PolytopeFileError):
+        with pytest.raises(PolytopeFileError, match="dim must be >= 1"):
             parse_polytope_data({"dim": 0, "vertices": [[]]})
+        with pytest.raises(PolytopeFileError, match="dim must be >= 1"):
+            parse_cover_data({"dim": -1, "cells": [[[0, 0]]]})
 
     def test_cover_kind_checked(self):
         with pytest.raises(PolytopeFileError):

@@ -86,7 +86,7 @@ class TestSimplex:
 class TestSimplexDeterminant:
     """LatticeSimplex's det, one elimination on its difference rows, against
     determinant(IntMatrix) of its difference matrix and the cofactor
-    expansion in dims 1-8; the difference matrix, built on first read, is
+    expansion in dims 1-8; the difference matrix, built on each read, is
     IntMatrix.from_columns of v_i - v_0; dependent vertices and an over-cap
     dimension raise the errors they raised when the matrix came first."""
 
@@ -96,10 +96,9 @@ class TestSimplexDeterminant:
         for dim in range(1, 9):
             for _ in range(16 if dim < 7 else 3):
                 s = random_simplex(rng, dim)
-                assert s._diff is None
                 diffs = [tuple(a - b for a, b in zip(v, s.vertices[0])) for v in s.vertices[1:]]
                 matrix = IntMatrix.from_columns(diffs)
-                assert s.difference_matrix == matrix and s._diff is s.difference_matrix
+                assert s.difference_matrix == matrix == s.difference_matrix
                 assert s.det == linalg.determinant(matrix)
                 assert s.det == cofactor_determinant([list(r) for r in matrix.data])
                 signs.add(s.det > 0)
@@ -366,11 +365,8 @@ class TestDilateAgainstRehull:
             for h in range(1, 5):
                 got, want = dilate(p, h), rehull_dilate(p, h)
                 for slot in LatticePolytope.__slots__:
-                    if slot != "_simplex":
-                        assert getattr(got, slot) == getattr(want, slot), (p, h, slot)
-                assert (got._simplex is None) == (want._simplex is None), (p, h)
-                if got._simplex is not None:
-                    assert got._simplex.vertices == want._simplex.vertices, (p, h)
+                    assert getattr(got, slot) == getattr(want, slot), (p, h, slot)
+                assert got.as_simplex() == want.as_simplex(), (p, h)
         assert flats >= 75 and simplices >= 30
 
 
@@ -758,36 +754,34 @@ class TestPlacingEliminationCount:
         calls.clear()
         # 81 placing passes (one at ell = 1, a simplex; 20 per row above),
         # 16 of them past their first cell with an adjugate; the 5 dilates
-        # of the simplex P each build a LatticeSimplex; the hulls of P's
-        # coordinate projections, once: the segment is a simplex, and each
-        # hull's start simplex gives one adjugate; one volume pass over the
-        # 4 vertices (an adjugate), which the scan at ell = 1 takes for its
-        # Ehrhart count at h = 3 and every later row reads as ell^3 times it
+        # of the simplex P build no LatticeSimplex; the hulls of P's
+        # coordinate projections, once, each hull's start simplex giving one
+        # adjugate; one volume pass over the 4 vertices (an adjugate), which
+        # the scan at ell = 1 takes for its Ehrhart count at h = 3 and every
+        # later row reads as ell^3 times it
         assert find_ell(reeve, 5, 3).ell is None
-        assert Counter(calls) == {
-            (3, False): 5,
-            (3, True): 16 + 1,
-            (1, False): 1,
-            (1, True): 1,
-            (2, True): 1,
-        }
-        assert len(calls) == 25
+        assert Counter(calls) == {(3, True): 16 + 1, (1, True): 1, (2, True): 1}
+        assert len(calls) == 19
 
 
 class TestHullEliminationCount:
-    """A hull, flat or not, runs one Gauss-Jordan pass (linalg._bareiss,
-    logged as (order, jordan)): the start simplex's adjugate, projected to
-    the coordinates the affine hull projects injectively onto, gives both
-    a flat hull's equations and the double description's start rows."""
+    """A hull, a simplex or not, flat or not, runs one Gauss-Jordan pass
+    (linalg._bareiss, logged as (order, jordan)): the start simplex's
+    adjugate, projected to the coordinates the affine hull projects
+    injectively onto (the pivot columns of _affine_basis, which calls no
+    _bareiss), gives both a flat hull's equations and the double
+    description's start rows."""
 
     def test_one_pass_per_hull(self, monkeypatch):
         calls = TestPlacingEliminationCount._count(monkeypatch)
         cases = (
             ([(0, 0, 0, 0), (1, 0, 1, 2), (0, 1, 2, 1)], [(2, True)]),
+            # constant first coordinate: projected onto coordinates 1 and 2
+            ([(5, 0, 0, 0), (5, 1, 0, 1), (5, 0, 1, 2), (5, 2, 2, 6)], [(2, True)]),
             ([(0, 0, 0), (2, 2, 2), (1, 1, 1)], [(1, True)]),
             (list(itertools.product((0, 1), repeat=3)), [(3, True)]),
-            # a simplex also takes its LatticeSimplex determinant
-            (list(reeve_simplex().vertices), [(3, True), (3, False)]),
+            # a simplex builds its LatticeSimplex only when as_simplex is called
+            (list(reeve_simplex().vertices), [(3, True)]),
             ([(4, -1, 2)], [(0, True)]),
         )
         for points, expected in cases:
@@ -880,7 +874,7 @@ class TestHullAgainstSortedPlacing:
         assert p._volume is None
         for q in (sorted_placing_hull(points), sorted_placing_hull(points, extremes=True)):
             for slot in LatticePolytope.__slots__:
-                if slot not in ("_simplex", "_volume"):
+                if slot != "_volume":
                     assert getattr(p, slot) == getattr(q, slot), (points, slot)
             assert p.as_simplex() == q.as_simplex(), points
             assert normalized_volume(p) == normalized_volume(q), points

@@ -21,7 +21,7 @@ from latticeforge import (
     solve_rational,
 )
 from latticeforge.geometry import _affine_basis
-from latticeforge.linalg import DIM_CAP, echelon_insert
+from latticeforge.linalg import DIM_CAP
 
 from fractions import Fraction
 
@@ -298,12 +298,6 @@ class TestHermiteNormalForm:
         assert all(h.data[i][j] == 0 for i in range(2) for j in range(1, 3))
 
 
-def echelon_rank(rows):
-    """The number of rows echelon_insert keeps, one insertion per row."""
-    echelon = []
-    return sum(echelon_insert(echelon, row) for row in rows)
-
-
 class TestHelpers:
     def test_adjugate_times_matrix_is_det_identity(self):
         rng = random.Random(44)
@@ -319,17 +313,10 @@ class TestHelpers:
             assert prod == IntMatrix([[d if i == j else 0 for j in range(n)] for i in range(n)])
             done += 1
 
-    def test_echelon_rank(self):
-        assert echelon_rank([[1, 0], [0, 1]]) == 2
-        assert echelon_rank([[1, 2], [2, 4]]) == 1
-        assert echelon_rank([[0, 0]]) == 0
-        assert echelon_rank([[1, 2, 3]]) == 1
-        assert echelon_rank([]) == 0
-
 
 class TestAffineBasisAgainstFraction:
-    """echelon_insert's ranks and _affine_basis's one fraction-free
-    elimination against rational elimination, on seeded row sets in
+    """_affine_basis's one fraction-free elimination against rational
+    elimination, its points and its pivot columns, on seeded row sets in
     dimensions 1-8 with coordinates in [-4, 4], every second one
     rank-deficient by construction; and the elimination's last pivot against
     the determinant of the chosen difference rows."""
@@ -357,9 +344,14 @@ class TestAffineBasisAgainstFraction:
         for k in range(2000):
             rows = self._rows(rng, deficient=k % 2 == 1)
             rank = fraction_rank_of_rows(rows)
-            assert echelon_rank(rows) == rank, rows
-            start, skipped, _ = _affine_basis(rows)
+            start, skipped, _, cols = _affine_basis(rows)
             assert start == fraction_affine_basis(rows), rows
+            # the pivot columns, sorted, are the columns at which the rank of
+            # the chosen differences grows, read from the left
+            diffs = [[x - y for x, y in zip(q, start[0])] for q in start[1:]]
+            ranks = [fraction_rank_of_rows([d[: j + 1] for d in diffs]) for j in range(len(rows[0]))]
+            grows = [j for j, (a, b) in enumerate(zip([0] + ranks, ranks)) if b > a]
+            assert sorted(cols) == grows and len(cols) == len(start) - 1, rows
             # reading stops at the last point a full basis needs
             full = len(start) == len(rows[0]) + 1
             read = rows[: rows.index(start[-1]) + 1] if full else rows
@@ -385,7 +377,7 @@ class TestAffineBasisAgainstFraction:
                     points.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
             tail = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)]
             it = iter(points + tail)
-            start, skipped, pivot = _affine_basis(it)
+            start, skipped, pivot, _ = _affine_basis(it)
             assert start == fraction_affine_basis(points), points
             assert start[-1] == points[-1] and list(it) == tail
             assert sorted(start + skipped) == sorted(points)
