@@ -1,8 +1,8 @@
 """Lattice points, simplices and polytopes with exact geometric predicates.
 
 Points are plain tuples of Python ints; rational query points are tuples of
-``fractions.Fraction``.  Membership, barycentric coordinates, dilation and
-lattice-point enumeration are all decided exactly.
+ints and ``fractions.Fraction``s, nothing else.  Membership, barycentric
+coordinates, dilation and lattice-point enumeration are decided exactly.
 
 ``LatticePolytope`` finds its facet rows by double description
 (``_facet_rows``): starting from a simplex, each further generator keeps the
@@ -19,11 +19,11 @@ coordinates a hull projects onto injectively), and each new facet's row
 comes from its two neighbours.  It yields a point's cells before it
 updates the boundary, so a caller that stops at a cell pays for no update
 there.  It gives the normalized volume, on first use.  Every facet row of
-a simplex, there, at the start of the double description and in a cell's
-interior test, comes from one fraction-free Gauss-Jordan adjugate of its
-difference columns (``_simplex_facets``), which also gives a flat hull's
-affine equations.  A hull that is a simplex builds its ``LatticeSimplex``
-only when ``as_simplex`` is called.
+a simplex, there, at the start of the double description and in a
+``LatticeSimplex`` (which keeps them: row i at x is |det| times x's
+barycentric weight t_i), comes from one fraction-free Gauss-Jordan
+adjugate of its difference columns (``_simplex_facets``), which also
+gives a flat hull's affine equations.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
 rows given the coordinates before it, and returns the last coordinate as
@@ -44,6 +44,7 @@ from .linalg import DIM_CAP, IntMatrix, _bareiss
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # tuple[Fraction, ...]
+_RATIONAL = frozenset((int, Fraction))  # a rational point's coordinate types, exactly
 
 #: Caps that turn runaway inputs into errors: the ambient dimension
 #: (``linalg.DIM_CAP``, shared with matrices), and the volume of the integer
@@ -63,9 +64,12 @@ def as_point(p: Sequence[int]) -> Point:
 
 
 def as_rat_point(q: Sequence, dim: int) -> RatPoint:
-    qt = tuple(Fraction(x) for x in q)
+    qt = tuple(q)
+    for x in qt:
+        if type(x) not in _RATIONAL:
+            raise TypeError(f"rational point coordinates must be int or Fraction, got {x!r}")
     _check_length(qt, dim)
-    return qt
+    return tuple(map(Fraction, qt))
 
 
 def _check_positive(value, what: str) -> None:
@@ -116,11 +120,12 @@ class LatticeSimplex:
 
     det is the determinant of the differences v_i - v_0, from one Bareiss
     elimination on them as rows (a matrix and its transpose share it); the
-    difference matrix, those differences as columns, is built on each read,
-    and its adjugate (_difference_adjugate) on the first.
+    difference matrix, those differences as columns, is built on each read.
+    Its facet rows (_simplex_facets), built on first read and kept, are its
+    weight rows: row i at x is |det| times x's barycentric weight t_i.
     """
 
-    __slots__ = ("vertices", "dim", "det", "_adj_rows")
+    __slots__ = ("vertices", "dim", "det", "_rows")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = tuple(as_point(v) for v in vertices)
@@ -140,7 +145,7 @@ class LatticeSimplex:
         self.vertices = verts
         self.dim = dim
         self.det = det
-        self._adj_rows = None
+        self._rows = None
 
     @property
     def difference_matrix(self) -> IntMatrix:
@@ -148,10 +153,11 @@ class LatticeSimplex:
         base = self.vertices[0]
         return IntMatrix.from_columns([vec_sub(v, base) for v in self.vertices[1:]])
 
-    def _adjugate_rows(self):
-        if self._adj_rows is None:
-            self._adj_rows = _difference_adjugate(self.vertices)[1]
-        return self._adj_rows
+    def _weight_rows(self) -> list:
+        """The facet rows (a_i, b_i), a_i.x - b_i = |det| * t_i(x), kept after the first read."""
+        if self._rows is None:
+            self._rows = _simplex_facets(self.vertices, *_difference_adjugate(self.vertices))
+        return self._rows
 
     def barycentric(self, q: Sequence) -> tuple:
         """Exact affine weights (t_0..t_n) with sum 1 recombining to q.
@@ -159,13 +165,12 @@ class LatticeSimplex:
         Entries may be negative; q lies in the simplex iff all are >= 0.
         """
         qt = as_rat_point(q, self.dim)
-        r = [x - v for x, v in zip(qt, self.vertices[0])]
-        d = self.det
-        tail = [sum(a * x for a, x in zip(row, r)) / Fraction(d) for row in self._adjugate_rows()]
-        return (1 - sum(tail), *tail)
+        d = abs(self.det)
+        return tuple((vec_dot(a, qt) - b) / d for a, b in self._weight_rows())
 
     def contains_point(self, q: Sequence) -> bool:
-        return all(t >= 0 for t in self.barycentric(q))
+        qt = as_rat_point(q, self.dim)
+        return all(vec_dot(a, qt) >= b for a, b in self._weight_rows())
 
     def hull(self) -> "LatticePolytope":
         return LatticePolytope(self.vertices)
@@ -200,12 +205,13 @@ def _simplex_facets(vertices: Sequence[Point], det: int, adj) -> list:
     """Facet rows of a simplex from its _difference_adjugate (det, adj).
 
     rows[i] = (a, b) means a.x >= b on the simplex, with equality on the
-    facet opposite vertices[i]: row i >= 1 is |det| times the barycentric
-    weight of vertex i, which is sign(det) * adj_{i-1}, and row 0 is |det|
-    minus their sum.  So a.x - b is the normalized volume of that facet
-    coned to x, signed positive on the simplex's side, and the negated row
-    (-a, -b) is the facet's outward cofactor row, the one integer row (N, c)
-    with N.x - c zero on the facet and -|det| at the opposite vertex.
+    facet opposite vertices[i]: a.x - b is |det| times x's barycentric
+    weight t_i (row i >= 1 is sign(det) * adj_{i-1}, row 0 |det| minus
+    their sum), the rows a LatticeSimplex keeps.  So a.x - b is the
+    normalized volume of that facet coned to x, signed positive on the
+    simplex's side, and the negated row (-a, -b) is the facet's outward
+    cofactor row, the one integer row (N, c) with N.x - c zero on the facet
+    and -|det| at the opposite vertex.
     """
     v0 = vertices[0]
     tail = [tuple(-x for x in row) if det < 0 else row for row in adj]
@@ -585,11 +591,11 @@ def contains(p: LatticePolytope, q: Sequence) -> bool:
     """Exact membership of a point in the polytope.
 
     A point of ints is tested against the integer facet rows as it is; any
-    other is read as Fractions and tested on their common-denominator
-    numerators.
+    other must be ints and Fractions (as_rat_point), and is tested on their
+    common-denominator numerators.
     """
     qt = tuple(q)
-    if all(isinstance(x, int) for x in qt):
+    if all(type(x) is int for x in qt):
         _check_length(qt, p.dim)
         return all(vec_dot(a, qt) <= b for a, b in p.facets())
     qt = as_rat_point(qt, p.dim)

@@ -2,10 +2,11 @@
 
 The constructive side: inside a unimodular simplex, every lattice point of
 the h-fold dilate is a nonnegative integer combination of the vertices with
-weights summing to h, and the weights are unique: integers read off the
-cell's cached adjugate, with no rational solve.  Covers extend this to
-polytopes: a certified unimodular triangulation yields a decomposition of
-any lattice point of the dilate by locating a containing cell.
+weights summing to h, and the weights are unique: w_i = a_i.p - h*b_i,
+integers read off the cell's cached facet rows (a_i, b_i), with no rational
+solve.  Covers extend this to polytopes: a certified unimodular
+triangulation yields a decomposition of any lattice point of the dilate by
+locating a containing cell.
 
 Placing triangulations come from the integer placing kernel in ``geometry``.
 Certification is exact throughout: volumes are compared as integers
@@ -15,8 +16,8 @@ opposite sides of it or lies on a facet of the target, which with the volume
 sum proves that the cells tile the target.  Only a cover that fails the
 matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
-separating-facet tests on integer data (facet rows from the same adjugate,
-through geometry's one kernel for a simplex's facet rows), with the margin
+separating-facet tests on integer data (each cell's cached facet rows,
+from geometry's one kernel for a simplex's facet rows), with the margin
 LP as the fallback for pairs neither test separates.  That fallback is the
 only use of ``lp`` in the package: the LP's dual, solved exactly on an
 integer tableau by simplex phase 2 alone, from the basis of the first
@@ -49,15 +50,12 @@ from .geometry import (
     _projection_rows,
     _record_volume,
     _share_volume,
-    _simplex_facets,
     as_point,
     contains,
     dilate,
     lattice_points,
     normalized_volume,
     vec_dot,
-    vec_scale,
-    vec_sub,
 )
 from .linalg import hermite_normal_form
 from .sumsets import _idp_scan
@@ -113,9 +111,9 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
     """Unique weights w_i >= 0 with sum h and sum w_i * vertex_i = p.
 
     Requires s unimodular and p a lattice point of the h-fold dilate of s.
-    With det = +-1 the difference matrix has inverse det * adj, so the tail
-    weights are det * adj_i . (p - h * vertex_0), integers from the cell's
-    cached adjugate rows, and w_0 = h minus their sum; p lies in the dilate
+    Row i (a_i, b_i) of the cell's cached facet rows has a_i.x - b_i = |det|
+    times x's barycentric weight t_i, so with |det| = 1 the weights of p are
+    w_i = h * t_i(p / h) = a_i.p - h * b_i, integers; p lies in the dilate
     iff none is negative.
     """
     if not is_unimodular(s):
@@ -126,9 +124,7 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
     if len(pt) != s.dim:
         raise DimensionMismatchError("point dimension does not match the simplex")
     _check_positive(h, "h")
-    target = vec_sub(pt, vec_scale(s.vertices[0], h))
-    tail = [s.det * vec_dot(row, target) for row in s._adjugate_rows()]
-    w = (h - sum(tail), *tail)
+    w = tuple(vec_dot(a, pt) - h * b for a, b in s._weight_rows())
     if any(x < 0 for x in w):
         raise PointOutsideError(f"{pt} is not in the {h}-fold dilate of the simplex")
     parts = []
@@ -183,29 +179,21 @@ def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) 
     )
 
 
-def _interior_inequalities(cell: LatticeSimplex):
-    """Facet rows (a, b) with a.x >= b on the cell, strict on its interior:
-    geometry._simplex_facets of the cell's cached adjugate."""
-    return _simplex_facets(cell.vertices, cell.det, cell._adjugate_rows())
-
-
 def _separates(rows, vertices) -> bool:
     """Does some facet row (a, b) of one cell have a.v <= b at every vertex v of the other?"""
     return any(all(vec_dot(normal, v) <= offset for v in vertices) for normal, offset in rows)
 
 
-def _interiors_intersect(
-    a: LatticeSimplex, b: LatticeSimplex, rows_a=None, rows_b=None
-) -> bool:
+def _interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     """Exact test whether two full-dimensional simplices share an interior point.
 
     Cheap integer tests come first: disjoint open bounding boxes, then a
     facet hyperplane of one cell with the whole other cell on its closed
     outer side.  Only pairs that neither separates go to the exact margin
     LP, which is needed for completeness: in dimension >= 3 two cells may
-    be separated only by a plane through an edge of each.  `rows_a` and
-    `rows_b` are the cells' _interior_inequalities, when the caller has
-    them already.
+    be separated only by a plane through an edge of each.  The last two
+    read the cells' cached facet rows (a, b), a.x >= b on the cell and
+    strict on its interior.
     """
     dim = a.dim
     for j in range(dim):
@@ -215,10 +203,7 @@ def _interiors_intersect(
         b_hi = max(v[j] for v in b.vertices)
         if a_hi <= b_lo or b_hi <= a_lo:
             return False
-    if rows_a is None:
-        rows_a = _interior_inequalities(a)
-    if rows_b is None:
-        rows_b = _interior_inequalities(b)
+    rows_a, rows_b = a._weight_rows(), b._weight_rows()
     if _separates(rows_a, b.vertices) or _separates(rows_b, a.vertices):
         return False
     return lp.max_min_margin(rows_a + rows_b, dim) > 0
@@ -320,10 +305,9 @@ def verify_cover(cover: SimplicialCover) -> Certification:
             )
         cells = cover.cells
         if problems or not _facets_match(cells, target):
-            rows = [_interior_inequalities(c) for c in cells]
             for i in range(len(cells)):
                 for j in range(i + 1, len(cells)):
-                    if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
+                    if _interiors_intersect(cells[i], cells[j]):
                         problems.append(f"cells {i} and {j} share an interior point")
     status = "certified" if not problems else "uncertified"
     return Certification(status=status, problems=tuple(problems))

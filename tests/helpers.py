@@ -55,7 +55,6 @@ from latticeforge import (
 from latticeforge.unimodular import (
     Certification,
     _draw,
-    _interior_inequalities,
     _interiors_intersect,
 )
 from latticeforge.errors import (
@@ -228,7 +227,7 @@ def _cell_facet(cell: Sequence[Point], skip: int) -> tuple:
 
 
 def cofactor_interior_rows(cell):
-    """unimodular._interior_inequalities with one cofactor elimination per facet (_cell_facet)."""
+    """LatticeSimplex._weight_rows with one cofactor elimination per facet (_cell_facet)."""
     rows = []
     for skip in range(cell.dim + 1):
         _, normal, offset = _cell_facet(cell.vertices, skip)
@@ -786,10 +785,9 @@ def pairwise_verify_cover(cover):
                 f"cell volumes sum to {total} but the target has normalized volume {vol}"
             )
         cells = cover.cells
-        rows = [_interior_inequalities(c) for c in cells]
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
-                if _interiors_intersect(cells[i], cells[j], rows[i], rows[j]):
+                if _interiors_intersect(cells[i], cells[j]):
                     problems.append(f"cells {i} and {j} share an interior point")
     status = "certified" if not problems else "uncertified"
     return Certification(status=status, problems=tuple(problems))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -147,23 +148,54 @@ class TestBarycentric:
         assert s.barycentric(q) == (Fraction(1, 4),) * 4
 
     def test_sum_one_and_recombination(self):
+        # unimodular simplices in dims 1-4, then random_simplex cells in dims
+        # 1-8, each also with two vertices swapped: the swap flips det's sign,
+        # and row 0 of the weight rows is |det| minus the others.  Each gets a
+        # random point, a point inside and a vertex, on which contains_point
+        # agrees with the signs of the weights.
+        def check(s, q):
+            t = s.barycentric(q)
+            assert sum(t) == 1
+            recombined = tuple(
+                sum(ti * Fraction(v[j]) for ti, v in zip(t, s.vertices)) for j in range(s.dim)
+            )
+            assert recombined == tuple(q)
+            inside = s.contains_point(q)
+            assert inside == all(x >= 0 for x in t), (s, q)
+            verdicts[inside] += 1
+
         rng = random.Random(7)
+        verdicts = Counter()
         for _ in range(150):
             dim = rng.randint(1, 4)
             s = random_unimodular_simplex(rng, dim, spread=6)
             q = random_rational_point(rng, dim)
-            t = s.barycentric(q)
-            assert sum(t) == 1
-            recombined = tuple(
-                sum(ti * Fraction(v[j]) for ti, v in zip(t, s.vertices)) for j in range(dim)
-            )
-            assert recombined == q
+            check(s, q)
+        for k in range(160):
+            s = random_simplex(rng, 1 + k % 8)
+            v = s.vertices
+            for cell in (s, LatticeSimplex((v[1], v[0], *v[2:]))):
+                w = [rng.randint(0, 3) for _ in v]
+                w[0] += 1
+                blend = tuple(Fraction(sum(c * x for c, x in zip(w, col)), sum(w)) for col in zip(*v))
+                for q in (random_rational_point(rng, cell.dim), blend, v[rng.randrange(len(v))]):
+                    check(cell, q)
+        assert min(verdicts.values()) >= 150, verdicts
 
     def test_membership_iff_all_nonnegative(self):
         s = LatticeSimplex([(0, 0), (2, 0), (0, 2)])
         assert s.contains_point((Fraction(1, 2), Fraction(1, 2)))
         assert not s.contains_point((Fraction(3), Fraction(3)))
         assert any(t < 0 for t in s.barycentric((3, 3)))
+
+    def test_inexact_coordinates_refused(self):
+        # bools, floats (inf included), strings and Decimals are not read as
+        # rationals: each raises TypeError, as in a lattice point
+        s = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
+        for q in ((0.1, 0.2), ("1/3", "1/3"), (True, False), (Decimal(1) / 3, 0), (float("inf"), 0)):
+            for call in (s.barycentric, s.contains_point):
+                with pytest.raises(TypeError, match="must be int or Fraction, got"):
+                    call(q)
 
 
 class TestContains:
@@ -181,6 +213,13 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             contains(unit_square(), (1, 1, 1))
+
+    def test_inexact_coordinates_refused(self):
+        # a bool leaves the integer path and is refused with the others
+        p = LatticeSimplex([(0, 0), (1, 0), (0, 1)]).hull()
+        for q in ((True, False), (1, True), (0.5, 0), ("1/3", "1/3"), (Fraction(1, 3), Decimal(0))):
+            with pytest.raises(TypeError, match="must be int or Fraction, got"):
+                contains(p, q)
 
     def test_integer_points_as_fractions(self):
         # a point of ints, tested as it is, gets the verdict of the same

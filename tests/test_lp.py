@@ -14,7 +14,6 @@ from helpers import (
 )
 from latticeforge.errors import LatticeForgeError
 from latticeforge.lp import OPTIMAL, UNBOUNDED, max_min_margin
-from latticeforge.unimodular import _interior_inequalities
 
 
 class TestSolveMin:
@@ -109,11 +108,11 @@ class TestMaxMinMargin:
         # only an oblique plane through the shared vertex does.  The LP must
         # still report a non-positive joint margin.
         from latticeforge import LatticeSimplex
-        from latticeforge.unimodular import _interior_inequalities, _interiors_intersect
+        from latticeforge.unimodular import _interiors_intersect
 
         s = LatticeSimplex([(0, 0, 0), (1, 1, 1), (-1, 1, 1), (0, -1, 1)])
         t = LatticeSimplex([(0, 0, 0), (-1, -1, -1), (1, -1, -1), (0, 1, -1)])
-        rows = _interior_inequalities(s) + _interior_inequalities(t)
+        rows = s._weight_rows() + t._weight_rows()
         assert max_min_margin(rows, 3) <= 0
         assert not _interiors_intersect(s, t)
 
@@ -191,7 +190,7 @@ class TestMarginAgainstFraction:
         for dim, count in zip(range(1, 9), (600, 450, 250, 100, 40, 25, 20, 15)):
             for _ in range(count):
                 s, t = random_simplex(rng, dim), random_simplex(rng, dim)
-                rows = _interior_inequalities(s) + _interior_inequalities(t)
+                rows = s._weight_rows() + t._weight_rows()
                 margin = max_min_margin(rows, dim)
                 assert margin == fraction_max_min_margin(rows, dim), (s.vertices, t.vertices)
                 signs[(margin > 0) - (margin < 0)] += 1
@@ -208,8 +207,8 @@ class TestMarginStart:
         rng = random.Random(1968)
         for dim, count in zip(range(1, 9), (600, 450, 250, 100, 40, 25, 20, 15)):
             for _ in range(count):
-                rows_a = _interior_inequalities(random_simplex(rng, dim))
-                rows_b = _interior_inequalities(random_simplex(rng, dim))
+                rows_a = random_simplex(rng, dim)._weight_rows()
+                rows_b = random_simplex(rng, dim)._weight_rows()
                 assert max_min_margin(rows_a + rows_b, dim) == max_min_margin(rows_b + rows_a, dim)
 
     def test_fewer_rows_than_a_simplex(self):

@@ -28,7 +28,7 @@ from latticeforge import (
 from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.lp import max_min_margin
-from latticeforge.unimodular import _interior_inequalities, _interiors_intersect
+from latticeforge.unimodular import _interiors_intersect
 
 
 class TestInteriorDisjointnessOracle:
@@ -91,7 +91,7 @@ class TestDisjointnessPrefilterAgainstLP:
         for _ in range(pairs):
             a = random_simplex(rng, dim)
             b = random_simplex(rng, dim)
-            rows = _interior_inequalities(a) + _interior_inequalities(b)
+            rows = a._weight_rows() + b._weight_rows()
             expected = max_min_margin(rows, dim) > 0
             assert _interiors_intersect(a, b) == expected, (a, b)
             overlaps += expected

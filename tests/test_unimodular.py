@@ -46,7 +46,6 @@ from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
 from latticeforge.unimodular import (
     _draw,
     _facets_match,
-    _interior_inequalities,
     _interiors_intersect,
     has_unique_triangulation,
 )
@@ -184,8 +183,9 @@ class TestDecomposeInSimplex:
 class TestInteriorInequalities:
     def test_equal_to_cofactor_rows(self):
         # seeded simplices in dims 1-8, each also with its first two vertices
-        # swapped, which flips the det sign: the adjugate rows equal the rows
-        # of one cofactor elimination per facet, entry for entry and in order
+        # swapped, which flips the det sign: each cell's cached weight rows
+        # equal the rows of one cofactor elimination per facet, entry for
+        # entry and in order
         rng = random.Random(42)
         signs = Counter()
         for k in range(300):
@@ -193,7 +193,8 @@ class TestInteriorInequalities:
             v = s.vertices
             for cell in (s, LatticeSimplex((v[1], v[0], *v[2:]))):
                 signs[cell.det > 0] += 1
-                assert _interior_inequalities(cell) == cofactor_interior_rows(cell), cell
+                assert cell._weight_rows() == cofactor_interior_rows(cell), cell
+                assert cell._weight_rows() is cell._weight_rows()
         assert min(signs.values()) == 300
 
 
