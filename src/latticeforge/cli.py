@@ -30,10 +30,9 @@ from .unimodular import (
     Decomposition,
     EllReport,
     SimplicialCover,
+    _placing_search,
     decompose,
     find_ell,
-    find_unimodular_triangulation,
-    has_unique_triangulation,
     hnf_diagonal,
     is_unimodular,
     lattice_index,
@@ -313,17 +312,17 @@ def _cmd_decompose(args, poly: LatticePolytope):
         raise PointOutsideError(f"{point} is not in the {h}-fold dilate of the polytope")
 
     cover = None
-    cover_source = None
+    pts = None  # the search's lattice points, which the direct search reuses
     if args.cover is not None:
         candidate, cert = _verify_cover_file(args.cover, poly)
         cover_source = {"path": args.cover, "certification": cert.status, "problems": list(cert.problems)}
         if cert.status == "certified":
             cover = candidate
     else:
-        cover = find_unimodular_triangulation(
-            poly, attempts=_positive(args.attempts, "--attempts"), seed=args.seed
-        )
-        cover_source = {"path": None, "search": "found" if cover else "not-found"}
+        attempts = _positive(args.attempts, "--attempts")
+        pts = lattice_points(poly)
+        certificate, cover = _placing_search(poly, pts, attempts, args.seed)
+        cover_source = {"path": None, "search": "found" if certificate == "certified" else "not-found"}
 
     if cover is not None:
         dec = decompose(poly, cover, point, h)
@@ -336,7 +335,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         return result, EXIT_OK, [f"{tuple(point)} = {parts}"]
 
     # No certified cover: report the direct exhaustive search instead.
-    parts = find_sum_decomposition(lattice_points(poly), point, h)
+    parts = find_sum_decomposition(lattice_points(poly) if pts is None else pts, point, h)
     result = {
         "mode": "direct-search",
         "cover": cover_source,
@@ -366,19 +365,16 @@ def _cmd_triangulate(args, poly: LatticePolytope):
         ok = cert.status != "uncertified"
         return result, (EXIT_OK if ok else EXIT_NEGATIVE), [f"cover status: {cert.status}"]
 
-    cover = find_unimodular_triangulation(
-        poly, attempts=_positive(args.attempts, "--attempts"), seed=args.seed
-    )
+    attempts = _positive(args.attempts, "--attempts")
+    certificate, cover = _placing_search(poly, lattice_points(poly), attempts, args.seed)
+    result = {
+        "mode": "search",
+        "certificate": certificate,
+        "cover": _cover_json(cover) if cover is not None else None,
+    }
     if cover is not None:
-        result = {
-            "mode": "search",
-            "certificate": "certified",
-            "cover": _cover_json(cover),
-        }
         return result, EXIT_OK, [f"certified triangulation with {len(cover.cells)} unimodular cells"]
-    status = "impossible" if has_unique_triangulation(poly) else "not-found"
-    result = {"mode": "search", "certificate": status, "cover": None}
-    if status == "impossible":
+    if certificate == "impossible":
         summary = ["no unimodular triangulation exists (the triangulation is unique)"]
     else:
         summary = ["no unimodular triangulation found (existence unknown)"]

@@ -40,11 +40,10 @@ from operator import and_, mul, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, IntMatrix, _bareiss
+from .linalg import DIM_CAP, _RATIONAL, IntMatrix, _bareiss
 
 Point = tuple  # tuple[int, ...]
-RatPoint = tuple  # tuple[Fraction, ...]
-_RATIONAL = frozenset((int, Fraction))  # a rational point's coordinate types, exactly
+RatPoint = tuple  # a tuple of ints and Fractions
 
 #: Caps that turn runaway inputs into errors: the ambient dimension
 #: (``linalg.DIM_CAP``, shared with matrices), and the volume of the integer
@@ -69,7 +68,7 @@ def as_rat_point(q: Sequence, dim: int) -> RatPoint:
         if type(x) not in _RATIONAL:
             raise TypeError(f"rational point coordinates must be int or Fraction, got {x!r}")
     _check_length(qt, dim)
-    return tuple(map(Fraction, qt))
+    return qt
 
 
 def _check_positive(value, what: str) -> None:
@@ -166,7 +165,7 @@ class LatticeSimplex:
         """
         qt = as_rat_point(q, self.dim)
         d = abs(self.det)
-        return tuple((vec_dot(a, qt) - b) / d for a, b in self._weight_rows())
+        return tuple(Fraction(vec_dot(a, qt) - b, d) for a, b in self._weight_rows())
 
     def contains_point(self, q: Sequence) -> bool:
         qt = as_rat_point(q, self.dim)
@@ -538,6 +537,7 @@ class LatticePolytope:
 
     def translate(self, t: Sequence[int]) -> "LatticePolytope":
         tv = as_point(t)
+        _check_length(tv, self.dim)
         return LatticePolytope([vec_add(v, tv) for v in self.vertices])
 
     def __eq__(self, other) -> bool:

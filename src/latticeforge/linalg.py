@@ -22,6 +22,7 @@ from .errors import DimensionMismatchError, SingularMatrixError
 #: Hard cap on matrix rows and columns and, in ``geometry``, on the ambient
 #: dimension: desk-scale, so huge inputs fail fast instead of hanging.
 DIM_CAP = 8
+_RATIONAL = frozenset((int, Fraction))  # a rational entry's types, exactly
 
 
 class IntMatrix:
@@ -145,11 +146,15 @@ def determinant(m: IntMatrix) -> int:
 
 
 def _adj_times(m: IntMatrix, b: Sequence) -> tuple:
-    """(det(m), adj(m).b) for a solve of m @ x = b; SingularMatrixError when det(m) = 0."""
+    """(det(m), adj(m).b) for a solve of m @ x = b; SingularMatrixError when
+    det(m) = 0, TypeError for an entry of b that is not an int or a Fraction."""
     if m.rows != m.cols:
         raise DimensionMismatchError("solve requires a square matrix")
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side length does not match")
+    for x in b:
+        if type(x) not in _RATIONAL:
+            raise TypeError(f"right-hand side entries must be int or Fraction, got {x!r}")
     d, adj = _bareiss(m.data, True)
     if not d:
         raise SingularMatrixError("matrix is singular")
@@ -200,54 +205,37 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
     leading columns, entries to the left of each pivot are reduced into
     [0, pivot), and all-zero columns are pushed to the right.
     """
-    h = [list(row) for row in m.data]
     nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_cols(a, b):
-        for row in h:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def combine_cols(a, b, s, t, p, q):
-        # columns (a, b) <- (s*col_a + t*col_b, p*col_a + q*col_b)
-        for row in h:
-            ca, cb = row[a], row[b]
-            row[a], row[b] = s * ca + t * cb, p * ca + q * cb
-        for row in u:
-            ca, cb = row[a], row[b]
-            row[a], row[b] = s * ca + t * cb, p * ca + q * cb
-
-    def add_multiple(dst, src, factor):
-        for row in h:
-            row[dst] += factor * row[src]
-        for row in u:
-            row[dst] += factor * row[src]
-
+    # H's rows, then U's: every column operation acts on [H; U] at once
+    rows = [list(row) for row in m.data] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     pivot = 0
     for i in range(nrows):
         if pivot >= ncols:
             break
-        j0 = next((j for j in range(pivot, ncols) if h[i][j] != 0), None)
+        h = rows[i]
+        j0 = next((j for j in range(pivot, ncols) if h[j] != 0), None)
         if j0 is None:
             continue
         if j0 != pivot:
-            swap_cols(pivot, j0)
+            for row in rows:
+                row[pivot], row[j0] = row[j0], row[pivot]
         for j in range(pivot + 1, ncols):
-            if h[i][j] == 0:
+            if h[j] == 0:
                 continue
-            a, b = h[i][pivot], h[i][j]
+            a, b = h[pivot], h[j]
             g, s, t = _ext_gcd(a, b)
-            combine_cols(pivot, j, s, t, -(b // g), a // g)
-        if h[i][pivot] < 0:
-            for row in h:
-                row[pivot] = -row[pivot]
-            for row in u:
+            p, q = -(b // g), a // g
+            # columns (pivot, j) <- (s*col_pivot + t*col_j, p*col_pivot + q*col_j)
+            for row in rows:
+                ca, cb = row[pivot], row[j]
+                row[pivot], row[j] = s * ca + t * cb, p * ca + q * cb
+        if h[pivot] < 0:
+            for row in rows:
                 row[pivot] = -row[pivot]
         for j in range(pivot):
-            q = h[i][j] // h[i][pivot]
+            q = h[j] // h[pivot]
             if q:
-                add_multiple(j, pivot, -q)
+                for row in rows:
+                    row[j] -= q * row[pivot]
         pivot += 1
-    return IntMatrix(h), IntMatrix(u)
+    return IntMatrix(rows[:nrows]), IntMatrix(rows[nrows:])

@@ -128,7 +128,8 @@ def _hfold_radix(base: Sequence[Point], h_max: int) -> tuple:
 
 
 def sumset(s: Sequence[Point], t: Sequence[Point]) -> tuple:
-    """{a + b : a in s, b in t}, deduplicated and sorted."""
+    """{a + b : a in s, b in t}, deduplicated and sorted; each operand is read by point_set."""
+    s, t = point_set(s), point_set(t)
     if s and t and len(s[0]) != len(t[0]):
         raise DimensionMismatchError("sumset operands live in different dimensions")
     if not s or not t:

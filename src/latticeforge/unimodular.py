@@ -335,12 +335,12 @@ def find_unimodular_triangulation(
     When the lattice points are the vertices (a 0/1 cube), the
     lexicographic pass is the pass normalized_volume runs, so its cell count
     is kept as the target's volume and certifying places no second time.
-    Returns the first certified cover, or None.  None only proves
-    nonexistence when the lattice points admit a single triangulation
-    (see has_unique_triangulation); otherwise it just means "not found".
+    Returns the first certified cover, or None.  None is a proof of
+    nonexistence only in that one-order case; _placing_search returns the
+    verdict ("impossible" or "not-found") with the cover.
     """
     _check_positive(attempts, "attempts")
-    return _placing_search(p, lattice_points(p), attempts, seed)
+    return _placing_search(p, lattice_points(p), attempts, seed)[1]
 
 
 def _draw(rng: random.Random, order: list):
@@ -368,15 +368,20 @@ def _draw(rng: random.Random, order: list):
         yield order[-1]
 
 
-def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
-    """find_unimodular_triangulation over pts, the lattice points of p enumerated once by the caller."""
+def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int) -> tuple:
+    """find_unimodular_triangulation over pts, the lattice points of p
+    enumerated once by the caller, with its verdict: (certificate, cover).
+
+    The certificate is "certified" with the cover; "impossible" with None
+    when the lattice points are the n+1 vertices of a simplex, which every
+    order places as the one cell, so one order decides; otherwise
+    "not-found" with None.
+    """
     if not p.is_full_dimensional():
         raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
-    if len(pts) == p.dim + 1:
-        # every order places the one simplex on the n+1 points: one verdict
-        attempts = 1
+    forced = len(pts) == p.dim + 1
     rng = random.Random(seed)
-    for k in range(attempts):
+    for k in range(1 if forced else attempts):
         order = list(pts) if k else pts
         cells = []
         for vertices, volume in _placing_cells(_draw(rng, order) if k else pts, p.dim):
@@ -389,18 +394,8 @@ def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int):
             _record_volume(p, order, len(cells))
             cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex, cells)))
             if verify_cover(cover).status == "certified":
-                return replace(cover, certified="certified")
-    return None
-
-
-def has_unique_triangulation(p: LatticePolytope) -> bool:
-    """True when the only triangulation on the lattice points is forced.
-
-    This is the one situation where a failed search is a proof: a
-    full-dimensional polytope whose lattice points are exactly the n+1
-    vertices of a simplex admits that simplex as its only triangulation.
-    """
-    return p.is_full_dimensional() and len(lattice_points(p)) == p.dim + 1
+                return "certified", replace(cover, certified="certified")
+    return ("impossible" if forced else "not-found"), None
 
 
 def decompose(
@@ -467,23 +462,16 @@ def find_ell(
     for ell in range(1, ell_max + 1):
         scaled = dilate(p, ell)
         scaled_levels = None if levels is None else [[(a, ell * b) for a, b in lv] for lv in levels]
-        # One enumeration of the row's lattice points serves the search, the
-        # uniqueness test and the h = 1 sumset.
+        # One enumeration of the row's lattice points serves the search and
+        # the h = 1 sumset.
         pts = lattice_points(scaled)
-        cover = _placing_search(scaled, pts, attempts, seed)
-        if cover is not None:
-            status = "certified"
-            if found is None:
-                found = ell
-        elif len(pts) == scaled.dim + 1:
-            # has_unique_triangulation: the search has already refused a flat polytope
-            status = "impossible"
-        else:
-            status = "not-found"
+        certificate, cover = _placing_search(scaled, pts, attempts, seed)
+        if cover is not None and found is None:
+            found = ell
         rows.append(
             EllProbe(
                 ell=ell,
-                certificate=status,
+                certificate=certificate,
                 cell_count=len(cover.cells) if cover is not None else None,
                 idp=_idp_scan(scaled, h_max, pts, scaled_levels),
             )

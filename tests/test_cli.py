@@ -4,7 +4,7 @@ import json
 import pytest
 
 from helpers import staircase_cells
-from latticeforge import cli
+from latticeforge import cli, geometry
 from latticeforge.cli import (
     build_parser,
     main,
@@ -214,6 +214,25 @@ class TestTriangulate:
         assert code == 1
         assert report["result"]["certificate"] == "impossible"
         assert "unique" in err
+
+    def test_lattice_points_enumerated_once(self, capsys, monkeypatch):
+        # the search's certificate decides "impossible" and the direct search
+        # reuses its points: one enumeration per command, counted at the
+        # kernel every lattice_points binding calls
+        calls = []
+        original = geometry._lattice_runs
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "_lattice_runs", counting)
+        code, report, _ = run(capsys, "triangulate", "--example", "a2")
+        assert (code, report["result"]["certificate"], len(calls)) == (1, "impossible", 1)
+        calls.clear()
+        code, report, _ = run(capsys, "decompose", "--example", "a2", "--point", "1,1,1", "--h", "2")
+        result = report["result"]
+        assert (code, result["mode"], result["decomposition_exists"], len(calls)) == (1, "direct-search", False, 1)
 
     def test_verify_cover_mode(self, capsys, tmp_path):
         cover = write(tmp_path, "cover.json", {

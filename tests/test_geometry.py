@@ -188,6 +188,16 @@ class TestBarycentric:
         assert not s.contains_point((Fraction(3), Fraction(3)))
         assert any(t < 0 for t in s.barycentric((3, 3)))
 
+    def test_integer_queries_give_fractions(self):
+        # det 9: the weights of int points are thirds, exact Fractions, not
+        # the floats an int numerator over |det| would give
+        s = LatticeSimplex([(0, 0), (3, 0), (0, 3)])
+        third = Fraction(1, 3)
+        for q, expected in (((1, 1), (third, third, third)), ((4, 2), (-1, 4 * third, 2 * third))):
+            t = s.barycentric(q)
+            assert t == expected
+            assert all(type(x) is Fraction for x in t), t
+
     def test_inexact_coordinates_refused(self):
         # bools, floats (inf included), strings and Decimals are not read as
         # rationals: each raises TypeError, as in a lattice point
@@ -196,6 +206,15 @@ class TestBarycentric:
             for call in (s.barycentric, s.contains_point):
                 with pytest.raises(TypeError, match="must be int or Fraction, got"):
                     call(q)
+
+
+class TestTranslate:
+    def test_shift_of_another_dimension_refused(self):
+        p = LatticeSimplex([(0, 0), (1, 0), (0, 1)]).hull()
+        assert p.translate((1, 2)) == LatticePolytope([(1, 2), (2, 2), (1, 3)])
+        for shift in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                p.translate(shift)
 
 
 class TestContains:

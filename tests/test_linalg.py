@@ -125,6 +125,14 @@ class TestIntegralSolution:
         # The column span of diag(1,1,2) misses e3: its third coordinate is odd.
         assert integral_solution(A1_DIFFS, (0, 0, 1)) is None
 
+    def test_inexact_right_hand_side_refused(self):
+        # a float or a bool is not read as a rational, in either solve
+        for b in ((2.0, 1), (True, 0), (0, "1")):
+            for solve in (integral_solution, solve_rational):
+                with pytest.raises(TypeError, match="must be int or Fraction, got"):
+                    solve(IntMatrix([[1, 0], [0, 1]]), b)
+        assert integral_solution(IntMatrix([[1, 0], [0, 1]]), (Fraction(2), 1)) == (2, 1)
+
     def test_agrees_with_rational_solver(self):
         rng = random.Random(5)
         done = 0

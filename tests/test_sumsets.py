@@ -89,6 +89,16 @@ class TestSumset:
         with pytest.raises(DimensionMismatchError):
             sumset(((0, 0),), ((0, 0, 0),))
 
+    def test_operands_validated(self):
+        # mixed dimensions within an operand, and coordinates that are not
+        # ints, are refused as in hfold_sumset; duplicates and order do not matter
+        with pytest.raises(DimensionMismatchError):
+            sumset([(0, 5), (1, 2)], [(0, 0), (3,)])
+        for s, t in (([(0.5,)], [(1,)]), ([(1,)], [(True,)])):
+            with pytest.raises(TypeError):
+                sumset(s, t)
+        assert sumset([(1,), (0,), (1,)], [(2,), (0,)]) == ((0,), (1,), (2,), (3,))
+
 
 class TestHfoldSumset:
     def test_single_summand(self):

@@ -43,12 +43,7 @@ from latticeforge import geometry, lp, sumsets, unimodular
 from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
-from latticeforge.unimodular import (
-    _draw,
-    _facets_match,
-    _interiors_intersect,
-    has_unique_triangulation,
-)
+from latticeforge.unimodular import _draw, _facets_match, _interiors_intersect, _placing_search
 
 
 def simplex_of(p: LatticePolytope) -> LatticeSimplex:
@@ -349,7 +344,7 @@ class TestFindUnimodularTriangulation:
 
     def test_reeve_simplex_provably_none(self):
         assert find_unimodular_triangulation(reeve_simplex(), attempts=8) is None
-        assert has_unique_triangulation(reeve_simplex())
+        assert _placing_search(reeve_simplex(), lattice_points(reeve_simplex()), 8, 0) == ("impossible", None)
 
     def test_stretched_simplex_found_via_midpoint(self):
         # the extra lattice point (0,0,1) splits the long edge into two
