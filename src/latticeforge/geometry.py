@@ -8,10 +8,15 @@ coordinates, dilation and lattice-point enumeration are decided exactly.
 (``_facet_rows``): starting from a simplex, each further generator keeps the
 integer rows it does not violate and joins each adjacent pair of a violated
 and a kept row into one row through it.  Rows carry the bitmask of the
-generators tight on them, which decides adjacency and, afterwards, which
-generators are vertices.  The placing routine (``_placing_cells``), a
-beneath-beyond pass that keeps the hull boundary as oriented integer facet
-rows, triangulates any iterable of points, read one at a time; it
+generators tight on them, which decides adjacency (``_ridge_partners``) and,
+afterwards, which generators are vertices; the polytope keeps each row's
+mask over its vertices.  The rows of its coordinate projections come from
+its own rows and masks, one exact elimination per coordinate
+(``_eliminate``), with the same adjacency test and no hull pass.
+
+The placing routine (``_placing_cells``), a beneath-beyond pass that
+keeps the hull boundary as oriented integer facet rows, triangulates any
+iterable of points, read one at a time; it
 eliminates only for its first simplex, whose volume is the last pivot of
 the Bareiss elimination that picks its points (``_affine_basis``, which
 also starts the double description, its pivot columns being the
@@ -26,7 +31,8 @@ adjugate of its difference columns (``_simplex_facets``), which also
 gives a flat hull's affine equations.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded by
-rows given the coordinates before it, and returns the last coordinate as
+rows given the coordinates before it (the facet rows relaxed over the
+bounding box, or the projections' rows), and returns the last coordinate as
 runs, or sets their bits in a packed bitset.  No LP is involved.
 """
 
@@ -384,12 +390,8 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) ->
     _placing_cells, from F's height above p and G's depth below it, masked
     with F's and G's common points plus p.
 
-    Two rows are adjacent iff they share at least dim - 1 tight points and
-    no third row is tight on all of them: their common points then span a
-    ridge.  Both tests read at[j], the bitmask of the rows tight at point j.
-    The rows tight at dim - 1 or more of F's points come from a bit-sliced
-    count over F's points, and the rows tight at every common point are one
-    AND of their at[j].
+    Adjacency is _ridge_partners, on at[j], the bitmask of the rows tight
+    at point j, for each point of a violated row.
     """
     dim = len(points[0])
     inner = _simplex_facets([points[i] for i in start], det, adj)
@@ -422,14 +424,7 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) ->
         every = (1 << len(rows)) - 1
         new_rows, new_masks = [], []
         for f in violated:
-            # reach[c]: the rows tight at c or more of F's points
-            reach = [every] + [0] * (dim - 1)
-            for j in _bits(masks[f]):
-                reach = [every, *(r | fewer & at[j] for r, fewer in zip(reach[1:], reach))]
-            for g in _bits(reach[-1] & beneath):
-                common = masks[f] & masks[g]
-                if reduce(and_, [at[j] for j in _bits(common)], every).bit_count() > 2:
-                    continue
+            for g, common in _ridge_partners(masks[f], masks, at, beneath, dim, every):
                 (n_f, b_f), (n_g, b_g), eta, g_p = rows[f], rows[g], heights[f], heights[g]
                 row = [eta * a - g_p * c for a, c in zip(n_g, n_f)]
                 new_rows.append(_primitive_row(row, eta * b_g - g_p * b_f))
@@ -437,6 +432,31 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) ->
         kept = [k for k, t in enumerate(heights) if t <= 0]
         rows, masks = [rows[k] for k in kept] + new_rows, [masks[k] for k in kept] + new_masks
     return rows, masks
+
+
+def _ridge_partners(mask: int, masks: Sequence[int], at, candidates: int, dim: int, every: int):
+    """(g, common) for each row g in the bitmask `candidates` whose facet
+    meets the facet of the row with tight mask `mask` in a ridge of the
+    dim-dimensional polytope the rows bound, common being masks[g] & mask.
+
+    `every` has a bit for each facet row (a flat polytope's affine-hull
+    rows, tight everywhere, are left out of it), and at[j] is the bitmask
+    of the rows tight at point j, for each point j of `mask`.  Two facets
+    meet in a ridge iff they share at least dim - 1 tight points and no
+    third facet is tight on all of them: their common points then span a
+    face of dimension dim - 2, and no smaller face lies on only two facets.
+    The rows tight at dim - 1 or more of the points come from a bit-sliced
+    count over them, and the rows tight at every common point are one AND
+    of their at[j].
+    """
+    # reach[c]: the rows tight at c or more of the points of `mask`
+    reach = [every] + [0] * (dim - 1)
+    for j in _bits(mask):
+        reach = [every, *(r | fewer & at[j] for r, fewer in zip(reach[1:], reach))]
+    for g in _bits(reach[-1] & candidates):
+        common = mask & masks[g]
+        if reduce(and_, [at[j] for j in _bits(common)], every).bit_count() <= 2:
+            yield g, common
 
 
 def _bits(z: int) -> list:
@@ -456,9 +476,14 @@ def _primitive_row(normal: Sequence[int], offset: int) -> tuple:
 
 
 class LatticePolytope:
-    """Convex hull of a finite set of lattice points (V-representation)."""
+    """Convex hull of a finite set of lattice points (V-representation).
 
-    __slots__ = ("generators", "vertices", "dim", "_facets", "_hull_dim", "_volume")
+    _facets holds its sorted primitive rows and _masks, slot for slot, the
+    bitmask of the vertices tight on each (every vertex for a row of a flat
+    hull's affine equations), as the double description found them.
+    """
+
+    __slots__ = ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim", "_volume")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         gens = sorted(set(as_point(p) for p in points))
@@ -489,7 +514,7 @@ class LatticePolytope:
         # equation per j, kept as a pair of opposite rows; a single point
         # has det 1, no adjugate and x_j = v0_j.
         det, adj = _difference_adjugate([tuple(v[c] for c in cols) for v in start])
-        rows = set()
+        equations = set()
         if hull_dim < dim:
             diffs = [vec_sub(q, start[0]) for q in start[1:]]
             for j in range(dim):
@@ -497,20 +522,27 @@ class LatticePolytope:
                     normal = lift([vec_dot([d[j] for d in diffs], col) for col in zip(*adj)], cols)
                     normal[j] = -det
                     a, b = _primitive_row(normal, vec_dot(normal, start[0]))
-                    rows.update({(a, b), (tuple(-x for x in a), -b)})
+                    equations.update({(a, b), (tuple(-x for x in a), -b)})
 
         self._hull_dim = hull_dim
         self._volume = None
         self.vertices = self.generators
+        tight = {}  # row -> the bitmask of the vertices tight on it
         if hull_dim:
             proj = [tuple(g[c] for c in cols) for g in gens]
             facets, masks = _facet_rows(proj, [gens.index(q) for q in start], det, adj)
-            rows.update((tuple(lift(a, cols)), b) for a, b in facets)
             # g is a vertex iff no other generator is tight on every facet g
             # is tight on, the face those facets cut out then being {g}
             meet = [reduce(and_, (z for z in masks if z >> i & 1), -1) for i in range(len(gens))]
-            self.vertices = tuple(g for i, g in enumerate(gens) if meet[i] == 1 << i)
-        self._facets = tuple(sorted(rows))
+            keep = [i for i in range(len(gens)) if meet[i] == 1 << i]
+            self.vertices = tuple(gens[i] for i in keep)
+            if len(keep) < len(gens):
+                masks = [sum(1 << t for t, i in enumerate(keep) if z >> i & 1) for z in masks]
+            tight = {(tuple(lift(a, cols)), b): z for (a, b), z in zip(facets, masks)}
+        # every vertex is tight on an equation of the affine hull
+        tight.update(dict.fromkeys(equations, (1 << len(self.vertices)) - 1))
+        self._facets = tuple(sorted(tight))
+        self._masks = tuple(tight[row] for row in self._facets)
 
     def as_simplex(self) -> Optional[LatticeSimplex]:
         """The polytope as a simplex, when it is one (n+1 independent
@@ -608,8 +640,9 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     """Polytope scaled by a positive integer factor.
 
     Built from p's parts, with no hull pass: h*P has the vertices h*v, the
-    primitive rows (a, h*b) in the same sorted order, the same affine
-    dimension and h^dim times the normalized volume, once p's is known.  The
+    primitive rows (a, h*b) in the same sorted order with the same tight
+    masks, the same affine dimension and h^dim times the normalized volume,
+    once p's is known.  The
     result equals LatticePolytope of the scaled vertices slot for slot.
     """
     _check_positive(h, "dilation factor")
@@ -617,6 +650,7 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     scaled.generators = scaled.vertices = tuple(vec_scale(v, h) for v in p.vertices)
     scaled.dim = p.dim
     scaled._facets = tuple((a, h * b) for a, b in p._facets)
+    scaled._masks = p._masks
     scaled._hull_dim = p._hull_dim
     scaled._volume = None if p._volume is None else h**p.dim * p._volume
     return scaled
@@ -736,19 +770,74 @@ def _lattice_runs(levels: Sequence, mins: Sequence[int], maxs: Sequence[int], we
 
 
 def _projection_rows(p: LatticePolytope) -> list:
-    """Per coordinate k, the facet rows of conv{v[:k+1]} with a_k != 0.
+    """Per coordinate k, the rows of p's projection to x_0..x_k with a_k != 0.
 
     A prefix x_0..x_k meets them, given that x_0..x_{k-1} met the rows of
-    the levels before, iff it lies in the projection of p to its first k+1
-    coordinates (a row with a_k = 0 is a row of the projection one
-    coordinate down), so _lattice_runs on them visits no dead prefix.  The
-    rows of h*p's projections are (a, h*b).
+    the levels before, iff it lies in that projection (a row with a_k = 0
+    is a row of the projection one coordinate down), so _lattice_runs on
+    them visits no dead prefix.  Level p.dim - 1 is p's own rows, each with
+    its tight mask over p's vertices; each level below comes from the one
+    above by one exact elimination (_eliminate).  Where the projection is
+    full-dimensional its rows are its primitive facet rows.  The rows of
+    h*p's projections are (a, h*b).
     """
+    rows = dict(zip(p._facets, p._masks))
+    full, dim = (1 << len(p.vertices)) - 1, p._hull_dim
     levels = []
-    for k in range(p.dim):
-        proj = p if k == p.dim - 1 else LatticePolytope([v[: k + 1] for v in p.vertices])
-        levels.append([(a, b) for a, b in proj.facets() if a[k]])
-    return levels
+    for k in range(p.dim - 1, -1, -1):
+        levels.append([row for row in rows if row[0][k]])
+        if k:
+            rows, dim = _eliminate(rows, k, dim, full)
+    return levels[::-1]
+
+
+def _eliminate(rows: dict, k: int, dim: int, full: int) -> tuple:
+    """(rows, dim) of the projection that drops x_k, the last coordinate of
+    `rows`, from those of a dim-dimensional polytope.
+
+    rows maps each row (a, b), a.x <= b, to the bitmask of the vertices
+    tight on it, `full` for an equation of the affine hull.  When an
+    equation has a_k != 0, x_k is an affine function of the rest on the
+    hull: substituting it into every row keeps each row's value at every
+    vertex, so the masks stay, the projection is one to one and dim stays.
+    Otherwise x_k runs along the hull and the projection's facets are the
+    images of the facets with a_k = 0 and of the ridges F & G where F has
+    a_k > 0 and G a_k < 0 (_ridge_partners), at the primitive row that
+    cancels x_k, -g_k * F + f_k * G.  At each vertex v that row less its
+    offset is -g_k * (F(v) - b_F) + f_k * (G(v) - b_G), zero iff both are,
+    so its mask is mask_F & mask_G.  Each row comes back truncated to
+    x_0..x_{k-1}, primitive; an equation that became 0 <= 0 is dropped.
+    """
+    items = list(rows.items())
+    out = {}
+    # equations come in opposite pairs, so one has e_k > 0 if any has e_k != 0
+    pivot = next(((a, b) for (a, b), z in items if z == full and a[k] > 0), None)
+    if pivot is not None:
+        e, b_e = pivot
+        for (a, b), z in items:
+            normal = [e[k] * x - a[k] * y for x, y in zip(a[:k], e)]
+            if any(normal):
+                out[_primitive_row(normal, e[k] * b - a[k] * b_e)] = z
+        return out, dim
+    for (a, b), z in items:
+        if not a[k]:
+            out[a[:k], b] = z
+    # a segment along x_k projects to a point, which its equations bound
+    if dim > 1:
+        masks = [z for _, z in items]
+        facets = sum(1 << i for i, z in enumerate(masks) if z != full)
+        lower = sum(1 << i for i, ((a, _), _) in enumerate(items) if a[k] < 0)
+        at = [0] * full.bit_length()
+        for i, z in enumerate(masks):
+            for j in _bits(z):
+                at[j] |= 1 << i
+        for (a, b), z in items:
+            if a[k] > 0:
+                for g, common in _ridge_partners(z, masks, at, lower, dim, facets):
+                    c, d = items[g][0]
+                    normal = [-c[k] * x + a[k] * y for x, y in zip(a[:k], c)]
+                    out[_primitive_row(normal, -c[k] * b + a[k] * d)] = common
+    return out, dim - 1
 
 
 def _box_rows(p: LatticePolytope) -> list:

@@ -20,7 +20,9 @@ sets the bits of its runs of consecutive packed values as it finds them.
 From h = max(d, 2) on, the dilate is built by the same shift-OR from the
 one before it: every lattice point of hP is one of (h-1)P plus one of P
 when h - 1 >= d - 1 (Bruns, Gubeladze and Trung, J. reine angew. Math. 485,
-1997), and each sum of such points lies in hP.  The built set is then
+1997), and each sum of such points lies in hP.  Once the sums S_{h-1} fill
+L((h-1)P), both shift-ORs read the same int, so the sumset just built is
+the dilate and the step shifts once.  The built set is then
 checked against the Ehrhart count |L(hP)|, which it can only match by
 being all of L(hP).  The dilate's size and the guard that no sum escapes
 it (S_h & ~dilate) are one int operation each; the witnesses
@@ -234,8 +236,8 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
 
     `base` is p's lattice points; h*p is enumerated over `levels`, the rows
-    of p's coordinate projections (_projection_rows, None when h_max is 1),
-    each scaled to (a, h*b).  The radix is that of h_top*p, h_top the largest
+    of p's coordinate projections (_projection_rows, eliminated from p's own
+    rows; None when h_max is 1), each scaled to (a, h*b).  The radix is that of h_top*p, h_top the largest
     h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
     h_top + 1 the pair cap is checked and then the box cap raised, the h at
     which enumerating that dilate would raise it.
@@ -245,7 +247,10 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
     shifted by p's points (_shift_or, under no cap but the box's, as the
     enumeration is), and from h = d on its size must equal the Ehrhart
     count (_ehrhart_counts, from the sizes below d and p's normalized
-    volume); a mismatch means the scan is broken, and raises.
+    volume); a mismatch means the scan is broken, and raises.  When the
+    sums at h - 1 equal the dilate there, that shift is the one _next_sum
+    has just made, under the sums' caps, and its result is taken as it is;
+    the count check and the escape guard still run on it.
     """
     mins, maxs = p.bounding_box()
 
@@ -269,6 +274,8 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
     shift_from = p.dim if every and p.is_full_dimensional() else h_max + 1
     sizes, counts = [1], None
     for h in range(1, h_top + 1):
+        # S_{h-1} is all of L((h-1)P): the shift-OR below builds L(hP) too
+        caught_up = summed == dilated
         if h > 1:
             summed = _next_sum(summed, packed)
         if not every and h < h_max:
@@ -281,7 +288,7 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
             sizes.append(dilated.bit_count())
         else:
             if h > 1:
-                dilated = _shift_or(dilated, packed)
+                dilated = summed if caught_up else _shift_or(dilated, packed)
             if counts is None:
                 counts = _ehrhart_counts(sizes, normalized_volume(p))
             count = next(counts)

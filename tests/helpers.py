@@ -69,7 +69,6 @@ from latticeforge.geometry import (
     _lattice_runs,
     _placing_cells,
     _primitive_row,
-    _projection_rows,
     vec_dot,
 )
 from latticeforge.linalg import IntMatrix, _bareiss, determinant
@@ -547,12 +546,24 @@ def per_h_idp_check(p, h):
     return IdpReport(h, not witnesses, witnesses, len(summed), len(dilated))
 
 
+def hull_projection_rows(p):
+    """geometry._projection_rows with one hull per coordinate: per k, the
+    facet rows of LatticePolytope(conv{v[:k+1]}) with a_k != 0, the
+    projection's equations included when it is flat."""
+    levels = []
+    for k in range(p.dim):
+        proj = p if k == p.dim - 1 else LatticePolytope([v[: k + 1] for v in p.vertices])
+        levels.append([(a, b) for a, b in proj.facets() if a[k]])
+    return levels
+
+
 def runs_idp_scan(p, h_max):
     """idp_scan with every dilate enumerated: h*p's points from
-    geometry._lattice_runs over p's projection rows scaled to (a, h*b), the
-    sums carried across h as tuple sets (sumset), one IdpReport per h."""
+    geometry._lattice_runs over the hulls of p's coordinate projections
+    (hull_projection_rows) scaled to (a, h*b), the sums carried across h as
+    tuple sets (sumset), one IdpReport per h."""
     base = lattice_points(p)
-    levels = _projection_rows(p)
+    levels = hull_projection_rows(p)
     mins, maxs = p.bounding_box()
     summed, reports = base, []
     for h in range(1, h_max + 1):
@@ -572,14 +583,15 @@ def assembled_unit_cube(n):
     """unit_cube(n), n >= 2, assembled from its known parts with no hull pass.
 
     The placing pass over the 2^n vertices makes n! cells, about 16 s for
-    n = 8; the parts are those vertices, the rows x_i <= 1 and -x_i <= 0,
-    and normalized volume n!.
+    n = 8; the parts are those vertices, the rows x_i <= 1 and -x_i <= 0
+    with their tight vertices, and normalized volume n!.
     """
     p = LatticePolytope.__new__(LatticePolytope)
     p.generators = p.vertices = tuple(itertools.product((0, 1), repeat=n))
     p.dim = p._hull_dim = n
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
+    p._masks = tight_masks(p)
     p._volume = math.factorial(n)
     return p
 
@@ -881,7 +893,13 @@ def sorted_placing_hull(points, extremes=False):
         return all(vec_dot(direction, h) < top for h in candidates if h != g)
 
     p.vertices = tuple(g for g in candidates if is_vertex(g))
+    p._masks = tight_masks(p)
     return p
+
+
+def tight_masks(p):
+    """Per facet row of p, the bitmask of p's vertices on its hyperplane."""
+    return tuple(sum(1 << i for i, v in enumerate(p.vertices) if vec_dot(a, v) == b) for a, b in p._facets)
 
 
 def recursive_lattice_runs(levels, mins, maxs):

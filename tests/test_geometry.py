@@ -17,6 +17,7 @@ from helpers import (
     cofactor_facet_normal,
     elimination_placing_cells,
     extremes_first,
+    hull_projection_rows,
     pairwise_bitset,
     random_point_set,
     random_polytope,
@@ -539,14 +540,27 @@ class TestNestedEnumerationAgainstBoxScan:
 
 
 class TestProjectionRunsAgainstBoxRows:
-    """Runs of h*P over the facet rows of P's coordinate projections scaled to
+    """Runs of h*P over the rows of P's coordinate projections scaled to
     (a, h*b), against runs over h*P's own rows relaxed over its box: the same
     runs in the same order, on seeded point sets in dimensions 1-5 (a third
-    of them flat) and on needles, for h = 1..4."""
+    of them flat) and on needles, for h = 1..4.  Each level, eliminated from
+    P's own rows, is the set of facet rows of a hull of the projection
+    (hull_projection_rows) wherever the projection is full-dimensional; in
+    dimensions 6-8, on cubes and seeded sets, only the rows are compared."""
 
     @staticmethod
-    def assert_same_runs(p):
+    def assert_oracle_rows(p):
         levels = _projection_rows(p)
+        full = 0
+        for k, (level, oracle) in enumerate(zip(levels, hull_projection_rows(p))):
+            if LatticePolytope([v[: k + 1] for v in p.vertices]).is_full_dimensional():
+                full += 1
+                assert sorted(level) == sorted(oracle), (p.generators, k)
+        return levels, full
+
+    @classmethod
+    def assert_same_runs(cls, p):
+        levels, full = cls.assert_oracle_rows(p)
         for h in range(1, 5):
             q = dilate(p, h)
             mins, maxs = q.bounding_box()
@@ -554,17 +568,28 @@ class TestProjectionRunsAgainstBoxRows:
             assert exact == _lattice_runs(_box_rows(q), mins, maxs), (p.generators, h)
             points = tuple(prefix + (x,) for prefix, lo, hi in exact for x in range(lo, hi + 1))
             assert points == lattice_points(q)
+        return full
 
     def test_random_point_sets(self):
         rng = random.Random(406)
-        flats = 0
+        flats = flat_levels = 0
         for k in range(90):
             dim = 1 + k % 5
             bound = 2 if dim <= 3 else 1
             p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
             flats += not p.is_full_dimensional()
-            self.assert_same_runs(p)
-        assert flats >= 25
+            full = self.assert_same_runs(p)
+            # a flat P's projections to fewer coordinates can be full-dimensional
+            flat_levels += 0 if p.is_full_dimensional() else full
+        assert flats >= 25 and flat_levels >= 25, (flats, flat_levels)
+
+    def test_high_dimensions(self):
+        for n in (6, 7, 8):
+            assert self.assert_oracle_rows(unit_cube(n))[1] == n
+        rng = random.Random(3)
+        for dim in (6, 7, 8):
+            p = LatticePolytope([tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(20)])
+            assert self.assert_oracle_rows(p)[1] == dim
 
     def test_needles(self):
         for gens in (
@@ -812,14 +837,14 @@ class TestPlacingEliminationCount:
         calls.clear()
         # 81 placing passes (one at ell = 1, a simplex; 20 per row above),
         # 16 of them past their first cell with an adjugate; the 5 dilates
-        # of the simplex P build no LatticeSimplex; the hulls of P's
-        # coordinate projections, once, each hull's start simplex giving one
-        # adjugate; one volume pass over the 4 vertices (an adjugate), which
-        # the scan at ell = 1 takes for its Ehrhart count at h = 3 and every
-        # later row reads as ell^3 times it
+        # of the simplex P build no LatticeSimplex; the rows of P's
+        # coordinate projections are eliminated from P's own, with no hull
+        # and no adjugate; one volume pass over the 4 vertices (an
+        # adjugate), which the scan at ell = 1 takes for its Ehrhart count
+        # at h = 3 and every later row reads as ell^3 times it
         assert find_ell(reeve, 5, 3).ell is None
-        assert Counter(calls) == {(3, True): 16 + 1, (1, True): 1, (2, True): 1}
-        assert len(calls) == 19
+        assert Counter(calls) == {(3, True): 16 + 1}
+        assert len(calls) == 17
 
 
 class TestHullEliminationCount:

@@ -324,7 +324,7 @@ class TestBitsetWidth:
         # unit_cube computes its volume on first use, so it is compared there
         for n in range(2, 7):
             a, b = assembled_unit_cube(n), unit_cube(n)
-            for slot in ("generators", "vertices", "dim", "_facets", "_hull_dim"):
+            for slot in ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim"):
                 assert getattr(a, slot) == getattr(b, slot), (n, slot)
             assert a.as_simplex() == b.as_simplex(), n
             assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
@@ -518,6 +518,56 @@ class TestShiftedDilates:
         # cube-3 is IDP, so S_100 is its 101^3 > 10^6 dilate: refused at h = 100
         with pytest.raises(ResourceLimitError, match="^resource cap hit at h=100: sumset exceeded the 1000000-point cap$"):
             idp_scan(unit_cube(3), 101)
+
+
+class TestCaughtUpSums:
+    """From h = max(d, 2) on, once S_{h-1} is all of L((h-1)P), the dilate at
+    h is the sumset just built, so the step shifts once (_shift_or, counted)
+    instead of twice: 2*cube-3 and cube-4 catch up at h = 2, the needle
+    never does.  The reports stay those of the per-h check from scratch."""
+
+    @staticmethod
+    def count_shifts(monkeypatch):
+        calls = []
+        original = sumsets._shift_or
+
+        def counting(x, packed):
+            calls.append(len(packed))
+            return original(x, packed)
+
+        monkeypatch.setattr(sumsets, "_shift_or", counting)
+        return calls
+
+    def test_shift_counts(self, monkeypatch):
+        calls = self.count_shifts(monkeypatch)
+        # h_max - 1 sums, and a dilate shift at each h >= d while S_{h-1} lags
+        for p, h_max, shifts in (
+            (dilate(unit_cube(3), 2), 8, 7),
+            (unit_cube(4), 5, 4),
+            (LatticePolytope(NEEDLE), 8, 7 + 6),
+        ):
+            calls.clear()
+            idp_scan(p, h_max)
+            assert len(calls) == shifts, p.generators
+
+    def test_against_per_h(self, monkeypatch):
+        calls = self.count_shifts(monkeypatch)
+        rng = random.Random(1997)
+        outcomes = Counter()
+        for k in range(24):
+            d = 2 + k % 3
+            while True:
+                p = LatticePolytope([tuple(rng.randint(-1, 1 + (d < 4)) for _ in range(d)) for _ in range(d + 2)])
+                if p.is_full_dimensional():
+                    break
+            h_max = d + 1
+            calls.clear()
+            reports = idp_scan(p, h_max)
+            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, h_max + 1)), p.generators
+            lagging = sum(not reports[h - 2].holds for h in range(max(d, 2), h_max + 1))
+            assert len(calls) == h_max - 1 + lagging, p.generators
+            outcomes[all(r.holds for r in reports)] += 1
+        assert outcomes[True] >= 5 and outcomes[False] >= 3, outcomes
 
 
 class TestInclusionProperty:
