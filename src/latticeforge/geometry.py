@@ -30,10 +30,11 @@ barycentric weight t_i), comes from one fraction-free Gauss-Jordan
 adjugate of its difference columns (``_simplex_facets``), which also
 gives a flat hull's affine equations.
 Membership of a rational point tests that integer facet system in every
-dimension; lattice-point enumeration is nested, each coordinate bounded by
-rows given the coordinates before it (the facet rows relaxed over the
-bounding box, or the projections' rows), and returns the last coordinate as
-runs, or sets their bits in a packed bitset.  No LP is involved.
+dimension; lattice-point enumeration is nested, each coordinate bounded,
+given the coordinates before it, by the rows of the coordinate projections,
+which the polytope keeps and its dilates carry, and returns the last
+coordinate as runs, or sets their bits in a packed bitset.  No LP is
+involved.
 """
 
 from __future__ import annotations
@@ -481,9 +482,13 @@ class LatticePolytope:
     _facets holds its sorted primitive rows and _masks, slot for slot, the
     bitmask of the vertices tight on each (every vertex for a row of a flat
     hull's affine equations), as the double description found them.
+    _projections keeps, once read, the rows of its coordinate projections
+    (_projection_rows), the one row system its enumeration reads.
     """
 
-    __slots__ = ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim", "_volume")
+    __slots__ = (
+        "generators", "vertices", "dim", "_facets", "_masks", "_projections", "_hull_dim", "_volume"
+    )
 
     def __init__(self, points: Iterable[Sequence[int]]):
         gens = sorted(set(as_point(p) for p in points))
@@ -526,6 +531,7 @@ class LatticePolytope:
 
         self._hull_dim = hull_dim
         self._volume = None
+        self._projections = None
         self.vertices = self.generators
         tight = {}  # row -> the bitmask of the vertices tight on it
         if hull_dim:
@@ -641,19 +647,27 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
 
     Built from p's parts, with no hull pass: h*P has the vertices h*v, the
     primitive rows (a, h*b) in the same sorted order with the same tight
-    masks, the same affine dimension and h^dim times the normalized volume,
-    once p's is known.  The
-    result equals LatticePolytope of the scaled vertices slot for slot.
+    masks, the same affine dimension, and, once p's are known, the rows of
+    its projections scaled the same way and h^dim times the normalized
+    volume.  The result equals LatticePolytope of the scaled vertices slot
+    for slot, the projection rows compared through _projection_rows.
     """
     _check_positive(h, "dilation factor")
     scaled = LatticePolytope.__new__(LatticePolytope)
     scaled.generators = scaled.vertices = tuple(vec_scale(v, h) for v in p.vertices)
     scaled.dim = p.dim
-    scaled._facets = tuple((a, h * b) for a, b in p._facets)
+    scaled._facets = _scale_rows(p._facets, h)
     scaled._masks = p._masks
+    proj = p._projections
+    scaled._projections = None if proj is None else tuple(_scale_rows(r, h) for r in proj)
     scaled._hull_dim = p._hull_dim
     scaled._volume = None if p._volume is None else h**p.dim * p._volume
     return scaled
+
+
+def _scale_rows(rows: Sequence, h: int) -> tuple:
+    """The rows (a, h*b) of h*P, in order, from P's rows (a, b)."""
+    return tuple((a, h * b) for a, b in rows)
 
 
 def _box_fits(mins: Sequence[int], maxs: Sequence[int]) -> bool:
@@ -671,21 +685,19 @@ def _check_box(mins: Sequence[int], maxs: Sequence[int]) -> None:
         raise ResourceLimitError(f"bounding box exceeds the enumeration cap of {BOX_CAP} cells")
 
 
-def _lattice_runs(levels: Sequence, mins: Sequence[int], maxs: Sequence[int], weights=None):
+def _lattice_runs(bounds: Sequence, mins: Sequence[int], maxs: Sequence[int], weights=None):
     """Integer points of the box mins..maxs that satisfy per-coordinate rows, as runs.
 
-    levels[k] holds rows (a, b) that bound x_k given x_0..x_{k-1}: each
+    bounds[k] holds rows (a, b) that bound x_k given x_0..x_{k-1}: each
     means sum_{i<=k} a_i x_i <= b, has a_k != 0, and its entries past a_k
     are ignored.  Enumeration is nested: each prefix x_0..x_{k-1} met gets
-    the interval of x_k its level allows, and the last coordinate's
-    interval is returned whole as a run (prefix, lo, hi), lo <= hi, in
-    lexicographic order.  The last interval is worked out inline for each
-    value of the second-to-last coordinate, from the last level's rows split
-    by the sign of their last coefficient, so no call or slack list is made
-    per run.  Rows that say exactly which
-    prefixes extend to a point (the facet rows of each coordinate
-    projection) make every prefix visited extend to a point of the real
-    hull; relaxed rows may visit more.
+    the interval of x_k its rows allow, and the last coordinate's interval
+    is returned whole as a run (prefix, lo, hi), lo <= hi, in lexicographic
+    order.  The last interval is worked out inline for each value of the
+    second-to-last coordinate, from the last rows split by the sign of
+    their last coefficient, so no call or slack list is made per run.  On
+    the rows of a polytope's coordinate projections (_projection_rows),
+    every prefix visited extends to a point of the real hull.
 
     Given packing `weights` (the last one 1), it returns instead the int
     with bit sum_k weights[k] * (x_k - mins[k]) set for each point x.  The
@@ -696,20 +708,20 @@ def _lattice_runs(levels: Sequence, mins: Sequence[int], maxs: Sequence[int], we
     distinct stops, and their union is the stops' int less the starts' int.
     No run tuple is built and no per-run dot product is taken.
     """
-    last = len(levels) - 1
-    flat = [row for level in levels for row in level]
-    ends = list(accumulate(map(len, levels)))
-    coefs = [[a[k] for a, _ in level] for k, level in enumerate(levels)]
-    # cols[k]: the coefficients of x_k in the rows of the later levels
+    last = len(bounds) - 1
+    flat = [row for rows in bounds for row in rows]
+    ends = list(accumulate(map(len, bounds)))
+    coefs = [[a[k] for a, _ in rows] for k, rows in enumerate(bounds)]
+    # cols[k]: the coefficients of x_k in the rows for the later coordinates
     cols = [[a[k] for a, _ in flat[end:]] for k, end in enumerate(ends)]
     runs = []
     bits = weights is not None
-    steps = weights if bits else [0] * len(levels)
+    steps = weights if bits else [0] * len(bounds)
     size = (sum(w * (b - a) for w, a, b in zip(steps, mins, maxs)) + 1) // 8 + 1
     starts, stops = bytearray(size), bytearray(size)
 
     def interval(k, slack):
-        # slack: b - sum_{i<k} a_i x_i for the rows of levels k, k+1, ...
+        # slack: b - sum_{i<k} a_i x_i for the rows of bounds[k], bounds[k+1], ...
         lo, hi = mins[k], maxs[k]
         for c, room in zip(coefs[k], slack):
             if c > 0:
@@ -769,26 +781,29 @@ def _lattice_runs(levels: Sequence, mins: Sequence[int], maxs: Sequence[int], we
     return int.from_bytes(stops, "little") - int.from_bytes(starts, "little") if bits else runs
 
 
-def _projection_rows(p: LatticePolytope) -> list:
+def _projection_rows(p: LatticePolytope) -> tuple:
     """Per coordinate k, the rows of p's projection to x_0..x_k with a_k != 0.
 
-    A prefix x_0..x_k meets them, given that x_0..x_{k-1} met the rows of
-    the levels before, iff it lies in that projection (a row with a_k = 0
-    is a row of the projection one coordinate down), so _lattice_runs on
-    them visits no dead prefix.  Level p.dim - 1 is p's own rows, each with
-    its tight mask over p's vertices; each level below comes from the one
-    above by one exact elimination (_eliminate).  Where the projection is
-    full-dimensional its rows are its primitive facet rows.  The rows of
-    h*p's projections are (a, h*b).
+    A prefix x_0..x_k meets them, given that x_0..x_{k-1} met the rows for
+    the coordinates before, iff it lies in that projection (a row with
+    a_k = 0 is a row of the projection one coordinate down), so
+    _lattice_runs on them visits no dead prefix.  The rows for k = p.dim - 1
+    are p's own, each with its tight mask over p's vertices; each projection
+    below comes from the one above by one exact elimination (_eliminate).
+    Where a projection is full-dimensional its rows are its primitive facet
+    rows.  They are computed on first read and kept in p; a dilate taken
+    after that carries them as (a, h*b), with no elimination of its own.
     """
-    rows = dict(zip(p._facets, p._masks))
-    full, dim = (1 << len(p.vertices)) - 1, p._hull_dim
-    levels = []
-    for k in range(p.dim - 1, -1, -1):
-        levels.append([row for row in rows if row[0][k]])
-        if k:
-            rows, dim = _eliminate(rows, k, dim, full)
-    return levels[::-1]
+    if p._projections is None:
+        rows = dict(zip(p._facets, p._masks))
+        full, dim = (1 << len(p.vertices)) - 1, p._hull_dim
+        out = []
+        for k in range(p.dim - 1, -1, -1):
+            out.append(tuple(row for row in rows if row[0][k]))
+            if k:
+                rows, dim = _eliminate(rows, k, dim, full)
+        p._projections = tuple(out[::-1])
+    return p._projections
 
 
 def _eliminate(rows: dict, k: int, dim: int, full: int) -> tuple:
@@ -840,34 +855,14 @@ def _eliminate(rows: dict, k: int, dim: int, full: int) -> tuple:
     return out, dim - 1
 
 
-def _box_rows(p: LatticePolytope) -> list:
-    """Per coordinate k, p's facet rows with a_k != 0, relaxed over the box.
-
-    Row (a, b) bounds x_k as (a, b - the least value of sum_{i>k} a_i x_i
-    over the bounding box), which is exact at the last coordinate.  A row
-    with a_k = 0 says nothing of x_k, and its bound on the prefix was met
-    one coordinate earlier (at k = 0 it holds because the hull lies in the
-    box).
-    """
-    mins, maxs = p.bounding_box()
-    rows = p.facets()
-    levels = []
-    # rest[r]: the least value over the box of sum_{i>k} a_i x_i for row r
-    rest = [0] * len(rows)
-    for k in range(p.dim - 1, -1, -1):
-        levels.append([(a, b - t) for (a, b), t in zip(rows, rest) if a[k]])
-        rest = [t + min(a[k] * mins[k], a[k] * maxs[k]) for (a, _), t in zip(rows, rest)]
-    return levels[::-1]
-
-
 def lattice_points(p: LatticePolytope) -> tuple:
     """All integer points of the hull, in lexicographic order.
 
-    Nested enumeration (_lattice_runs) over the facet rows relaxed over the
-    bounding box (_box_rows), exact at the last coordinate.  Raises
-    ResourceLimitError when the bounding box exceeds the volume cap.
+    Nested enumeration (_lattice_runs) over the rows of p's coordinate
+    projections (_projection_rows).  Raises ResourceLimitError when the
+    bounding box exceeds the volume cap, before any row is eliminated.
     """
     mins, maxs = p.bounding_box()
     _check_box(mins, maxs)
-    runs = _lattice_runs(_box_rows(p), mins, maxs)
+    runs = _lattice_runs(_projection_rows(p), mins, maxs)
     return tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))

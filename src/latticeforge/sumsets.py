@@ -15,8 +15,9 @@ are then in lexicographic order, and unpacking is exact.
 set, so they keep sets of packed ints.  The IDP check enumerates the
 dilate's box anyway, so it keeps bitsets (bit v set iff v packs a member):
 S_h = OR over a in S_1 of S_{h-1} << a, carried across h.  A dilate below
-the dimension d of a full-dimensional P is enumerated by geometry, which
-sets the bits of its runs of consecutive packed values as it finds them.
+the dimension d of a full-dimensional P is enumerated by geometry over the
+rows that enumerated P (its projections' rows, scaled to (a, h*b)), setting
+the bits of its runs of consecutive packed values as it finds them.
 From h = max(d, 2) on, the dilate is built by the same shift-OR from the
 one before it: every lattice point of hP is one of (h-1)P plus one of P
 when h - 1 >= d - 1 (Bruns, Gubeladze and Trung, J. reine angew. Math. 485,
@@ -46,6 +47,7 @@ from .geometry import (
     _check_positive,
     _lattice_runs,
     _projection_rows,
+    _scale_rows,
     as_point,
     lattice_points,
     normalized_volume,
@@ -232,13 +234,13 @@ def _ehrhart_counts(sizes: Sequence[int], volume: int):
         yield table[0]
 
 
-def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, levels: Optional[list]):
+def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
 
-    `base` is p's lattice points; h*p is enumerated over `levels`, the rows
-    of p's coordinate projections (_projection_rows, eliminated from p's own
-    rows; None when h_max is 1), each scaled to (a, h*b).  The radix is that of h_top*p, h_top the largest
-    h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
+    `base` is p's lattice points; h*p is enumerated over the rows of p's
+    coordinate projections (_projection_rows, the rows its own enumeration
+    read), each scaled to (a, h*b).  The radix is that of h_top*p, h_top the
+    largest h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
     h_top + 1 the pair cap is checked and then the box cap raised, the h at
     which enumerating that dilate would raise it.
 
@@ -283,7 +285,7 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool, level
         offset = [h * a for a in lo]
         if h < shift_from:
             if h > 1:
-                rows = [[(a, h * b) for a, b in level] for level in levels]
+                rows = [_scale_rows(r, h) for r in _projection_rows(p)]
                 dilated = _lattice_runs(rows, *box(h), radix.weights)
             sizes.append(dilated.bit_count())
         else:
@@ -321,8 +323,7 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     # refused at once when h*p's box is over the cap: no bitset would fit
     mins, maxs = p.bounding_box()
     _check_box(vec_scale(mins, h), vec_scale(maxs, h))
-    levels = _projection_rows(p) if h > 1 else None
-    (report,) = _idp_reports(p, lattice_points(p), h, every=False, levels=levels)
+    (report,) = _idp_reports(p, lattice_points(p), h, every=False)
     return report
 
 
@@ -331,17 +332,17 @@ def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     the one before, and so, from h = max(dim, 2) on for a full-dimensional
     p, is each dilate."""
     _check_positive(h_max, "h_max")
-    return _idp_scan(p, h_max, None, _projection_rows(p) if h_max > 1 else None)
+    return _idp_scan(p, h_max, None)
 
 
-def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple], levels: Optional[list]) -> tuple:
-    """idp_scan for a checked h_max, given p's `levels` for _idp_reports and
-    p's lattice points `base` when the caller has enumerated them."""
+def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple]) -> tuple:
+    """idp_scan for a checked h_max, given p's lattice points `base` when the
+    caller has enumerated them (and so read p's projection rows)."""
     reports = []
     try:
         if base is None:
             base = lattice_points(p)
-        for report in _idp_reports(p, base, h_max, every=True, levels=levels):
+        for report in _idp_reports(p, base, h_max, every=True):
             reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1

@@ -457,11 +457,11 @@ def find_ell(
     _check_positive(h_max, "h_max")
     rows = []
     found = None
-    # the rows of p's coordinate projections, scaled to (a, ell*b) for ell*p
-    levels = None if h_max == 1 else _projection_rows(p)
+    # read once, the rows of p's coordinate projections are carried by each
+    # dilate, whose enumerations read them with no elimination of their own
+    _projection_rows(p)
     for ell in range(1, ell_max + 1):
         scaled = dilate(p, ell)
-        scaled_levels = None if levels is None else [[(a, ell * b) for a, b in lv] for lv in levels]
         # One enumeration of the row's lattice points serves the search and
         # the h = 1 sumset.
         pts = lattice_points(scaled)
@@ -473,7 +473,7 @@ def find_ell(
                 ell=ell,
                 certificate=certificate,
                 cell_count=len(cover.cells) if cover is not None else None,
-                idp=_idp_scan(scaled, h_max, pts, scaled_levels),
+                idp=_idp_scan(scaled, h_max, pts),
             )
         )
         # once a row has its dilate's volume (for its certificate or its

@@ -18,7 +18,9 @@ placing triangulation (in sorted order with every generator a vertex
 candidate, or extreme points first with the boundary points as candidates,
 the affine-hull equations from _facet_normal), run enumeration by one
 recursive call per coordinate, run bitsets from run ends and by pairwise
-merges, placing with one elimination per new boundary facet, the adjugate
+merges, enumeration rows as the facet rows relaxed over the bounding box
+(box_rows), where the library eliminates the rows of each coordinate
+projection, placing with one elimination per new boundary facet, the adjugate
 as an IntMatrix off one Gauss-Jordan pass, where the library reads the
 pass's rows, exact solves (and the adjugate built from them) by rational
 Gauss-Jordan elimination, a cell's facet rows from one cofactor elimination
@@ -557,6 +559,33 @@ def hull_projection_rows(p):
     return levels
 
 
+def box_rows(p):
+    """The enumeration rows of geometry._lattice_runs with no elimination:
+    per coordinate k, p's facet rows with a_k != 0, each row (a, b) bounding
+    x_k as (a, b - the least value of sum_{i>k} a_i x_i over the bounding
+    box).  Exact at the last coordinate; at the others a prefix that meets
+    them may extend to no point, where the rows of the coordinate
+    projections (geometry._projection_rows) visit none.  A row with a_k = 0
+    says nothing of x_k, and its bound on the prefix was met one coordinate
+    earlier (at k = 0 it holds because the hull lies in the box)."""
+    mins, maxs = p.bounding_box()
+    rows = p.facets()
+    levels = []
+    # rest[r]: the least value over the box of sum_{i>k} a_i x_i for row r
+    rest = [0] * len(rows)
+    for k in range(p.dim - 1, -1, -1):
+        levels.append([(a, b - t) for (a, b), t in zip(rows, rest) if a[k]])
+        rest = [t + min(a[k] * mins[k], a[k] * maxs[k]) for (a, _), t in zip(rows, rest)]
+    return levels[::-1]
+
+
+def box_rows_lattice_points(p):
+    """geometry.lattice_points over the relaxed rows (box_rows)."""
+    mins, maxs = p.bounding_box()
+    runs = _lattice_runs(box_rows(p), mins, maxs)
+    return tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
+
+
 def runs_idp_scan(p, h_max):
     """idp_scan with every dilate enumerated: h*p's points from
     geometry._lattice_runs over the hulls of p's coordinate projections
@@ -592,6 +621,7 @@ def assembled_unit_cube(n):
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
     p._masks = tight_masks(p)
+    p._projections = None
     p._volume = math.factorial(n)
     return p
 
@@ -894,6 +924,7 @@ def sorted_placing_hull(points, extremes=False):
 
     p.vertices = tuple(g for g in candidates if is_vertex(g))
     p._masks = tight_masks(p)
+    p._projections = None
     return p
 
 

@@ -11,6 +11,8 @@ from helpers import (
     _cell_facet,
     _facet_normal,
     _hull_feasible,
+    box_rows,
+    box_rows_lattice_points,
     box_scan_lattice_points,
     caratheodory_contains,
     cofactor_determinant,
@@ -43,7 +45,6 @@ from latticeforge import (
 from latticeforge import find_ell, find_unimodular_triangulation, geometry, linalg, lp, unimodular
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import (
-    _box_rows,
     _lattice_runs,
     _placing_cells,
     _primitive_row,
@@ -408,10 +409,18 @@ class TestDilate:
             assert dilate(dilate(p, a), b).vertices == dilate(p, a * b).vertices
 
 
+def read_slot(p, slot):
+    """p's slot, its projection rows read through _projection_rows, which
+    fills the slot on first read."""
+    return _projection_rows(p) if slot == "_projections" else getattr(p, slot)
+
+
 class TestDilateAgainstRehull:
     """dilate builds h*P from P's parts; a fresh hull pass over the scaled
     vertices must give the same polytope slot for slot, on seeded point sets
-    in dimensions 1-5, about a third of them flat, for h = 1..4."""
+    in dimensions 1-5, about a third of them flat, for h = 1..4.  Once P's
+    projection rows are read, each dilate carries the rows that the fresh
+    hull's elimination gives."""
 
     def test_random_point_sets(self):
         rng = random.Random(4096)
@@ -424,8 +433,13 @@ class TestDilateAgainstRehull:
             for h in range(1, 5):
                 got, want = dilate(p, h), rehull_dilate(p, h)
                 for slot in LatticePolytope.__slots__:
-                    assert getattr(got, slot) == getattr(want, slot), (p, h, slot)
+                    assert read_slot(got, slot) == read_slot(want, slot), (p, h, slot)
                 assert got.as_simplex() == want.as_simplex(), (p, h)
+            _projection_rows(p)
+            for h in range(1, 5):
+                carried = dilate(p, h)._projections
+                assert carried is not None, (p, h)
+                assert carried == _projection_rows(rehull_dilate(p, h)), (p, h)
         assert flats >= 75 and simplices >= 30
 
 
@@ -506,9 +520,66 @@ class TestLatticePoints:
         with pytest.raises(ResourceLimitError):
             lattice_points(p)
 
+    def test_box_cap_before_elimination(self, monkeypatch):
+        # 301^3 box cells: refused before any projection row is eliminated
+        calls = []
+        monkeypatch.setattr(geometry, "_eliminate", lambda *args: calls.append(args))
+        p = LatticePolytope([(0, 0, 0), (300, 300, 300)])
+        with pytest.raises(ResourceLimitError):
+            lattice_points(p)
+        assert calls == [] and p._projections is None
+
+    def test_enumerates_over_projection_rows(self, monkeypatch):
+        # the rows _lattice_runs reads are the very rows p keeps
+        calls = []
+        original = geometry._lattice_runs
+
+        def capturing(bounds, *box):
+            calls.append(bounds)
+            return original(bounds, *box)
+
+        monkeypatch.setattr(geometry, "_lattice_runs", capturing)
+        rng = random.Random(5)
+        flat = LatticePolytope([(0, 0, 1), (2, 0, 1), (0, 2, 1)])
+        cases = [reeve_simplex(), stretched_simplex(), flat]
+        cases += [random_polytope(rng, dim) for dim in (2, 3, 4)]
+        for p in cases:
+            calls.clear()
+            lattice_points(p)
+            assert len(calls) == 1 and calls[0] is _projection_rows(p), p
+
     def test_dim_cap(self):
         with pytest.raises(ResourceLimitError):
             LatticePolytope([tuple(0 for _ in range(9)), tuple(1 for _ in range(9))])
+
+
+class TestLatticePointsAgainstBoxRows:
+    """lattice_points, over the rows of the coordinate projections, against
+    enumeration over the facet rows relaxed over the box (box_rows): the
+    same points in the same order, on seeded point sets in dimensions 1-6
+    (a third of them flat) and their doubles, and on seeded hulls of 20
+    points in dimensions 5-7."""
+
+    def test_random_point_sets(self):
+        rng = random.Random(422)
+        flats = 0
+        for k in range(120):
+            dim = 1 + k % 6
+            bound = 2 if dim <= 3 else 1
+            p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
+            flats += not p.is_full_dimensional()
+            assert lattice_points(p) == box_rows_lattice_points(p), p.generators
+            # 2P carries P's rows, read by the enumeration above
+            q = dilate(p, 2)
+            assert lattice_points(q) == box_rows_lattice_points(q), p.generators
+        assert flats >= 40, flats
+
+    def test_high_dimensional_hulls(self):
+        rng = random.Random(3)
+        for dim in (5, 6, 7):
+            p = LatticePolytope([tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(20)])
+            assert p.is_full_dimensional()
+            assert lattice_points(p) == box_rows_lattice_points(p), dim
 
 
 class TestNestedEnumerationAgainstBoxScan:
@@ -565,7 +636,7 @@ class TestProjectionRunsAgainstBoxRows:
             q = dilate(p, h)
             mins, maxs = q.bounding_box()
             exact = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], mins, maxs)
-            assert exact == _lattice_runs(_box_rows(q), mins, maxs), (p.generators, h)
+            assert exact == _lattice_runs(box_rows(q), mins, maxs), (p.generators, h)
             points = tuple(prefix + (x,) for prefix, lo, hi in exact for x in range(lo, hi + 1))
             assert points == lattice_points(q)
         return full
@@ -889,7 +960,7 @@ class TestRunsAgainstRecursiveLift:
             for h in (1, 2, 3):
                 q = dilate(p, h)
                 mins, maxs = q.bounding_box()
-                for rows in (_box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
+                for rows in (box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
                     expected = recursive_lattice_runs(rows, mins, maxs)
                     assert _lattice_runs(rows, mins, maxs) == expected, (p.generators, h)
 
@@ -907,7 +978,7 @@ class TestRunsAgainstRecursiveLift:
                 mins, maxs = q.bounding_box()
                 radices = [b - a + 1 + rng.choice((0, 0, 3)) for a, b in zip(mins, maxs)]
                 weights = [math.prod(radices[j + 1 :]) for j in range(dim)]
-                for rows in (_box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
+                for rows in (box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
                     packed = [
                         (sum(w * (x - m) for w, x, m in zip(weights, prefix + (lo,), mins)), hi - lo + 1)
                         for prefix, lo, hi in recursive_lattice_runs(rows, mins, maxs)
@@ -958,7 +1029,7 @@ class TestHullAgainstSortedPlacing:
         for q in (sorted_placing_hull(points), sorted_placing_hull(points, extremes=True)):
             for slot in LatticePolytope.__slots__:
                 if slot != "_volume":
-                    assert getattr(p, slot) == getattr(q, slot), (points, slot)
+                    assert read_slot(p, slot) == read_slot(q, slot), (points, slot)
             assert p.as_simplex() == q.as_simplex(), points
             assert normalized_volume(p) == normalized_volume(q), points
 

@@ -40,7 +40,7 @@ from latticeforge.fixtures import (
     unit_cube,
     unit_square,
 )
-from latticeforge.geometry import contains, vec_add, vec_scale
+from latticeforge.geometry import _projection_rows, contains, vec_add, vec_scale
 from latticeforge.sumsets import _bit_indices, find_sum_decomposition
 
 
@@ -326,6 +326,7 @@ class TestBitsetWidth:
             a, b = assembled_unit_cube(n), unit_cube(n)
             for slot in ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim"):
                 assert getattr(a, slot) == getattr(b, slot), (n, slot)
+            assert _projection_rows(a) == _projection_rows(b), n
             assert a.as_simplex() == b.as_simplex(), n
             assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
 

@@ -980,6 +980,19 @@ class TestFindEll:
         assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
         assert len(calls) == 5 * 2
 
+    def test_projection_rows_eliminated_once(self, monkeypatch):
+        # P's rows are read before the first dilate, which carries them, as
+        # does every later one: d - 1 eliminations for the whole search
+        calls = []
+        original = geometry._eliminate
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "_eliminate", counting)
+        find_ell(reeve_simplex(), ell_max=5, h_max=3)
+        assert calls == [2, 1]
 
     def test_one_volume_pass_per_search(self, monkeypatch):
         # a1 is certified at every ell, its lattice points are not its
