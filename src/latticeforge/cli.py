@@ -3,6 +3,14 @@
 JSON reports go to stdout, a short human summary to stderr.  Exit codes
 partition outcomes: 0 success / property holds, 1 mathematically negative
 result, 2 input error, 3 resource cap exceeded.
+
+Each command is declared once, in the `_COMMANDS` table: its name, help
+text, argument set-up and handler.  A run of a command builds the parser of
+that command alone (`_parser(name)`).  The full parser (`build_parser`),
+built from the same table, handles the rest: no arguments, -h/--help,
+--version, an unknown command, and the error for arguments a command
+leaves over.  Output and exit codes are those of the full parser for every
+argv.
 """
 
 from __future__ import annotations
@@ -100,14 +108,19 @@ def parse_polytope_data(data) -> dict:
     vertices = [_check_vector(row, dim, "vertex") for row in rows]
     out = {"dim": dim, "vertices": [list(v) for v in vertices]}
     if "name" in data:
-        if not isinstance(data["name"], str):
-            raise PolytopeFileError("'name' must be a string")
-        out["name"] = data["name"]
+        out["name"] = _check_name(data["name"])
     return out
 
 
+def _check_name(value) -> str:
+    if not isinstance(value, str):
+        raise PolytopeFileError("'name' must be a string")
+    return value
+
+
 def parse_cover_data(data) -> dict:
-    """Validate a parsed cover file into {dim, cells, kind}."""
+    """Validate a parsed cover file into {dim, cells, kind}; its name, if
+    any, is checked and dropped."""
     dim = _check_header(data, "cover", "cells", ("kind", "name"))
     cells_raw = data["cells"]
     if not isinstance(cells_raw, list) or not cells_raw:
@@ -120,6 +133,8 @@ def parse_cover_data(data) -> dict:
     kind = data.get("kind", "triangulation")
     if kind not in ("triangulation", "general-cover"):
         raise PolytopeFileError(f"cover kind must be triangulation or general-cover, got {kind!r}")
+    if "name" in data:
+        _check_name(data["name"])
     return {"dim": dim, "cells": cells, "kind": kind}
 
 
@@ -421,53 +436,93 @@ def _add_search_args(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for the random insertion orders")
 
 
+def _unimodular_test_args(sub):
+    sub.add_argument("--cell", type=int, default=None, help="test one cell of a cover file")
+
+
+def _idp_check_args(sub):
+    sub.add_argument("--h", type=int, default=None, help="single h to check")
+    sub.add_argument("--h-max", type=int, default=None, help="check every h up to this")
+
+
+def _decompose_args(sub):
+    sub.add_argument("--point", required=True, help="comma-separated integer coordinates")
+    sub.add_argument("--h", type=int, required=True, help="number of summands")
+    sub.add_argument("--cover", default=None, help="cover JSON file (searched when absent)")
+    _add_search_args(sub)
+
+
+def _triangulate_args(sub):
+    _add_search_args(sub)
+    sub.add_argument("--verify-cover", default=None, help="verify this cover file instead of searching")
+
+
+def _find_ell_args(sub):
+    sub.add_argument("--ell-max", type=int, required=True, help="largest dilation factor to try")
+    sub.add_argument("--h-max", type=int, default=3, help="direct checks per factor")
+    _add_search_args(sub)
+
+
+# Every command once: name -> (help, its arguments after the input ones, handler).
+_COMMANDS = {
+    "unimodular-test": (
+        "lattice index and unimodularity of a simplex", _unimodular_test_args, _cmd_unimodular_test
+    ),
+    "idp-check": ("brute-force h-fold decomposition check", _idp_check_args, _cmd_idp_check),
+    "decompose": ("write a dilate lattice point as a sum of h points", _decompose_args, _cmd_decompose),
+    "triangulate": ("search or verify a unimodular triangulation", _triangulate_args, _cmd_triangulate),
+    "find-ell": (
+        "search for a dilation factor with a certified triangulation", _find_ell_args, _cmd_find_ell
+    ),
+}
+
+
+def _add_command(sub, name: str) -> None:
+    """Give `sub` command `name`'s arguments and its command/handler defaults."""
+    _, add_args, handler = _COMMANDS[name]
+    _add_input_args(sub)
+    add_args(sub)
+    sub.set_defaults(command=name, handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command a subparser."""
     parser = argparse.ArgumentParser(
         prog="latticeforge",
         description="Exact certification of h-fold lattice-point decompositions in polytopes.",
     )
     parser.add_argument("--version", action="version", version=f"latticeforge {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("unimodular-test", help="lattice index and unimodularity of a simplex")
-    _add_input_args(p)
-    p.add_argument("--cell", type=int, default=None, help="test one cell of a cover file")
-    p.set_defaults(handler=_cmd_unimodular_test)
-
-    p = subs.add_parser("idp-check", help="brute-force h-fold decomposition check")
-    _add_input_args(p)
-    p.add_argument("--h", type=int, default=None, help="single h to check")
-    p.add_argument("--h-max", type=int, default=None, help="check every h up to this")
-    p.set_defaults(handler=_cmd_idp_check)
-
-    p = subs.add_parser("decompose", help="write a dilate lattice point as a sum of h points")
-    _add_input_args(p)
-    p.add_argument("--point", required=True, help="comma-separated integer coordinates")
-    p.add_argument("--h", type=int, required=True, help="number of summands")
-    p.add_argument("--cover", default=None, help="cover JSON file (searched when absent)")
-    _add_search_args(p)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = subs.add_parser("triangulate", help="search or verify a unimodular triangulation")
-    _add_input_args(p)
-    _add_search_args(p)
-    p.add_argument("--verify-cover", default=None, help="verify this cover file instead of searching")
-    p.set_defaults(handler=_cmd_triangulate)
-
-    p = subs.add_parser("find-ell", help="search for a dilation factor with a certified triangulation")
-    _add_input_args(p)
-    p.add_argument("--ell-max", type=int, required=True, help="largest dilation factor to try")
-    p.add_argument("--h-max", type=int, default=3, help="direct checks per factor")
-    _add_search_args(p)
-    p.set_defaults(handler=_cmd_find_ell)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(subs.add_parser(name, help=help_text), name)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call; parsing leaves it unchanged."""
-    return build_parser()
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, as build_parser's subparser for it, or
+    the full parser when `command` is None; each is built on its first call,
+    and parsing leaves it unchanged."""
+    if command is None:
+        return build_parser()
+    parser = argparse.ArgumentParser(prog=f"latticeforge {command}")
+    _add_command(parser, command)
+    return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same output and exit on
+    every argv, but a run of a command builds that command's parser alone.
+
+    Arguments the command's parser leaves over go to the full parser's
+    error, as a subparser's do, so the message keeps the top-level usage.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            _parser().error("unrecognized arguments: " + " ".join(extras))
+        return args
+    return _parser().parse_args(argv)
 
 
 def _encode(value, indent: str = "\n") -> str:
@@ -493,7 +548,7 @@ def _encode(value, indent: str = "\n") -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         inp, data, digest = _load_input(args, allow_cover=args.command == "unimodular-test")

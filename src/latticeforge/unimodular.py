@@ -340,7 +340,15 @@ def find_unimodular_triangulation(
     verdict ("impossible" or "not-found") with the cover.
     """
     _check_positive(attempts, "attempts")
+    _check_seed(seed)
     return _placing_search(p, lattice_points(p), attempts, seed)[1]
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an int, bool included: random.Random(None)
+    seeds from the OS, so the search's verdict would change from run to run."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
 
 
 def _draw(rng: random.Random, order: list):
@@ -454,6 +462,7 @@ def find_ell(
     """
     _check_positive(ell_max, "ell_max")
     _check_positive(attempts, "attempts")
+    _check_seed(seed)
     _check_positive(h_max, "h_max")
     rows = []
     found = None

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import itertools
 import json
 
@@ -372,6 +374,29 @@ class TestInputHandling:
             assert (code, report) == (2, None), argv
             assert "dim must be >= 1" in err, argv
 
+    def test_cover_name_must_be_a_string(self, capsys, tmp_path):
+        cells = [[[0, 0], [1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]]
+        bad = write(tmp_path, "bad.json", {"dim": 2, "cells": cells, "name": 5})
+        for argv in (
+            ("unimodular-test", bad),
+            ("triangulate", "--example", "cube-2", "--verify-cover", bad),
+            ("decompose", "--example", "cube-2", "--point", "1,1", "--h", "2", "--cover", bad),
+        ):
+            code, report, err = run(capsys, *argv)
+            assert (code, report) == (2, None), argv
+            assert err == "error: 'name' must be a string\n", argv
+
+    def test_cover_name_string_keeps_the_payload(self, capsys, tmp_path):
+        cells = [[[0, 0], [1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]]
+        plain = write(tmp_path, "plain.json", {"dim": 2, "cells": cells})
+        named = write(tmp_path, "named.json", {"dim": 2, "cells": cells, "name": "square"})
+        reports = []
+        for path in (plain, named):
+            code, report, _ = run(capsys, "unimodular-test", path)
+            assert code == 0
+            reports.append((report["input"], report["input_digest"], report["result"]))
+        assert reports[0] == reports[1]
+
 
 class TestRoundTripAndDeterminism:
     def test_polytope_file_round_trip(self):
@@ -475,10 +500,19 @@ class TestStrictParsing:
         with pytest.raises(PolytopeFileError):
             parse_cover_data({"dim": 2, "cells": [[[0, 0]]], "kind": "mystery"})
 
+    def test_cover_name_checked(self):
+        with pytest.raises(PolytopeFileError, match="^'name' must be a string$"):
+            parse_cover_data({"dim": 2, "cells": [[[0, 0]]], "name": 5})
+        # a string name is checked and dropped
+        assert parse_cover_data({"dim": 2, "cells": [[[0, 0]]], "name": "x"}) == {
+            "dim": 2, "cells": [[[0, 0]]], "kind": "triangulation",
+        }
+
 
 class TestParserReuse:
-    """main parses with one parser per import; a run of calls gives the same
-    stdout (without wall time) and exit codes as a fresh parser per call."""
+    """main parses with one parser per command and one full parser per
+    import; a run of calls gives the same stdout (without wall time) and
+    exit codes as fresh parsers on every call."""
 
     ARGVS = (
         ["idp-check", "--example", "a2", "--h-max", "3"],
@@ -508,7 +542,8 @@ class TestParserReuse:
 
     def test_same_as_fresh_parsers(self, capsys, monkeypatch):
         shared = self.outcomes(capsys, self.ARGVS * 2)
-        monkeypatch.setattr(cli, "_parser", build_parser)
+        # the uncached function builds a new parser on every call
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
         fresh = self.outcomes(capsys, self.ARGVS * 2)
         assert shared == fresh
         assert [code for code, _ in shared[: len(self.ARGVS)]] == [1, 0, 1, 2, 0, ("exit", 0), 0]
@@ -516,3 +551,113 @@ class TestParserReuse:
 
     def test_one_parser(self):
         assert cli._parser() is cli._parser()
+
+
+VALID_RUNS = {
+    "unimodular-test": ["--example", "a1"],
+    "idp-check": ["--example", "cube-2", "--h", "2"],
+    "decompose": ["--example", "cube-2", "--point", "1,1", "--h", "2"],
+    "triangulate": ["--example", "cube-2"],
+    "find-ell": ["--example", "a2", "--ell-max", "2", "--h-max", "2"],
+}
+
+
+def _parity_argvs():
+    int_flag = {"unimodular-test": "--cell", "idp-check": "--h", "decompose": "--h",
+                "triangulate": "--attempts", "find-ell": "--ell-max"}
+    abbreviated = {
+        "unimodular-test": ["--exam", "a1"],
+        "idp-check": ["--exam", "cube-2", "--h-m", "2"],
+        "decompose": ["--example", "cube-2", "--poi", "1,1", "--h", "2"],
+        "triangulate": ["--example", "cube-2", "--att", "2"],
+        "find-ell": ["--example", "a2", "--ell", "2", "--h-m", "2"],
+    }
+    argvs = [[], ["--help"], ["-h"], ["--version"], ["nope"], ["--bogus"], ["-h", "idp-check"],
+             ["--version", "idp-check"], ["idp"]]
+    for name, valid in VALID_RUNS.items():
+        argvs += [
+            [name, *valid],
+            [name, "-h"],
+            [name, *valid, "--help"],
+            [name, int_flag[name], "x"],
+            [name, *abbreviated[name]],
+            [name, *valid, "x.json", "y.json"],
+            [name, *valid, "--bogus"],
+            [name, "--bogus", "--other=1", "z"],
+            [name, "--version"],
+            [name, *valid, "--version"],
+            [name, "--", "--example"],
+        ]
+    argvs += [["decompose", "--example", "cube-2"], ["decompose", "--point", "1,1"],
+              ["find-ell", "--example", "a2"]]
+    return argvs
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout without wall time, stderr) of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    out = captured.out
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["wall_time_s"]
+        out = json.dumps(report, sort_keys=True)
+    return code, out, captured.err
+
+
+class TestCommandParsers:
+    """A run of a command parses with that command's parser alone, and gives
+    the output and exit code of the full parser on every argv."""
+
+    @pytest.mark.parametrize("argv", _parity_argvs(), ids=" ".join)
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        own = _outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        assert _outcome(capsys, argv) == own
+
+    def test_leftover_arguments_keep_the_top_level_usage(self, capsys):
+        code, out, err = _outcome(capsys, ["idp-check", "--example", "cube-2", "--h", "2", "--bogus"])
+        assert (code, out) == (("exit", 2), "")
+        assert err.startswith("usage: latticeforge [-h] [--version]")
+        assert err.endswith("latticeforge: error: unrecognized arguments: --bogus\n")
+
+    @staticmethod
+    def count_parsers(monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return progs
+
+    def test_a_run_builds_one_parser(self, capsys, monkeypatch):
+        progs = self.count_parsers(monkeypatch)
+        cli._parser.cache_clear()
+        for name, valid in VALID_RUNS.items():
+            before = len(progs)
+            _outcome(capsys, [name, *valid])
+            assert progs[before:] == [f"latticeforge {name}"]
+            # the next run of the command reuses it
+            _outcome(capsys, [name, *valid])
+            assert len(progs) == before + 1
+
+    def test_help_builds_the_full_parser(self, capsys, monkeypatch):
+        progs = self.count_parsers(monkeypatch)
+        cli._parser.cache_clear()
+        code, _, _ = _outcome(capsys, ["--help"])
+        assert code == ("exit", 0)
+        assert progs == ["latticeforge"] + [f"latticeforge {name}" for name in VALID_RUNS]
+
+    def test_no_parser_at_import(self, monkeypatch):
+        progs = self.count_parsers(monkeypatch)
+        spec = importlib.util.find_spec("latticeforge.cli")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert progs == [] and module._parser.cache_info().currsize == 0
+        assert list(module._COMMANDS) == list(VALID_RUNS)

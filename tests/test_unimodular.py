@@ -538,6 +538,33 @@ class TestDrawnOrders:
         )
 
 
+class TestSeedChecked:
+    """The searches take an int seed only: random.Random(None) would seed
+    from the OS and make the verdict change from run to run."""
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "abc", True, Fraction(1)])
+    def test_non_int_seed_refused(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            find_unimodular_triangulation(DRAWN_ONLY, seed=seed)
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            find_ell(DRAWN_ONLY, 1, 1, seed=seed)
+
+    def test_same_int_seed_same_verdict(self):
+        def search(seed):
+            p = LatticePolytope(DRAWN_ONLY.vertices)
+            cover = find_unimodular_triangulation(p, attempts=4, seed=seed)
+            return None if cover is None else cover.cells
+
+        outcomes = [search(seed) for seed in (19, 20, -3, 2**70) for _ in range(3)]
+        for k in range(0, len(outcomes), 3):
+            assert outcomes[k] == outcomes[k + 1] == outcomes[k + 2]
+        assert outcomes[0] is not None
+
+    def test_find_ell_same_int_seed_same_report(self):
+        reports = [find_ell(LatticePolytope(DRAWN_ONLY.vertices), 2, 1, attempts=3, seed=19) for _ in range(2)]
+        assert reports[0] == reports[1]
+
+
 class TestMarginLPCount:
     """Exact count of margin LPs: the separating-facet test settles every
     cell pair of these placing triangulations, so none reaches the LP."""
