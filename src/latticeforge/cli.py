@@ -327,7 +327,6 @@ def _cmd_decompose(args, poly: LatticePolytope):
         raise PointOutsideError(f"{point} is not in the {h}-fold dilate of the polytope")
 
     cover = None
-    pts = None  # the search's lattice points, which the direct search reuses
     if args.cover is not None:
         candidate, cert = _verify_cover_file(args.cover, poly)
         cover_source = {"path": args.cover, "certification": cert.status, "problems": list(cert.problems)}
@@ -335,8 +334,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
             cover = candidate
     else:
         attempts = _positive(args.attempts, "--attempts")
-        pts = lattice_points(poly)
-        certificate, cover = _placing_search(poly, pts, attempts, args.seed)
+        certificate, cover = _placing_search(poly, attempts, args.seed)
         cover_source = {"path": None, "search": "found" if certificate == "certified" else "not-found"}
 
     if cover is not None:
@@ -350,7 +348,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         return result, EXIT_OK, [f"{tuple(point)} = {parts}"]
 
     # No certified cover: report the direct exhaustive search instead.
-    parts = find_sum_decomposition(lattice_points(poly) if pts is None else pts, point, h)
+    parts = find_sum_decomposition(lattice_points(poly), point, h)
     result = {
         "mode": "direct-search",
         "cover": cover_source,
@@ -381,7 +379,7 @@ def _cmd_triangulate(args, poly: LatticePolytope):
         return result, (EXIT_OK if ok else EXIT_NEGATIVE), [f"cover status: {cert.status}"]
 
     attempts = _positive(args.attempts, "--attempts")
-    certificate, cover = _placing_search(poly, lattice_points(poly), attempts, args.seed)
+    certificate, cover = _placing_search(poly, attempts, args.seed)
     result = {
         "mode": "search",
         "certificate": certificate,
@@ -553,9 +551,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         inp, data, digest = _load_input(args, allow_cover=args.command == "unimodular-test")
         result, code, summary = args.handler(args, inp)
-    except (PolytopeFileError, PointOutsideError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

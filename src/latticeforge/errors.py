@@ -18,7 +18,8 @@ class DegeneratePolytopeError(LatticeForgeError):
 
 
 class ResourceLimitError(LatticeForgeError):
-    """A desk-scale cap (box volume, point-set size, elimination growth) was hit."""
+    """A desk-scale cap was hit: ambient dimension, box volume, pair count,
+    point-set size or multiset search space."""
 
 
 class NotUnimodularError(LatticeForgeError):

@@ -32,9 +32,13 @@ gives a flat hull's affine equations.
 Membership of a rational point tests that integer facet system in every
 dimension; lattice-point enumeration is nested, each coordinate bounded,
 given the coordinates before it, by the rows of the coordinate projections,
-which the polytope keeps and its dilates carry, and returns the last
-coordinate as runs, or sets their bits in a packed bitset.  No LP is
-involved.
+and returns the last coordinate as runs, or sets their bits in a packed
+bitset.  No LP is involved.
+
+A polytope keeps its derived data, each computed on first read: its lattice
+points, its projection rows and its normalized volume.  A dilate keeps a
+link to its undilated base and reads the base's rows and volume, computed
+once, scaled to h*P's.
 """
 
 from __future__ import annotations
@@ -481,13 +485,16 @@ class LatticePolytope:
 
     _facets holds its sorted primitive rows and _masks, slot for slot, the
     bitmask of the vertices tight on each (every vertex for a row of a flat
-    hull's affine equations), as the double description found them.
-    _projections keeps, once read, the rows of its coordinate projections
-    (_projection_rows), the one row system its enumeration reads.
+    hull's affine equations), as the double description found them.  The
+    derived data are kept once read: _points (lattice_points), _projections
+    (_projection_rows, the one row system its enumeration reads) and _volume
+    (normalized_volume).  _base is (base, h) for h*base built by dilate,
+    base undilated, and None otherwise.
     """
 
     __slots__ = (
-        "generators", "vertices", "dim", "_facets", "_masks", "_projections", "_hull_dim", "_volume"
+        "generators", "vertices", "dim", "_facets", "_masks", "_hull_dim",
+        "_points", "_projections", "_volume", "_base",
     )
 
     def __init__(self, points: Iterable[Sequence[int]]):
@@ -530,8 +537,7 @@ class LatticePolytope:
                     equations.update({(a, b), (tuple(-x for x in a), -b)})
 
         self._hull_dim = hull_dim
-        self._volume = None
-        self._projections = None
+        self._points = self._projections = self._volume = self._base = None
         self.vertices = self.generators
         tight = {}  # row -> the bitmask of the vertices tight on it
         if hull_dim:
@@ -597,9 +603,13 @@ def normalized_volume(p: LatticePolytope) -> int:
 
     Computed on first use, as the sum of the cell volumes of one placing
     pass over the vertices, and kept in the polytope; or kept from such a
-    pass run elsewhere (_record_volume).
+    pass run elsewhere (_record_volume).  A dilate h*P reads P's, h^dim
+    times larger, so a polytope and all its dilates share one pass.
     """
-    if p._volume is None:
+    if p._volume is None and p._base is not None:
+        base, h = p._base
+        p._volume = h**p.dim * normalized_volume(base)
+    elif p._volume is None:
         full = p.is_full_dimensional()
         p._volume = sum(v for _, v in _placing_cells(p.vertices, p.dim)) if full else 0
     return p._volume
@@ -607,7 +617,8 @@ def normalized_volume(p: LatticePolytope) -> int:
 
 def _record_volume(p: LatticePolytope, order: Sequence[Point], volume: int) -> None:
     """Keep `volume`, the cell volume sum of a placing pass over `order` run
-    to the end, as p's normalized volume, when `order` is exactly p.vertices.
+    to the end, as p's normalized volume, when `order` is exactly p.vertices;
+    for a dilate h*P, keep P's too, h^dim times smaller.
 
     That pass is the one normalized_volume would run, so its sum is the
     value it would compute.  A pass over any other sequence, such as all the
@@ -616,13 +627,9 @@ def _record_volume(p: LatticePolytope, order: Sequence[Point], volume: int) -> N
     """
     if p._volume is None and tuple(order) == p.vertices:
         p._volume = volume
-
-
-def _share_volume(p: LatticePolytope, scaled: LatticePolytope, h: int) -> None:
-    """Keep the volume of scaled = dilate(p, h), once known, as p's: h^dim
-    times smaller, so that each later dilate of p carries its own."""
-    if p._volume is None and scaled._volume is not None:
-        p._volume = scaled._volume // h**p.dim
+        if p._base is not None:
+            base, h = p._base
+            base._volume = volume // h**p.dim
 
 
 def contains(p: LatticePolytope, q: Sequence) -> bool:
@@ -647,21 +654,24 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
 
     Built from p's parts, with no hull pass: h*P has the vertices h*v, the
     primitive rows (a, h*b) in the same sorted order with the same tight
-    masks, the same affine dimension, and, once p's are known, the rows of
-    its projections scaled the same way and h^dim times the normalized
-    volume.  The result equals LatticePolytope of the scaled vertices slot
-    for slot, the projection rows compared through _projection_rows.
+    masks and the same affine dimension.  It links to the undilated base
+    with the accumulated factor (dilate(dilate(P, 2), 3) to P with 6), whose
+    projection rows and volume it reads, scaled, on first use.  The result
+    equals LatticePolytope of the scaled vertices slot for slot, the derived
+    data compared through lattice_points, _projection_rows and
+    normalized_volume.
     """
     _check_positive(h, "dilation factor")
+    base, factor = p._base or (p, 1)
+    factor *= h
     scaled = LatticePolytope.__new__(LatticePolytope)
-    scaled.generators = scaled.vertices = tuple(vec_scale(v, h) for v in p.vertices)
-    scaled.dim = p.dim
-    scaled._facets = _scale_rows(p._facets, h)
-    scaled._masks = p._masks
-    proj = p._projections
-    scaled._projections = None if proj is None else tuple(_scale_rows(r, h) for r in proj)
-    scaled._hull_dim = p._hull_dim
-    scaled._volume = None if p._volume is None else h**p.dim * p._volume
+    scaled.generators = scaled.vertices = tuple(vec_scale(v, factor) for v in base.vertices)
+    scaled.dim = base.dim
+    scaled._facets = _scale_rows(base._facets, factor)
+    scaled._masks = base._masks
+    scaled._hull_dim = base._hull_dim
+    scaled._points = scaled._projections = scaled._volume = None
+    scaled._base = base, factor
     return scaled
 
 
@@ -791,10 +801,13 @@ def _projection_rows(p: LatticePolytope) -> tuple:
     are p's own, each with its tight mask over p's vertices; each projection
     below comes from the one above by one exact elimination (_eliminate).
     Where a projection is full-dimensional its rows are its primitive facet
-    rows.  They are computed on first read and kept in p; a dilate taken
-    after that carries them as (a, h*b), with no elimination of its own.
+    rows.  They are computed on first read and kept in p; a dilate h*P
+    keeps P's, read once, as (a, h*b), with no elimination of its own.
     """
-    if p._projections is None:
+    if p._projections is None and p._base is not None:
+        base, h = p._base
+        p._projections = tuple(_scale_rows(r, h) for r in _projection_rows(base))
+    elif p._projections is None:
         rows = dict(zip(p._facets, p._masks))
         full, dim = (1 << len(p.vertices)) - 1, p._hull_dim
         out = []
@@ -859,10 +872,13 @@ def lattice_points(p: LatticePolytope) -> tuple:
     """All integer points of the hull, in lexicographic order.
 
     Nested enumeration (_lattice_runs) over the rows of p's coordinate
-    projections (_projection_rows).  Raises ResourceLimitError when the
-    bounding box exceeds the volume cap, before any row is eliminated.
+    projections (_projection_rows), run on first read and kept in p.  Raises
+    ResourceLimitError when the bounding box exceeds the volume cap, before
+    any row is eliminated.
     """
-    mins, maxs = p.bounding_box()
-    _check_box(mins, maxs)
-    runs = _lattice_runs(_projection_rows(p), mins, maxs)
-    return tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
+    if p._points is None:
+        mins, maxs = p.bounding_box()
+        _check_box(mins, maxs)
+        runs = _lattice_runs(_projection_rows(p), mins, maxs)
+        p._points = tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
+    return p._points

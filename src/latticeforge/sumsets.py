@@ -45,6 +45,7 @@ from .geometry import (
     _box_fits,
     _check_box,
     _check_positive,
+    _check_uniform,
     _lattice_runs,
     _projection_rows,
     _scale_rows,
@@ -66,9 +67,7 @@ def point_set(points: Iterable[Sequence[int]]) -> tuple:
     """Deduplicated, lexicographically sorted tuple of lattice points."""
     pts = sorted(set(as_point(p) for p in points))
     if pts:
-        dims = {len(p) for p in pts}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed point dimensions: {sorted(dims)}")
+        _check_uniform(pts)
     return tuple(pts)
 
 
@@ -234,15 +233,15 @@ def _ehrhart_counts(sizes: Sequence[int], volume: int):
         yield table[0]
 
 
-def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
+def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
 
-    `base` is p's lattice points; h*p is enumerated over the rows of p's
-    coordinate projections (_projection_rows, the rows its own enumeration
-    read), each scaled to (a, h*b).  The radix is that of h_top*p, h_top the
-    largest h <= h_max whose box is within BOX_CAP, so no bitset is wider.  At
-    h_top + 1 the pair cap is checked and then the box cap raised, the h at
-    which enumerating that dilate would raise it.
+    h*p is enumerated over the rows of p's coordinate projections
+    (_projection_rows, the rows its own enumeration read), each scaled to
+    (a, h*b).  The radix is that of h_top*p, h_top the largest h <= h_max
+    whose box is within BOX_CAP, so no bitset is wider.  At h_top + 1 the
+    pair cap is checked and then the box cap raised, the h at which
+    enumerating that dilate would raise it.
 
     With `every` and p full-dimensional, of dimension d, only h = 2..d-1 are
     enumerated.  From h = max(d, 2) on, the dilate is the previous one
@@ -254,6 +253,7 @@ def _idp_reports(p: LatticePolytope, base: tuple, h_max: int, every: bool):
     has just made, under the sums' caps, and its result is taken as it is;
     the count check and the escape guard still run on it.
     """
+    base = lattice_points(p)
     mins, maxs = p.bounding_box()
 
     def box(h):
@@ -323,7 +323,7 @@ def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     # refused at once when h*p's box is over the cap: no bitset would fit
     mins, maxs = p.bounding_box()
     _check_box(vec_scale(mins, h), vec_scale(maxs, h))
-    (report,) = _idp_reports(p, lattice_points(p), h, every=False)
+    (report,) = _idp_reports(p, h, every=False)
     return report
 
 
@@ -332,17 +332,9 @@ def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     the one before, and so, from h = max(dim, 2) on for a full-dimensional
     p, is each dilate."""
     _check_positive(h_max, "h_max")
-    return _idp_scan(p, h_max, None)
-
-
-def _idp_scan(p: LatticePolytope, h_max: int, base: Optional[tuple]) -> tuple:
-    """idp_scan for a checked h_max, given p's lattice points `base` when the
-    caller has enumerated them (and so read p's projection rows)."""
     reports = []
     try:
-        if base is None:
-            base = lattice_points(p)
-        for report in _idp_reports(p, base, h_max, every=True):
+        for report in _idp_reports(p, h_max, every=True):
             reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1

@@ -47,9 +47,7 @@ from .geometry import (
     Point,
     _check_positive,
     _placing_cells,
-    _projection_rows,
     _record_volume,
-    _share_volume,
     as_point,
     contains,
     dilate,
@@ -58,7 +56,7 @@ from .geometry import (
     vec_dot,
 )
 from .linalg import hermite_normal_form
-from .sumsets import _idp_scan
+from .sumsets import idp_scan
 
 
 def lattice_index(s: LatticeSimplex) -> int:
@@ -341,7 +339,7 @@ def find_unimodular_triangulation(
     """
     _check_positive(attempts, "attempts")
     _check_seed(seed)
-    return _placing_search(p, lattice_points(p), attempts, seed)[1]
+    return _placing_search(p, attempts, seed)[1]
 
 
 def _check_seed(seed) -> None:
@@ -376,15 +374,15 @@ def _draw(rng: random.Random, order: list):
         yield order[-1]
 
 
-def _placing_search(p: LatticePolytope, pts: tuple, attempts: int, seed: int) -> tuple:
-    """find_unimodular_triangulation over pts, the lattice points of p
-    enumerated once by the caller, with its verdict: (certificate, cover).
+def _placing_search(p: LatticePolytope, attempts: int, seed: int) -> tuple:
+    """find_unimodular_triangulation with its verdict: (certificate, cover).
 
     The certificate is "certified" with the cover; "impossible" with None
     when the lattice points are the n+1 vertices of a simplex, which every
     order places as the one cell, so one order decides; otherwise
     "not-found" with None.
     """
+    pts = lattice_points(p)
     if not p.is_full_dimensional():
         raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
     forced = len(pts) == p.dim + 1
@@ -458,7 +456,10 @@ def find_ell(
 
     Every factor in 1..ell_max gets a row pairing the certificate outcome
     with the direct h-fold verdicts for h = 1..h_max, so the two can be
-    cross-checked; `ell` is the smallest certified factor, or None.
+    cross-checked; `ell` is the smallest certified factor, or None.  Each
+    row's dilate reads p's projection rows and normalized volume, which
+    geometry computes once, in p, and enumerates its own lattice points once
+    for the search and the scan.
     """
     _check_positive(ell_max, "ell_max")
     _check_positive(attempts, "attempts")
@@ -466,15 +467,9 @@ def find_ell(
     _check_positive(h_max, "h_max")
     rows = []
     found = None
-    # read once, the rows of p's coordinate projections are carried by each
-    # dilate, whose enumerations read them with no elimination of their own
-    _projection_rows(p)
     for ell in range(1, ell_max + 1):
         scaled = dilate(p, ell)
-        # One enumeration of the row's lattice points serves the search and
-        # the h = 1 sumset.
-        pts = lattice_points(scaled)
-        certificate, cover = _placing_search(scaled, pts, attempts, seed)
+        certificate, cover = _placing_search(scaled, attempts, seed)
         if cover is not None and found is None:
             found = ell
         rows.append(
@@ -482,11 +477,7 @@ def find_ell(
                 ell=ell,
                 certificate=certificate,
                 cell_count=len(cover.cells) if cover is not None else None,
-                idp=_idp_scan(scaled, h_max, pts),
+                idp=idp_scan(scaled, h_max),
             )
         )
-        # once a row has its dilate's volume (for its certificate or its
-        # scan's Ehrhart counts), p keeps it and later dilates carry it, so
-        # at most one row runs a volume pass
-        _share_volume(p, scaled, ell)
     return EllReport(ell=found, per_ell=tuple(rows))

@@ -621,7 +621,7 @@ def assembled_unit_cube(n):
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
     p._masks = tight_masks(p)
-    p._projections = None
+    p._points = p._projections = p._base = None
     p._volume = math.factorial(n)
     return p
 
@@ -924,7 +924,7 @@ def sorted_placing_hull(points, extremes=False):
 
     p.vertices = tuple(g for g in candidates if is_vertex(g))
     p._masks = tight_masks(p)
-    p._projections = None
+    p._points = p._projections = p._base = None
     return p
 
 

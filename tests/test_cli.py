@@ -219,8 +219,8 @@ class TestTriangulate:
 
     def test_lattice_points_enumerated_once(self, capsys, monkeypatch):
         # the search's certificate decides "impossible" and the direct search
-        # reuses its points: one enumeration per command, counted at the
-        # kernel every lattice_points binding calls
+        # reads the points the polytope keeps: one enumeration per command,
+        # counted at the kernel every lattice_points binding calls
         calls = []
         original = geometry._lattice_runs
 

@@ -409,38 +409,85 @@ class TestDilate:
             assert dilate(dilate(p, a), b).vertices == dilate(p, a * b).vertices
 
 
+# the derived-data slots, each read through the function that fills it on first read
+READERS = {"_points": lattice_points, "_projections": _projection_rows, "_volume": normalized_volume}
+
+
 def read_slot(p, slot):
-    """p's slot, its projection rows read through _projection_rows, which
-    fills the slot on first read."""
-    return _projection_rows(p) if slot == "_projections" else getattr(p, slot)
+    """p's slot, its derived data read through the function that fills it."""
+    return READERS[slot](p) if slot in READERS else getattr(p, slot)
+
+
+def count_calls(monkeypatch, *names):
+    """Patch each geometry function in `names` to log its name on every call; the log."""
+    calls = []
+    for name in names:
+        original = getattr(geometry, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+def dilate_cases(seed, count):
+    """Seeded polytopes in dimensions 1-5, about a third of them flat."""
+    rng = random.Random(seed)
+    return [
+        LatticePolytope(random_point_set(rng, 1 + k % 5, flat=rng.random() < 1 / 3))
+        for k in range(count)
+    ]
 
 
 class TestDilateAgainstRehull:
     """dilate builds h*P from P's parts; a fresh hull pass over the scaled
-    vertices must give the same polytope slot for slot, on seeded point sets
-    in dimensions 1-5, about a third of them flat, for h = 1..4.  Once P's
-    projection rows are read, each dilate carries the rows that the fresh
-    hull's elimination gives."""
+    vertices must give the same polytope slot for slot, the derived data
+    read through the functions that fill them and the link to P left out,
+    on seeded point sets in dimensions 1-5, about a third of them flat, for
+    h = 1..4.  Once P's projection rows are read, a dilate's rows take no
+    elimination."""
 
-    def test_random_point_sets(self):
-        rng = random.Random(4096)
+    def test_random_point_sets(self, monkeypatch):
+        eliminations = count_calls(monkeypatch, "_eliminate")
         flats = simplices = 0
-        for k in range(300):
-            dim = 1 + k % 5
-            p = LatticePolytope(random_point_set(rng, dim, flat=rng.random() < 1 / 3))
+        for p in dilate_cases(4096, 300):
             flats += not p.is_full_dimensional()
             simplices += p.as_simplex() is not None
             for h in range(1, 5):
                 got, want = dilate(p, h), rehull_dilate(p, h)
                 for slot in LatticePolytope.__slots__:
-                    assert read_slot(got, slot) == read_slot(want, slot), (p, h, slot)
+                    if slot != "_base":
+                        assert read_slot(got, slot) == read_slot(want, slot), (p, h, slot)
                 assert got.as_simplex() == want.as_simplex(), (p, h)
             _projection_rows(p)
-            for h in range(1, 5):
-                carried = dilate(p, h)._projections
-                assert carried is not None, (p, h)
-                assert carried == _projection_rows(rehull_dilate(p, h)), (p, h)
+            eliminations.clear()
+            rows = [_projection_rows(dilate(p, h)) for h in range(1, 5)]
+            assert eliminations == [], p
+            assert rows == [_projection_rows(rehull_dilate(p, h)) for h in range(1, 5)], p
         assert flats >= 75 and simplices >= 30
+
+
+class TestDilateOfDilate:
+    """dilate(dilate(P, 2), 3) links to P with factor 6: its lattice points,
+    projection rows and volume are those of dilate(P, 6) and of a fresh hull
+    of 6*P, and once P's are known it reads them with no elimination and no
+    placing pass."""
+
+    def test_random_point_sets(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_eliminate", "_placing_cells")
+        for p in dilate_cases(6006, 150):
+            twice = dilate(dilate(p, 2), 3)
+            assert twice._base == (p, 6) and twice.vertices == dilate(p, 6).vertices
+            for slot in READERS:
+                want = read_slot(rehull_dilate(p, 6), slot)
+                assert read_slot(twice, slot) == read_slot(dilate(p, 6), slot) == want, (p, slot)
+            calls.clear()
+            once_known = dilate(dilate(p, 2), 3)
+            for read in READERS.values():
+                read(once_known)
+            assert calls == [], p
 
 
 class TestDilateBuildCount:

@@ -344,7 +344,7 @@ class TestFindUnimodularTriangulation:
 
     def test_reeve_simplex_provably_none(self):
         assert find_unimodular_triangulation(reeve_simplex(), attempts=8) is None
-        assert _placing_search(reeve_simplex(), lattice_points(reeve_simplex()), 8, 0) == ("impossible", None)
+        assert _placing_search(reeve_simplex(), 8, 0) == ("impossible", None)
 
     def test_stretched_simplex_found_via_midpoint(self):
         # the extra lattice point (0,0,1) splits the long edge into two
@@ -605,7 +605,7 @@ class TestSearchVolume:
     """The search's placing pass doubles as the volume pass exactly when the
     lattice points are the vertices: cube-n is placed once and gets volume
     n!; 2*cube-3 gets the search's pass over its 27 points and an
-    independent pass over its 8 vertices."""
+    independent pass over the 8 vertices of its base, cube-3."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -630,11 +630,13 @@ class TestSearchVolume:
             assert p._volume == math.factorial(n) == len(cover.cells)
 
     def test_other_lattice_points_keep_the_vertex_pass(self, passes):
-        p = dilate(unit_cube(3), 2)
+        base = unit_cube(3)
+        p = dilate(base, 2)
         cover = find_unimodular_triangulation(p)
         assert cover is not None and cover.certified == "certified"
-        assert passes == [list(lattice_points(p)), list(p.vertices)]
+        assert passes == [list(lattice_points(p)), list(base.vertices)]
         assert len(p.vertices) == 8 and p._volume == 8 * math.factorial(3) == len(cover.cells)
+        assert base._volume == math.factorial(3)
 
     def test_only_the_vertex_sequence_is_recorded(self):
         p = unit_cube(3)
@@ -645,6 +647,13 @@ class TestSearchVolume:
         assert p._volume == 6
         geometry._record_volume(p, list(p.vertices), 7)
         assert p._volume == 6
+
+    def test_a_dilates_pass_is_kept_by_its_base(self):
+        base = unit_cube(3)
+        p = dilate(dilate(base, 2), 3)
+        geometry._record_volume(p, list(p.vertices), 6**3 * 6)
+        assert p._volume == 6**3 * 6 and base._volume == 6
+        assert normalized_volume(dilate(base, 5)) == 5**3 * 6
 
 
 def _unimodular_images(seed, count):
@@ -985,31 +994,26 @@ class TestFindEll:
                 find_ell(unit_cube(5), ell_max=3, h_max=h_max)
 
     def test_lattice_points_enumerated_once_per_row(self, monkeypatch):
-        # per row: l*P once for the search, the uniqueness test and h = 1,
-        # then h*(l*P) for h = 2 as runs; P is a 3-simplex, so h = 3 is the
-        # dilate at h = 2 shifted by l*P's points, and nothing is enumerated
+        # per row: l*P once, kept for the search, the uniqueness test and
+        # h = 1, then h*(l*P) for h = 2 as runs; P is a 3-simplex, so h = 3
+        # is the dilate at h = 2 shifted by l*P's points, and nothing is
+        # enumerated.  Counted at the kernel, as the real enumerations.
         calls = []
-        original = unimodular.lattice_points
-        original_runs = sumsets._lattice_runs
-
-        def counting(p):
-            calls.append(p)
-            return original(p)
+        original_runs = geometry._lattice_runs
 
         def counting_runs(levels, *box_and_weights):
             calls.append(levels)
             return original_runs(levels, *box_and_weights)
 
-        monkeypatch.setattr(unimodular, "lattice_points", counting)
-        monkeypatch.setattr(sumsets, "lattice_points", counting)
+        monkeypatch.setattr(geometry, "_lattice_runs", counting_runs)
         monkeypatch.setattr(sumsets, "_lattice_runs", counting_runs)
         report = find_ell(reeve_simplex(), ell_max=5, h_max=3)
         assert [row.certificate for row in report.per_ell] == ["impossible"] + ["not-found"] * 4
         assert len(calls) == 5 * 2
 
     def test_projection_rows_eliminated_once(self, monkeypatch):
-        # P's rows are read before the first dilate, which carries them, as
-        # does every later one: d - 1 eliminations for the whole search
+        # the first dilate's rows are P's, computed in P, and every later
+        # dilate reads the same: d - 1 eliminations for the whole search
         calls = []
         original = geometry._eliminate
 
@@ -1022,10 +1026,10 @@ class TestFindEll:
         assert calls == [2, 1]
 
     def test_one_volume_pass_per_search(self, monkeypatch):
-        # a1 is certified at every ell, its lattice points are not its
-        # vertices, and the scan stops below its dimension: the row at ell = 1
-        # certifies with a volume pass over its vertices, and later rows, each
-        # once a pass of its own, read ell^3 times that volume
+        # a1 is certified at every ell and its lattice points are not its
+        # vertices: the row at ell = 1 certifies with a volume pass over a1's
+        # vertices, and later rows read ell^3 times that volume.  At h_max = 3
+        # = d each row's scan also reads it, for the Ehrhart count at h = 3.
         passes = []
         original = geometry._placing_cells
 
@@ -1034,11 +1038,15 @@ class TestFindEll:
             return original(points, dim)
 
         monkeypatch.setattr(geometry, "_placing_cells", counting)
-        p = stretched_simplex()
-        report = find_ell(p, ell_max=3, h_max=2)
-        assert [row.cell_count for row in report.per_ell] == [2, 16, 54]
-        assert passes == [p.vertices]
-        assert normalized_volume(p) == 2
+        for h_max in (2, 3):
+            p = stretched_simplex()
+            passes.clear()
+            report = find_ell(p, ell_max=3, h_max=h_max)
+            assert report.ell == 1
+            assert [row.cell_count for row in report.per_ell] == [2, 16, 54]
+            assert all(r.holds for row in report.per_ell for r in row.idp)
+            assert passes == [p.vertices], h_max
+            assert normalized_volume(p) == 2
 
 
 class TestPositiveIntegerArguments:
