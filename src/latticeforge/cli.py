@@ -173,10 +173,20 @@ def _load_input(args, allow_cover: bool = False) -> tuple:
     return LatticePolytope(data["vertices"]), data, _digest(data)
 
 
+def _cli_int(text: str) -> int:
+    """An optionally signed integer of ASCII digits, surrounding whitespace
+    allowed: the integers of an input file, with no '_' or other digits."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(body)
+
+
 def _parse_point(text: str) -> tuple:
     try:
-        return tuple(int(tok.strip(), 10) for tok in text.split(","))
-    except ValueError as exc:
+        return tuple(map(_cli_int, text.split(",")))
+    except argparse.ArgumentTypeError as exc:
         raise PolytopeFileError(f"--point must be comma-separated integers, got {text!r}") from exc
 
 
@@ -430,22 +440,22 @@ def _add_input_args(sub):
 
 
 def _add_search_args(sub):
-    sub.add_argument("--attempts", type=int, default=20, help="triangulation search attempts")
-    sub.add_argument("--seed", type=int, default=0, help="seed for the random insertion orders")
+    sub.add_argument("--attempts", type=_cli_int, default=20, help="triangulation search attempts")
+    sub.add_argument("--seed", type=_cli_int, default=0, help="seed for the random insertion orders")
 
 
 def _unimodular_test_args(sub):
-    sub.add_argument("--cell", type=int, default=None, help="test one cell of a cover file")
+    sub.add_argument("--cell", type=_cli_int, default=None, help="test one cell of a cover file")
 
 
 def _idp_check_args(sub):
-    sub.add_argument("--h", type=int, default=None, help="single h to check")
-    sub.add_argument("--h-max", type=int, default=None, help="check every h up to this")
+    sub.add_argument("--h", type=_cli_int, default=None, help="single h to check")
+    sub.add_argument("--h-max", type=_cli_int, default=None, help="check every h up to this")
 
 
 def _decompose_args(sub):
     sub.add_argument("--point", required=True, help="comma-separated integer coordinates")
-    sub.add_argument("--h", type=int, required=True, help="number of summands")
+    sub.add_argument("--h", type=_cli_int, required=True, help="number of summands")
     sub.add_argument("--cover", default=None, help="cover JSON file (searched when absent)")
     _add_search_args(sub)
 
@@ -456,8 +466,8 @@ def _triangulate_args(sub):
 
 
 def _find_ell_args(sub):
-    sub.add_argument("--ell-max", type=int, required=True, help="largest dilation factor to try")
-    sub.add_argument("--h-max", type=int, default=3, help="direct checks per factor")
+    sub.add_argument("--ell-max", type=_cli_int, required=True, help="largest dilation factor to try")
+    sub.add_argument("--h-max", type=_cli_int, default=3, help="direct checks per factor")
     _add_search_args(sub)
 
 

@@ -14,7 +14,8 @@ class SingularMatrixError(LatticeForgeError):
 
 
 class DegeneratePolytopeError(LatticeForgeError):
-    """An operation required a full-dimensional polytope and got a flat one."""
+    """An operation required a full-dimensional polytope and got a flat one,
+    or a simplex got repeated or affinely dependent vertices."""
 
 
 class ResourceLimitError(LatticeForgeError):

@@ -41,7 +41,7 @@ def example(name: str) -> LatticePolytope:
     for prefix, builder in (("std-simplex-", std_simplex), ("cube-", unit_cube)):
         if name.startswith(prefix):
             suffix = name[len(prefix) :]
-            if suffix.isdigit() and 1 <= int(suffix) <= 8:
+            if suffix.isascii() and suffix.isdigit() and 1 <= int(suffix) <= 8:
                 return builder(int(suffix))
     raise PolytopeFileError(
         f"unknown example {name!r}; available: std-simplex-N, cube-N (N=1..8), a1, a2"

@@ -8,11 +8,11 @@ coordinates, dilation and lattice-point enumeration are decided exactly.
 (``_facet_rows``): starting from a simplex, each further generator keeps the
 integer rows it does not violate and joins each adjacent pair of a violated
 and a kept row into one row through it.  Rows carry the bitmask of the
-generators tight on them, which decides adjacency (``_ridge_partners``) and,
-afterwards, which generators are vertices; the polytope keeps each row's
-mask over its vertices.  The rows of its coordinate projections come from
-its own rows and masks, one exact elimination per coordinate
-(``_eliminate``), with the same adjacency test and no hull pass.
+generators tight on them, which decides adjacency and, afterwards, which
+generators are vertices; the polytope keeps each row's mask over its
+vertices.  The rows of its coordinate projections come from its own rows
+and masks, one exact elimination per coordinate (``_eliminate``), with no
+hull pass; it joins adjacent pairs by the same step (``_combine``).
 
 The placing routine (``_placing_cells``), a beneath-beyond pass that
 keeps the hull boundary as oriented integer facet rows, triangulates any
@@ -390,15 +390,9 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) ->
     _simplex_facets made primitive, read off (det, adj), its
     _difference_adjugate, which the caller has taken; each other point p,
     farthest from the bounding box's centre first, keeps the rows it does
-    not violate and joins each adjacent pair of a violated row F and a row
-    G that p lies strictly beneath into one row through p: the pencil row of
-    _placing_cells, from F's height above p and G's depth below it, masked
-    with F's and G's common points plus p.
-
-    Adjacency is _ridge_partners, on at[j], the bitmask of the rows tight
-    at point j, for each point of a violated row.
+    not violate and replaces the violated ones by _combine's rows through p
+    at the heights a.p - b, each masked with p's bit.
     """
-    dim = len(points[0])
     inner = _simplex_facets([points[i] for i in start], det, adj)
     rows = [_primitive_row([-x for x in a], -b) for a, b in inner]
     masks = [sum(1 << j for j in start if j != i) for i in start]
@@ -418,50 +412,52 @@ def _facet_rows(points: Sequence[Point], start: Sequence[int], det: int, adj) ->
         masks = [z | (t == 0) << i for z, t in zip(masks, heights)]
         if max(heights) <= 0:
             continue
-        violated = [k for k, t in enumerate(heights) if t > 0]
-        beneath = sum(1 << k for k, t in enumerate(heights) if t < 0)
-        # at[j] for each point j of a violated row
-        need = reduce(or_, [masks[f] for f in violated])
-        at = dict.fromkeys(_bits(need), 0)
-        for k, z in enumerate(masks):
-            for j in _bits(z & need):
-                at[j] |= 1 << k
-        every = (1 << len(rows)) - 1
-        new_rows, new_masks = [], []
-        for f in violated:
-            for g, common in _ridge_partners(masks[f], masks, at, beneath, dim, every):
-                (n_f, b_f), (n_g, b_g), eta, g_p = rows[f], rows[g], heights[f], heights[g]
-                row = [eta * a - g_p * c for a, c in zip(n_g, n_f)]
-                new_rows.append(_primitive_row(row, eta * b_g - g_p * b_f))
-                new_masks.append(common | 1 << i)
+        new = _combine(rows, masks, heights, len(p), (1 << len(rows)) - 1)
         kept = [k for k, t in enumerate(heights) if t <= 0]
-        rows, masks = [rows[k] for k in kept] + new_rows, [masks[k] for k in kept] + new_masks
+        rows = [rows[k] for k in kept] + [row for row, _ in new]
+        masks = [masks[k] for k in kept] + [common | 1 << i for _, common in new]
     return rows, masks
 
 
-def _ridge_partners(mask: int, masks: Sequence[int], at, candidates: int, dim: int, every: int):
-    """(g, common) for each row g in the bitmask `candidates` whose facet
-    meets the facet of the row with tight mask `mask` in a ridge of the
-    dim-dimensional polytope the rows bound, common being masks[g] & mask.
+def _combine(rows: Sequence, masks: Sequence, heights: Sequence, dim: int, facets: int) -> list:
+    """(row, common) for each row F with heights[F] > 0 and row G with
+    heights[G] < 0 whose facets meet in a ridge of the dim-dimensional
+    polytope the rows bound, F ascending, then G: row is the primitive
+    eta * G - g * F, eta = heights[F] and g = heights[G], and common is
+    masks[F] & masks[G].  The double description (_facet_rows) passes the
+    rows' heights at a new point, and Fourier-Motzkin elimination
+    (_eliminate) their coefficients of the coordinate it drops.
 
-    `every` has a bit for each facet row (a flat polytope's affine-hull
-    rows, tight everywhere, are left out of it), and at[j] is the bitmask
-    of the rows tight at point j, for each point j of `mask`.  Two facets
-    meet in a ridge iff they share at least dim - 1 tight points and no
-    third facet is tight on all of them: their common points then span a
-    face of dimension dim - 2, and no smaller face lies on only two facets.
-    The rows tight at dim - 1 or more of the points come from a bit-sliced
-    count over them, and the rows tight at every common point are one AND
-    of their at[j].
+    masks[k] is the bitmask of the points tight on row k; `facets` has a bit
+    for each facet row, a flat polytope's affine-hull rows left out.  Two
+    facets meet in a ridge iff they share at least dim - 1 tight points and
+    no third facet is tight on all of them (Fukuda-Prodon 1996): their
+    common points then span a face of dimension dim - 2, and no smaller face
+    lies on only two facets.  With at[j] the rows tight at point j, the rows
+    tight at dim - 1 or more of F's points come from a bit-sliced count over
+    them, and the rows tight at every common point are one AND of their at[j].
     """
-    # reach[c]: the rows tight at c or more of the points of `mask`
-    reach = [every] + [0] * (dim - 1)
-    for j in _bits(mask):
-        reach = [every, *(r | fewer & at[j] for r, fewer in zip(reach[1:], reach))]
-    for g in _bits(reach[-1] & candidates):
-        common = mask & masks[g]
-        if reduce(and_, [at[j] for j in _bits(common)], every).bit_count() <= 2:
-            yield g, common
+    upper = [f for f, t in enumerate(heights) if t > 0]
+    lower = sum(1 << g for g, t in enumerate(heights) if t < 0)
+    need = reduce(or_, [masks[f] for f in upper], 0)
+    at = [0] * need.bit_length()
+    for k, z in enumerate(masks):
+        for j in _bits(z & need):
+            at[j] |= 1 << k
+    out = []
+    for f in upper:
+        mask, (n_f, b_f), eta = masks[f], rows[f], heights[f]
+        # reach[c]: the rows tight at c or more of F's points
+        reach = [facets] + [0] * (dim - 1)
+        for j in _bits(mask):
+            reach = [facets, *(r | fewer & at[j] for r, fewer in zip(reach[1:], reach))]
+        for g in _bits(reach[-1] & lower):
+            common = mask & masks[g]
+            if reduce(and_, [at[j] for j in _bits(common)], facets).bit_count() <= 2:
+                (n_g, b_g), t = rows[g], heights[g]
+                normal = [eta * c - t * a for a, c in zip(n_f, n_g)]
+                out.append((_primitive_row(normal, eta * b_g - t * b_f), common))
+    return out
 
 
 def _bits(z: int) -> list:
@@ -830,10 +826,10 @@ def _eliminate(rows: dict, k: int, dim: int, full: int) -> tuple:
     vertex, so the masks stay, the projection is one to one and dim stays.
     Otherwise x_k runs along the hull and the projection's facets are the
     images of the facets with a_k = 0 and of the ridges F & G where F has
-    a_k > 0 and G a_k < 0 (_ridge_partners), at the primitive row that
-    cancels x_k, -g_k * F + f_k * G.  At each vertex v that row less its
-    offset is -g_k * (F(v) - b_F) + f_k * (G(v) - b_G), zero iff both are,
-    so its mask is mask_F & mask_G.  Each row comes back truncated to
+    a_k > 0 and G a_k < 0: _combine's rows at the heights a_k, on the rows
+    truncated to x_0..x_{k-1}.  At each vertex v such a row less its offset
+    is f_k * (G(v) - b_G) - g_k * (F(v) - b_F), zero iff both are, so its
+    mask is mask_F & mask_G.  Each row comes back truncated to
     x_0..x_{k-1}, primitive; an equation that became 0 <= 0 is dropped.
     """
     items = list(rows.items())
@@ -852,19 +848,9 @@ def _eliminate(rows: dict, k: int, dim: int, full: int) -> tuple:
             out[a[:k], b] = z
     # a segment along x_k projects to a point, which its equations bound
     if dim > 1:
-        masks = [z for _, z in items]
+        masks, cut = list(rows.values()), [(a[:k], b) for a, b in rows]
         facets = sum(1 << i for i, z in enumerate(masks) if z != full)
-        lower = sum(1 << i for i, ((a, _), _) in enumerate(items) if a[k] < 0)
-        at = [0] * full.bit_length()
-        for i, z in enumerate(masks):
-            for j in _bits(z):
-                at[j] |= 1 << i
-        for (a, b), z in items:
-            if a[k] > 0:
-                for g, common in _ridge_partners(z, masks, at, lower, dim, facets):
-                    c, d = items[g][0]
-                    normal = [-c[k] * x + a[k] * y for x, y in zip(a[:k], c)]
-                    out[_primitive_row(normal, -c[k] * b + a[k] * d)] = common
+        out.update(_combine(cut, masks, [a[k] for a, _ in rows], dim, facets))
     return out, dim - 1
 
 

@@ -15,6 +15,7 @@ from latticeforge.cli import (
     parse_strict_json,
 )
 from latticeforge.errors import PolytopeFileError
+from latticeforge.fixtures import example
 
 
 def run(capsys, *argv):
@@ -396,6 +397,71 @@ class TestInputHandling:
             assert code == 0
             reports.append((report["input"], report["input_digest"], report["result"]))
         assert reports[0] == reports[1]
+
+
+class TestAsciiIntegers:
+    """Command-line integers are read as the JSON reader reads them: ASCII
+    digits with an optional sign, surrounding whitespace allowed, and no
+    '_' separators or other scripts' digits."""
+
+    # each integer flag, with the arguments of a run that reads it
+    INT_FLAGS = [
+        ("unimodular-test", "--cell", ["--example", "a1"]),
+        ("idp-check", "--h", ["--example", "cube-2"]),
+        ("idp-check", "--h-max", ["--example", "cube-2"]),
+        ("decompose", "--h", ["--example", "cube-2", "--point", "1,1"]),
+        ("triangulate", "--attempts", ["--example", "cube-2"]),
+        ("triangulate", "--seed", ["--example", "cube-2"]),
+        ("find-ell", "--ell-max", ["--example", "a1"]),
+        ("find-ell", "--h-max", ["--example", "a1", "--ell-max", "1"]),
+    ]
+
+    def test_reader(self):
+        for text, value in (("7", 7), (" 7 ", 7), ("+7", 7), ("-7", -7), ("007", 7), ("-0", 0)):
+            assert cli._cli_int(text) == value
+        for text in ("", " ", "+", "-", "1_0", "\u0662", "\u00b3", "1.0", "0x1", "--1", "1 0"):
+            with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
+                cli._cli_int(text)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0662"])
+    @pytest.mark.parametrize("command,flag,rest", INT_FLAGS, ids=lambda x: x if isinstance(x, str) else "")
+    def test_flags_refuse(self, capsys, command, flag, rest, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *rest, flag, value])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"latticeforge {command}: error: argument {flag}: invalid int value: {value!r}"
+
+    def test_bad_value_keeps_the_int_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["idp-check", "--example", "cube-2", "--h", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "latticeforge idp-check: error: argument --h: invalid int value: 'abc'"
+
+    def test_signs_and_whitespace_read(self, capsys):
+        _, plain, _ = run(capsys, "idp-check", "--example", "cube-2", "--h", "2")
+        for text in (" 2 ", "+2", "02"):
+            code, report, _ = run(capsys, "idp-check", "--example", "cube-2", "--h", text)
+            assert code == 0 and report["result"] == plain["result"], text
+
+    @pytest.mark.parametrize("point", ["1_0,1", "\u0661,1", "1,\u00b9"])
+    def test_point_refused(self, capsys, point):
+        code, report, err = run(capsys, "decompose", "--example", "cube-2", "--point", point, "--h", "2")
+        assert code == 2 and report is None
+        assert f"--point must be comma-separated integers, got {point!r}" in err
+
+    def test_point_with_spaces_and_signs(self, capsys):
+        code, report, _ = run(capsys, "decompose", "--example", "cube-2", "--point", " +1 , 1", "--h", "2")
+        assert code == 0 and report["result"]["decomposition"]["point"] == [1, 1]
+
+    @pytest.mark.parametrize("name", ["cube-\u0663", "cube-\u00b3", "std-simplex-\u0662"])
+    def test_example_needs_ascii_digits(self, capsys, name):
+        with pytest.raises(PolytopeFileError, match="unknown example"):
+            example(name)
+        code, report, err = run(capsys, "idp-check", "--example", name, "--h", "1")
+        assert code == 2 and report is None
+        assert f"error: unknown example {name!r}" in err
 
 
 class TestRoundTripAndDeterminism:

@@ -19,6 +19,7 @@ from helpers import (
     cofactor_facet_normal,
     elimination_placing_cells,
     extremes_first,
+    fraction_rank_of_rows,
     hull_projection_rows,
     pairwise_bitset,
     random_point_set,
@@ -49,6 +50,8 @@ from latticeforge.geometry import (
     _placing_cells,
     _primitive_row,
     _projection_rows,
+    vec_dot,
+    vec_sub,
 )
 from latticeforge.linalg import IntMatrix
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
@@ -718,6 +721,116 @@ class TestProjectionRunsAgainstBoxRows:
             [(0, 0), (1, 0), (11, 7)],
         ):
             self.assert_same_runs(LatticePolytope(gens))
+
+
+class TestEliminationMasks:
+    """The masks _eliminate returns are exact: at every level of the
+    projection rows, each row's mask is the set of P's vertices tight on the
+    row truncated to the level's coordinates, an equation's (a row whose
+    opposite row is there too) is every vertex, and the returned dimension
+    is the projection's affine dimension.  The next level's adjacency test
+    reads these masks."""
+
+    @staticmethod
+    def check_levels(p):
+        rows, dim = dict(zip(p._facets, p._masks)), p._hull_dim
+        full, checked = (1 << len(p.vertices)) - 1, 0
+        for k in range(p.dim - 1, 0, -1):
+            rows, dim = geometry._eliminate(rows, k, dim, full)
+            shadow = [v[:k] for v in p.vertices]
+            assert dim == LatticePolytope(shadow)._hull_dim, (p.generators, k)
+            for (a, b), mask in rows.items():
+                tight = sum(1 << i for i, v in enumerate(shadow) if vec_dot(a, v) == b)
+                assert mask == tight, (p.generators, k, a, b)
+                if (tuple(-x for x in a), -b) in rows:
+                    assert mask == full, (p.generators, k, a, b)
+            checked += len(rows)
+        return checked
+
+    def test_cubes(self):
+        assert sum(self.check_levels(unit_cube(n)) for n in range(1, 8)) > 0
+
+    def test_random_point_sets(self):
+        rng = random.Random(425)
+        flats = checked = 0
+        for k in range(200):
+            dim, bound = 1 + k % 6, 2 if k % 6 < 3 else 1
+            if k % 3 == 0:
+                points = random_point_set(rng, dim, True, bound)
+            else:
+                points = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim + 1 + k % 5)]
+            p = LatticePolytope(points)
+            flats += not p.is_full_dimensional()
+            checked += self.check_levels(p)
+        assert flats >= 60 and checked >= 2000, (flats, checked)
+
+
+class TestCombineAgainstRanks:
+    """_combine's rows against the algebraic adjacency test: for each row F
+    with a positive height and G with a negative one, in that order, F and G
+    meet in a ridge iff the vertices tight on both span a face of dimension
+    dim - 2, and the pair gives the primitive eta * G - g * F.  At the
+    heights of a random direction on seeded full-dimensional hulls in
+    dimensions 2-6, and at the heights a_k at each level that _eliminate
+    joins pairs at, on cubes, whose vertices meet in pairs under the
+    projections, and on seeded sets in dimensions 2-5."""
+
+    @staticmethod
+    def expected(rows, masks, heights, verts, dim):
+        out = []
+        for f, eta in enumerate(heights):
+            for g, t in enumerate(heights):
+                if not eta > 0 > t:
+                    continue
+                both = masks[f] & masks[g]
+                common = [v for i, v in enumerate(verts) if both >> i & 1]
+                if common and fraction_rank_of_rows([vec_sub(v, common[0]) for v in common]) == dim - 2:
+                    (n_f, b_f), (n_g, b_g) = rows[f], rows[g]
+                    normal = [eta * y - t * x for x, y in zip(n_f, n_g)]
+                    out.append((_primitive_row(normal, eta * b_g - t * b_f), both))
+        return out
+
+    def test_random_directions(self):
+        rng = random.Random(426)
+        pairs = 0
+        for k in range(60):
+            dim = 2 + k % 5
+            points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 1 + k % 7)]
+            p = LatticePolytope(points)
+            if not p.is_full_dimensional():
+                continue
+            c = [rng.randint(-3, 3) for _ in range(dim)]
+            heights = [vec_dot(c, a) for a, _ in p._facets]
+            got = geometry._combine(p._facets, p._masks, heights, dim, (1 << len(heights)) - 1)
+            assert got == self.expected(p._facets, p._masks, heights, p.vertices, dim), points
+            pairs += len(got)
+        assert pairs >= 500, pairs
+
+    def test_elimination_levels(self):
+        rng = random.Random(427)
+        cases = [unit_cube(n) for n in range(2, 7)]
+        for k in range(120):
+            dim = 2 + k % 4
+            if k % 3 == 0:
+                cases.append(LatticePolytope(random_point_set(rng, dim, True)))
+            else:
+                cases.append(LatticePolytope([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim + 2 + k % 5)]))
+        pairs = 0
+        for p in cases:
+            rows, dim = dict(zip(p._facets, p._masks)), p._hull_dim
+            full = (1 << len(p.vertices)) - 1
+            for k in range(p.dim - 1, 0, -1):
+                # _eliminate joins pairs unless an equation of the hull involves x_k
+                if dim > 1 and not any(z == full and a[k] for (a, _), z in rows.items()):
+                    cut, masks = [(a[:k], b) for a, b in rows], list(rows.values())
+                    heights = [a[k] for a, _ in rows]
+                    facets = sum(1 << i for i, z in enumerate(masks) if z != full)
+                    got = geometry._combine(cut, masks, heights, dim, facets)
+                    shadow = [v[: k + 1] for v in p.vertices]
+                    assert got == self.expected(cut, masks, heights, shadow, dim), (p.generators, k)
+                    pairs += len(got)
+                rows, dim = geometry._eliminate(rows, k, dim, full)
+        assert pairs >= 500, pairs
 
 
 class TestFacetNormalAgainstCofactors:
