@@ -18,25 +18,16 @@ from .errors import (
     PointOutsideError,
     PolytopeFileError,
     ResourceLimitError,
-    SingularMatrixError,
 )
 from .geometry import (
     LatticePolytope,
     LatticeSimplex,
-    barycentric,
     contains,
     dilate,
-    is_affinely_independent,
     lattice_points,
     normalized_volume,
 )
-from .linalg import (
-    IntMatrix,
-    determinant,
-    hermite_normal_form,
-    integral_solution,
-    solve_rational,
-)
+from .linalg import IntMatrix, determinant, hermite_normal_form
 from .sumsets import IdpReport, hfold_sumset, idp_check, idp_scan, point_set, sumset
 from .unimodular import (
     Certification,
@@ -51,7 +42,6 @@ from .unimodular import (
     hnf_diagonal,
     is_unimodular,
     lattice_index,
-    placing_triangulation,
     verify_cover,
 )
 
@@ -66,19 +56,14 @@ __all__ = [
     "PointOutsideError",
     "PolytopeFileError",
     "ResourceLimitError",
-    "SingularMatrixError",
     "LatticePolytope",
     "LatticeSimplex",
-    "barycentric",
     "contains",
     "dilate",
-    "is_affinely_independent",
     "lattice_points",
     "IntMatrix",
     "determinant",
     "hermite_normal_form",
-    "integral_solution",
-    "solve_rational",
     "IdpReport",
     "hfold_sumset",
     "idp_check",
@@ -98,7 +83,6 @@ __all__ = [
     "is_unimodular",
     "lattice_index",
     "normalized_volume",
-    "placing_triangulation",
     "verify_cover",
     "__version__",
 ]

@@ -9,10 +9,6 @@ class DimensionMismatchError(LatticeForgeError):
     """Operands live in different ambient dimensions, or a matrix is not square."""
 
 
-class SingularMatrixError(LatticeForgeError):
-    """A linear solve was attempted on a matrix with determinant zero."""
-
-
 class DegeneratePolytopeError(LatticeForgeError):
     """An operation required a full-dimensional polytope and got a flat one,
     or a simplex got repeated or affinely dependent vertices."""

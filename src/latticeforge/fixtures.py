@@ -33,7 +33,10 @@ def reeve_simplex(q: int = 2) -> LatticePolytope:
 
 
 def example(name: str) -> LatticePolytope:
-    """Resolve a CLI fixture name (std-simplex-N, cube-N, a1, a2)."""
+    """Resolve a CLI fixture name (std-simplex-N, cube-N, a1, a2).
+
+    N is one ASCII digit 1..8, so cube-03 is not a second name for cube-3.
+    """
     if name == "a1":
         return stretched_simplex()
     if name == "a2":
@@ -41,7 +44,7 @@ def example(name: str) -> LatticePolytope:
     for prefix, builder in (("std-simplex-", std_simplex), ("cube-", unit_cube)):
         if name.startswith(prefix):
             suffix = name[len(prefix) :]
-            if suffix.isascii() and suffix.isdigit() and 1 <= int(suffix) <= 8:
+            if len(suffix) == 1 and "1" <= suffix <= "8":
                 return builder(int(suffix))
     raise PolytopeFileError(
         f"unknown example {name!r}; available: std-simplex-N, cube-N (N=1..8), a1, a2"

@@ -116,15 +116,6 @@ def _check_uniform(points) -> int:
     return dims.pop()
 
 
-def is_affinely_independent(points: Iterable[Sequence[int]]) -> bool:
-    """True iff the difference vectors from the first point are independent."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise DimensionMismatchError("need at least one point")
-    _check_uniform(pts)
-    return len(_affine_basis(pts)[0]) == len(pts)
-
-
 class LatticeSimplex:
     """n+1 affinely independent lattice points in Z^n, in a fixed order.
 
@@ -193,10 +184,6 @@ class LatticeSimplex:
 
     def __repr__(self) -> str:
         return f"LatticeSimplex({[list(v) for v in self.vertices]})"
-
-
-def barycentric(s: LatticeSimplex, q: Sequence) -> tuple:
-    return s.barycentric(q)
 
 
 # ---------------------------------------------------------------------------

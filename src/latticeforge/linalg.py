@@ -1,12 +1,11 @@
 """Exact integer linear algebra.
 
 Everything is computed with Python's arbitrary-precision integers, and every
-elimination is fraction-free (Bareiss steps, each division exact).  Solves
-read the adjugate: ``adj.b`` divided exactly by det is the integral solution,
-and ``Fraction`` enters only in the final division of ``solve_rational``.
-The same adjugate gives every facet row of a simplex (``geometry``), where
-one more row-by-row Bareiss elimination (``geometry._affine_basis``) picks a
-point sequence's affine basis and the coordinates its hull projects onto.
+elimination is fraction-free (Bareiss steps, each division exact).  One
+Gauss-Jordan pass gives the adjugate, which gives every facet row of a
+simplex (``geometry``), where one more row-by-row Bareiss elimination
+(``geometry._affine_basis``) picks a point sequence's affine basis and the
+coordinates its hull projects onto.
 There is deliberately no floating point anywhere: every predicate downstream
 (membership, unimodularity, volumes) reduces to the exact operations here.
 """
@@ -14,10 +13,9 @@ There is deliberately no floating point anywhere: every predicate downstream
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError
 
 #: Hard cap on matrix rows and columns and, in ``geometry``, on the ambient
 #: dimension: desk-scale, so huge inputs fail fast instead of hanging.
@@ -74,11 +72,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.data))
-
-    def mul_vector(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -143,42 +136,6 @@ def determinant(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant requires a square matrix")
     return _bareiss(m.data, False)[0]
-
-
-def _adj_times(m: IntMatrix, b: Sequence) -> tuple:
-    """(det(m), adj(m).b) for a solve of m @ x = b; SingularMatrixError when
-    det(m) = 0, TypeError for an entry of b that is not an int or a Fraction."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError("solve requires a square matrix")
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side length does not match")
-    for x in b:
-        if type(x) not in _RATIONAL:
-            raise TypeError(f"right-hand side entries must be int or Fraction, got {x!r}")
-    d, adj = _bareiss(m.data, True)
-    if not d:
-        raise SingularMatrixError("matrix is singular")
-    return d, [sum(map(mul, row, b)) for row in adj]
-
-
-def solve_rational(m: IntMatrix, b: Sequence) -> tuple:
-    """Exact solution x of ``m @ x = b`` as a tuple of Fractions, adj(m).b / det(m).
-
-    Raises SingularMatrixError when det(m) = 0.  The right-hand side may be
-    integer or rational; the entries of the result are in lowest terms.
-    """
-    d, x = _adj_times(m, b)
-    return tuple(Fraction(v, d) for v in x)
-
-
-def integral_solution(m: IntMatrix, b: Sequence[int]):
-    """Integer solution w of ``m @ w = b``, or None when none exists.
-
-    Raises SingularMatrixError when det(m) = 0; otherwise the unique solution
-    adj(m).b / det(m) is integral iff det(m) divides adj(m).b.
-    """
-    d, x = _adj_times(m, b)
-    return None if any(v % d for v in x) else tuple(v // d for v in x)
 
 
 def _ext_gcd(a: int, b: int) -> tuple:

@@ -152,31 +152,6 @@ class Certification:
     problems: tuple = ()
 
 
-def placing_triangulation(p: LatticePolytope, order: Optional[Sequence] = None) -> SimplicialCover:
-    """Placing triangulation over the polytope's lattice points.
-
-    `order` must be a permutation of lattice_points(p); the default is the
-    lexicographic enumeration order.  Geometry (tiling, disjointness) holds
-    by construction; the cells may or may not be unimodular.
-    """
-    pts = lattice_points(p)
-    if order is None:
-        sequence = list(pts)
-    else:
-        sequence = [as_point(q) for q in order]
-        if len(sequence) != len(pts) or sorted(set(sequence)) != list(pts):
-            raise ValueError("order must be a permutation of the polytope's lattice points")
-    if not p.is_full_dimensional():
-        raise DegeneratePolytopeError("placing triangulation needs a full-dimensional polytope")
-    cells = _placing_cells(sequence, p.dim)
-    return SimplicialCover(
-        target=p,
-        cells=tuple(LatticeSimplex(c) for c, _ in cells),
-        kind="triangulation",
-        certified="uncertified",
-    )
-
-
 def _separates(rows, vertices) -> bool:
     """Does some facet row (a, b) of one cell have a.v <= b at every vertex v of the other?"""
     return any(all(vec_dot(normal, v) <= offset for v in vertices) for normal, offset in rows)
@@ -409,8 +384,9 @@ def decompose(
 ) -> Decomposition:
     """Decompose a lattice point of the h-fold dilate via a certified cover of p.
 
-    Locates the first cell (in cover order) containing point/h and solves
-    there; the parts are h lattice points of p summing to the input.
+    Locates the first cell (in cover order) containing point/h and reads
+    its integer weights there (decompose_in_simplex); the parts are h
+    lattice points of p summing to the input.
     """
     pt = as_point(point)
     if len(pt) != p.dim:

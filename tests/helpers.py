@@ -24,10 +24,12 @@ projection, placing with one elimination per new boundary facet, the adjugate
 as an IntMatrix off one Gauss-Jordan pass, where the library reads the
 pass's rows, exact solves (and the adjugate built from them) by rational
 Gauss-Jordan elimination, a cell's facet rows from one cofactor elimination
-per facet, the general two-phase simplex method on the integer tableau
-(solve_min), where the library runs phase 2 alone from a known basis, and
-the simplex LP on a Fraction tableau, with the margin LP in its primal
-encoding.
+per facet, whole placing triangulations in a given order, non-unimodular
+cells kept (placing_cover), where the library stops an order at its first
+non-unimodular cell, the general two-phase simplex method on the integer
+tableau (solve_min), where the library runs phase 2 alone from a known
+basis, and the simplex LP on a Fraction tableau, with the margin LP in its
+primal encoding.
 """
 
 import itertools
@@ -44,13 +46,13 @@ from latticeforge import (
     IdpReport,
     LatticePolytope,
     LatticeSimplex,
+    SimplicialCover,
     contains,
     dilate,
     is_unimodular,
     lattice_index,
     lattice_points,
     normalized_volume,
-    placing_triangulation,
     sumset,
     verify_cover,
 )
@@ -63,7 +65,6 @@ from latticeforge.errors import (
     DegeneratePolytopeError,
     DimensionMismatchError,
     LatticeForgeError,
-    SingularMatrixError,
 )
 from latticeforge.geometry import (
     Point,
@@ -75,6 +76,10 @@ from latticeforge.geometry import (
 )
 from latticeforge.linalg import IntMatrix, _bareiss, determinant
 from latticeforge.lp import OPTIMAL, UNBOUNDED, _minimize, _pivot
+
+
+class SingularMatrix(LatticeForgeError):
+    """The solve and adjugate oracles below were given a singular matrix."""
 
 
 def cofactor_determinant(rows):
@@ -122,7 +127,7 @@ def _solve_unique(rows, rhs):
 
 
 def fraction_solve(m, b):
-    """linalg.solve_rational by rational Gauss-Jordan elimination: Fractions, lowest terms."""
+    """The solution x of m @ x = b by rational Gauss-Jordan elimination: Fractions, lowest terms."""
     if m.rows != m.cols:
         raise DimensionMismatchError("solve requires a square matrix")
     n = m.rows
@@ -132,7 +137,7 @@ def fraction_solve(m, b):
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
+            raise SingularMatrix("matrix is singular")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
         inv = 1 / a[col][col]
@@ -152,7 +157,7 @@ def adjugate(m):
         raise DimensionMismatchError("adjugate requires a square matrix")
     d, adj = _bareiss(m.data, True)
     if not d:
-        raise SingularMatrixError("adjugate of a singular matrix is not supported here")
+        raise SingularMatrix("adjugate of a singular matrix is not supported here")
     return IntMatrix(adj)
 
 
@@ -160,7 +165,7 @@ def fraction_adjugate(m):
     """adjugate as n rational solves: column j solves m @ x = det(m) * e_j."""
     d = determinant(m)
     if d == 0:
-        raise SingularMatrixError("adjugate of a singular matrix is not supported here")
+        raise SingularMatrix("adjugate of a singular matrix is not supported here")
     n = m.rows
     cols = []
     for j in range(n):
@@ -753,6 +758,14 @@ def triangle_overlap_area2(t1, t2):
     return abs(shoelace_area2(region))
 
 
+def placing_cover(p, order=None):
+    """The placing triangulation of p's lattice points in `order` (default:
+    their lexicographic order) as an uncertified cover, every cell kept,
+    non-unimodular ones included; DegeneratePolytopeError for a flat p."""
+    cells = _placing_cells(lattice_points(p) if order is None else order, p.dim)
+    return SimplicialCover(target=p, cells=tuple(LatticeSimplex(c) for c, _ in cells))
+
+
 def full_placing_search(p, attempts=20, seed=0):
     """find_unimodular_triangulation without its early abort.
 
@@ -774,7 +787,7 @@ def full_placing_search(p, attempts=20, seed=0):
             order = pts[:]
             for _ in _draw(rng, order):
                 states.append(rng.getstate())
-        cover = placing_triangulation(p, order)
+        cover = placing_cover(p, order)
         if all(is_unimodular(c) for c in cover.cells):
             if verify_cover(cover).status == "certified":
                 return replace(cover, certified="certified")

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from helpers import multiset_decompositions, random_unimodular_simplex
+from helpers import fraction_affine_basis, multiset_decompositions, random_unimodular_simplex
 from latticeforge import (
     LatticePolytope,
     decompose,
@@ -21,7 +21,6 @@ from latticeforge import (
     hnf_diagonal,
     idp_check,
     idp_scan,
-    is_affinely_independent,
     is_unimodular,
     lattice_index,
     lattice_points,
@@ -131,7 +130,7 @@ def test_decomposition_support_clause():
                 assert len(d.parts) == h
                 assert set(d.parts) <= base
                 support = [v for v, w in d.weights if w > 0]
-                assert is_affinely_independent(support)
+                assert fraction_affine_basis(support) == support
                 checked += 1
     # and straight from random unimodular simplices
     for _ in range(20):
@@ -141,7 +140,7 @@ def test_decomposition_support_clause():
             for point in lattice_points(dilate(s.hull(), h)):
                 d = decompose_in_simplex(s, point, h)
                 support = [v for v, w in d.weights if w > 0]
-                assert is_affinely_independent(support)
+                assert fraction_affine_basis(support) == support
                 assert all(w >= 0 for _, w in d.weights)
                 assert sum(w for _, w in d.weights) == h
                 checked += 1

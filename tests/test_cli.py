@@ -317,6 +317,22 @@ class TestFindEll:
 
 
 class TestInputHandling:
+    # a flat lattice triangle in Z^4: only idp-check runs; every command
+    # that triangulates refuses it as an input error (decompose: TestDecompose)
+    @pytest.mark.parametrize("argv,code", [
+        (["idp-check", "--h", "2"], 0),
+        (["triangulate"], 2),
+        (["find-ell", "--ell-max", "1", "--h-max", "1"], 2),
+    ], ids=lambda x: x[0] if isinstance(x, list) else "")
+    def test_flat_polytope(self, capsys, tmp_path, argv, code):
+        path = write(tmp_path, "flat.json", {"dim": 4, "vertices": [[0, 0, 0, 0], [1, 0, 1, 2], [0, 1, 2, 1]]})
+        got, report, err = run(capsys, argv[0], path, *argv[1:])
+        assert got == code
+        if code:
+            assert report is None and err == "error: placing triangulation needs a full-dimensional polytope\n"
+        else:
+            assert report["result"]["reports"][0]["dilate_size"] == 6
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "idp-check", "--h", "1")
         assert code == 2
@@ -455,7 +471,10 @@ class TestAsciiIntegers:
         code, report, _ = run(capsys, "decompose", "--example", "cube-2", "--point", " +1 , 1", "--h", "2")
         assert code == 0 and report["result"]["decomposition"]["point"] == [1, 1]
 
-    @pytest.mark.parametrize("name", ["cube-\u0663", "cube-\u00b3", "std-simplex-\u0662"])
+    # N is one ASCII digit, so cube-03 is not a second name for cube-3
+    @pytest.mark.parametrize(
+        "name", ["cube-\u0663", "cube-\u00b3", "std-simplex-\u0662", "cube-03", "cube-00", "std-simplex-01"]
+    )
     def test_example_needs_ascii_digits(self, capsys, name):
         with pytest.raises(PolytopeFileError, match="unknown example"):
             example(name)

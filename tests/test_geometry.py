@@ -19,9 +19,11 @@ from helpers import (
     cofactor_facet_normal,
     elimination_placing_cells,
     extremes_first,
+    fraction_affine_basis,
     fraction_rank_of_rows,
     hull_projection_rows,
     pairwise_bitset,
+    placing_cover,
     random_point_set,
     random_polytope,
     random_rational_point,
@@ -36,10 +38,8 @@ from latticeforge import (
     LatticePolytope,
     LatticeSimplex,
     ResourceLimitError,
-    barycentric,
     contains,
     dilate,
-    is_affinely_independent,
     lattice_points,
     normalized_volume,
 )
@@ -58,21 +58,31 @@ from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, u
 
 
 class TestAffineIndependence:
+    """Affine independence as the tests read it (fraction_affine_basis keeps
+    every point) and as LatticeSimplex enforces it on its vertices."""
+
     def test_standard_basis(self):
-        assert is_affinely_independent([(0, 0), (1, 0), (0, 1)])
+        points = [(0, 0), (1, 0), (0, 1)]
+        assert fraction_affine_basis(points) == points
+        assert LatticeSimplex(points).det == 1
 
     def test_collinear(self):
-        assert not is_affinely_independent([(0, 0), (1, 0), (2, 0)])
+        points = [(0, 0), (1, 0), (2, 0)]
+        assert fraction_affine_basis(points) == points[:2]
+        with pytest.raises(DegeneratePolytopeError, match="affinely dependent"):
+            LatticeSimplex(points)
 
     def test_reeve_vertices(self):
-        assert is_affinely_independent([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+        points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]
+        assert fraction_affine_basis(points) == points
+        assert LatticeSimplex(points).det == 2
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            is_affinely_independent([(0, 0), (1, 0, 0)])
+        with pytest.raises(DimensionMismatchError, match="mixed point dimensions"):
+            LatticeSimplex([(0, 0), (1, 0, 0), (0, 1)])
 
     def test_single_point(self):
-        assert is_affinely_independent([(3, 4)])
+        assert fraction_affine_basis([(3, 4)]) == [(3, 4)]
 
 
 class TestSimplex:
@@ -145,7 +155,7 @@ class TestBarycentric:
     def test_centroid(self):
         s = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
         third = Fraction(1, 3)
-        assert barycentric(s, (third, third)) == (third, third, third)
+        assert s.barycentric((third, third)) == (third, third, third)
 
     def test_reeve_half_point(self):
         s = LatticeSimplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
@@ -1369,8 +1379,6 @@ class TestVertexExtraction:
 class TestMembershipTriangulationCrossCheck:
     def test_contains_iff_in_some_cell(self):
         # membership must agree with cell membership in a triangulation
-        from latticeforge import placing_triangulation
-
         rng = random.Random(21)
         done = 0
         while done < 25:
@@ -1378,7 +1386,7 @@ class TestMembershipTriangulationCrossCheck:
             p = random_polytope(rng, dim, bound=3, max_points=7)
             if not p.is_full_dimensional():
                 continue
-            cover = placing_triangulation(p)
+            cover = placing_cover(p)
             for _ in range(8):
                 q = random_rational_point(rng, dim, bound=4, denominator_max=3)
                 in_cells = any(c.contains_point(q) for c in cover.cells)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from helpers import (
     _hull_feasible,
     caratheodory_contains,
+    placing_cover,
     random_polytope,
     random_rational_point,
     random_simplex,
@@ -18,15 +19,14 @@ from latticeforge import (
     contains,
     determinant,
     hermite_normal_form,
-    integral_solution,
     lattice_index,
     lattice_points,
     normalized_volume,
-    placing_triangulation,
     verify_cover,
 )
 from latticeforge import lp
 from latticeforge.errors import DegeneratePolytopeError
+from latticeforge.linalg import _bareiss
 from latticeforge.lp import max_min_margin
 from latticeforge.unimodular import _interiors_intersect
 
@@ -160,7 +160,7 @@ class TestPlacingTriangulationStress:
             pts = list(lattice_points(p))
             for _ in range(4):
                 rng.shuffle(pts)
-                cover = placing_triangulation(p, order=pts)
+                cover = placing_cover(p, order=pts)
                 assert sum(lattice_index(c) for c in cover.cells) == vol
                 cert = verify_cover(cover)
                 geometry_problems = [
@@ -190,7 +190,8 @@ class TestArbitraryPrecision:
         s = LatticeSimplex([(0, 0), (10**20, 0), (0, 10**20)])
         assert lattice_index(s) == 10**40
 
-    def test_integral_solution_with_huge_values(self):
+    def test_adjugate_with_huge_values(self):
         m = IntMatrix([[10**15, 0], [0, 10**15]])
-        assert integral_solution(m, (10**30, 10**30)) == (10**15, 10**15)
-        assert integral_solution(m, (1, 0)) is None
+        det, adj = _bareiss(m.data, True)
+        assert det == 10**30
+        assert IntMatrix(adj) @ m == IntMatrix([[det, 0], [0, det]])

@@ -8,10 +8,12 @@ import pytest
 
 from helpers import (
     cofactor_interior_rows,
+    fraction_affine_basis,
     fraction_solve,
     full_placing_search,
     multiset_decompositions,
     pairwise_verify_cover,
+    placing_cover,
     random_polytope,
     random_simplex,
     random_unimodular_simplex,
@@ -36,13 +38,12 @@ from latticeforge import (
     lattice_index,
     lattice_points,
     normalized_volume,
-    placing_triangulation,
     verify_cover,
 )
 from latticeforge import geometry, lp, sumsets, unimodular
 from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
-from latticeforge.geometry import is_affinely_independent, vec_scale, vec_sub
+from latticeforge.geometry import vec_scale, vec_sub
 from latticeforge.unimodular import _draw, _facets_match, _interiors_intersect, _placing_search
 
 
@@ -261,24 +262,27 @@ class TestVerifyCover:
 
 
 class TestPlacingTriangulation:
+    """Whole placing triangulations (helpers.placing_cover over
+    geometry._placing_cells), non-unimodular cells kept."""
+
     def test_unit_square_two_triangles(self):
-        cover = placing_triangulation(unit_square())
+        cover = placing_cover(unit_square())
         assert len(cover.cells) == 2
         assert verify_cover(cover).status == "certified"
 
     def test_reeve_simplex_single_cell(self):
-        cover = placing_triangulation(reeve_simplex())
+        cover = placing_cover(reeve_simplex())
         assert len(cover.cells) == 1
         assert set(cover.cells[0].vertices) == set(reeve_simplex().vertices)
 
     def test_unit_cube_six_tetrahedra(self):
-        cover = placing_triangulation(unit_cube(3))
+        cover = placing_cover(unit_cube(3))
         assert len(cover.cells) == 6
         assert all(lattice_index(c) == 1 for c in cover.cells)
         assert sum(lattice_index(c) for c in cover.cells) == normalized_volume(unit_cube(3)) == 6
 
     def test_geometry_valid_even_when_not_unimodular(self):
-        cover = placing_triangulation(stretched_simplex())
+        cover = placing_cover(stretched_simplex())
         cert = verify_cover(cover)
         # only unimodularity may fail, never the tiling geometry
         assert all("unimodular" in msg for msg in cert.problems)
@@ -286,18 +290,14 @@ class TestPlacingTriangulation:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePolytopeError):
-            placing_triangulation(LatticePolytope([(0, 0), (2, 0)]))
-
-    def test_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            placing_triangulation(unit_square(), order=[(0, 0), (1, 0), (0, 1)])
+            placing_cover(LatticePolytope([(0, 0), (2, 0)]))
 
     def test_custom_order_still_tiles(self):
         rng = random.Random(77)
         pts = list(lattice_points(unit_cube(3)))
         for _ in range(10):
             rng.shuffle(pts)
-            cover = placing_triangulation(unit_cube(3), order=pts)
+            cover = placing_cover(unit_cube(3), order=pts)
             assert sum(lattice_index(c) for c in cover.cells) == 6
             cert = verify_cover(cover)
             assert not any("interior" in m or "volume" in m or "outside" in m for m in cert.problems)
@@ -309,7 +309,7 @@ class TestPlacingTriangulation:
             p = random_polytope(rng, rng.choice((2, 3)), bound=2, max_points=6)
             if not p.is_full_dimensional():
                 continue
-            cover = placing_triangulation(p)
+            cover = placing_cover(p)
             assert sum(lattice_index(c) for c in cover.cells) == normalized_volume(p)
             done += 1
 
@@ -531,7 +531,7 @@ class TestDrawnOrders:
         [(order, volume)] = recorded
         assert sorted(order) == list(lattice_points(DRAWN_ONLY))
         assert volume == len(cover.cells) == normalized_volume(DRAWN_ONLY)
-        assert placing_triangulation(DRAWN_ONLY, order).cells == cover.cells
+        assert placing_cover(DRAWN_ONLY, order).cells == cover.cells
         assert (cover.cells, cover.certified) == (
             full_placing_search(DRAWN_ONLY, attempts=4, seed=19).cells,
             "certified",
@@ -695,7 +695,7 @@ def _placing_triangulations(seed, count):
             continue
         order = list(lattice_points(p))
         rng.shuffle(order)
-        out.append((p, list(placing_triangulation(p, order).cells)))
+        out.append((p, list(placing_cover(p, order).cells)))
     return out
 
 
@@ -865,7 +865,7 @@ class TestDecompose:
         assert tuple(sum(c) for c in zip(*d.parts)) == (1, 1, 1)
         assert set(d.parts) <= set(lattice_points(p))
         support = [v for v, w in d.weights if w > 0]
-        assert is_affinely_independent(support)
+        assert fraction_affine_basis(support) == support
 
     def test_point_outside(self):
         p = unit_square()
@@ -875,7 +875,7 @@ class TestDecompose:
 
     def test_uncertified_cover_rejected(self):
         p = unit_square()
-        cover = placing_triangulation(p)  # not stamped certified
+        cover = placing_cover(p)  # not stamped certified
         with pytest.raises(ValueError):
             decompose(p, cover, (1, 1), 2)
 
