@@ -27,7 +27,7 @@ from .geometry import (
     lattice_points,
     normalized_volume,
 )
-from .linalg import IntMatrix, determinant, hermite_normal_form
+from .linalg import determinant, hermite_normal_form
 from .sumsets import IdpReport, hfold_sumset, idp_check, idp_scan, point_set, sumset
 from .unimodular import (
     Certification,
@@ -61,7 +61,6 @@ __all__ = [
     "contains",
     "dilate",
     "lattice_points",
-    "IntMatrix",
     "determinant",
     "hermite_normal_form",
     "IdpReport",

@@ -48,13 +48,14 @@ from functools import reduce
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import and_, mul, or_, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, _RATIONAL, IntMatrix, _bareiss
+from .linalg import DIM_CAP, _bareiss
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # a tuple of ints and Fractions
+_RATIONAL = frozenset((int, Fraction))  # a rational coordinate's types, exactly
 
 #: Caps that turn runaway inputs into errors: the ambient dimension
 #: (``linalg.DIM_CAP``, shared with matrices), and the volume of the integer
@@ -93,10 +94,6 @@ def _check_length(q: tuple, dim: int) -> None:
         raise DimensionMismatchError(f"expected a point of dimension {dim}, got {len(q)}")
 
 
-def vec_add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
 def vec_sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
 
@@ -120,8 +117,7 @@ class LatticeSimplex:
     """n+1 affinely independent lattice points in Z^n, in a fixed order.
 
     det is the determinant of the differences v_i - v_0, from one Bareiss
-    elimination on them as rows (a matrix and its transpose share it); the
-    difference matrix, those differences as columns, is built on each read.
+    elimination on them as rows (a matrix and its transpose share it).
     Its facet rows (_simplex_facets), built on first read and kept, are its
     weight rows: row i at x is |det| times x's barycentric weight t_i.
     """
@@ -148,12 +144,6 @@ class LatticeSimplex:
         self.det = det
         self._rows = None
 
-    @property
-    def difference_matrix(self) -> IntMatrix:
-        """The matrix whose columns are v_i - v_0, i = 1..n, built on each read."""
-        base = self.vertices[0]
-        return IntMatrix.from_columns([vec_sub(v, base) for v in self.vertices[1:]])
-
     def _weight_rows(self) -> list:
         """The facet rows (a_i, b_i), a_i.x - b_i = |det| * t_i(x), kept after the first read."""
         if self._rows is None:
@@ -172,9 +162,6 @@ class LatticeSimplex:
     def contains_point(self, q: Sequence) -> bool:
         qt = as_rat_point(q, self.dim)
         return all(vec_dot(a, qt) >= b for a, b in self._weight_rows())
-
-    def hull(self) -> "LatticePolytope":
-        return LatticePolytope(self.vertices)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices
@@ -539,13 +526,6 @@ class LatticePolytope:
         self._facets = tuple(sorted(tight))
         self._masks = tuple(tight[row] for row in self._facets)
 
-    def as_simplex(self) -> Optional[LatticeSimplex]:
-        """The polytope as a simplex, when it is one (n+1 independent
-        vertices), built on each call."""
-        if self._hull_dim == self.dim and len(self.vertices) == self.dim + 1:
-            return LatticeSimplex(self.vertices)
-        return None
-
     def is_full_dimensional(self) -> bool:
         return self._hull_dim == self.dim
 
@@ -561,11 +541,6 @@ class LatticePolytope:
         mins = tuple(min(v[j] for v in self.vertices) for j in range(self.dim))
         maxs = tuple(max(v[j] for v in self.vertices) for j in range(self.dim))
         return mins, maxs
-
-    def translate(self, t: Sequence[int]) -> "LatticePolytope":
-        tv = as_point(t)
-        _check_length(tv, self.dim)
-        return LatticePolytope([vec_add(v, tv) for v in self.vertices])
 
     def __eq__(self, other) -> bool:
         return (

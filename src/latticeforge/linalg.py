@@ -1,94 +1,46 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra on plain integer rows.
 
 Everything is computed with Python's arbitrary-precision integers, and every
 elimination is fraction-free (Bareiss steps, each division exact).  One
 Gauss-Jordan pass gives the adjugate, which gives every facet row of a
 simplex (``geometry``), where one more row-by-row Bareiss elimination
 (``geometry._affine_basis``) picks a point sequence's affine basis and the
-coordinates its hull projects onto.
+coordinates its hull projects onto.  The public entry points, the
+determinant and the Hermite normal form, take any sequence of integer rows
+and check them on entry.
 There is deliberately no floating point anywhere: every predicate downstream
 (membership, unimodularity, volumes) reduces to the exact operations here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError
 
 #: Hard cap on matrix rows and columns and, in ``geometry``, on the ambient
 #: dimension: desk-scale, so huge inputs fail fast instead of hanging.
 DIM_CAP = 8
-_RATIONAL = frozenset((int, Fraction))  # a rational entry's types, exactly
 
 
-class IntMatrix:
-    """Immutable dense integer matrix, row-major, arbitrary precision."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionMismatchError("matrix dimensions must be at least 1x1")
-        ncols = len(data[0])
-        for row in data:
-            if len(row) != ncols:
-                raise DimensionMismatchError("ragged rows in matrix")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"matrix entries must be int, got {x!r}")
-        if len(data) > DIM_CAP or ncols > DIM_CAP:
-            raise DimensionMismatchError(
-                f"matrix dimensions capped at {DIM_CAP}, got {len(data)}x{ncols}"
-            )
-        self.rows = len(data)
-        self.cols = ncols
-        self.data = data
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not columns:
-            raise DimensionMismatchError("need at least one column")
-        return cls(tuple(zip(*columns)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
-
-    def columns(self) -> tuple:
-        return tuple(zip(*self.data))
-
-    def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.data))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions do not match")
-        cols = other.columns()
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.data)
+def _int_rows(rows: Sequence[Sequence[int]]) -> tuple:
+    """rows as a tuple of int tuples: at least 1x1, rectangular, every entry
+    an int (not a bool), at most DIM_CAP rows and columns."""
+    data = tuple(tuple(row) for row in rows)
+    if not data or not data[0]:
+        raise DimensionMismatchError("matrix dimensions must be at least 1x1")
+    ncols = len(data[0])
+    for row in data:
+        if len(row) != ncols:
+            raise DimensionMismatchError("ragged rows in matrix")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"matrix entries must be int, got {x!r}")
+    if len(data) > DIM_CAP or ncols > DIM_CAP:
+        raise DimensionMismatchError(
+            f"matrix dimensions capped at {DIM_CAP}, got {len(data)}x{ncols}"
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.data]})"
+    return data
 
 
 def _bareiss(rows: Sequence[Sequence[int]], jordan: bool) -> tuple:
@@ -131,11 +83,13 @@ def _bareiss(rows: Sequence[Sequence[int]], jordan: bool) -> tuple:
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a) if jordan else None
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination (no rounding, no rational blow-up)."""
-    if m.rows != m.cols:
+def determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix given as integer rows, by Bareiss
+    fraction-free elimination (no rounding, no rational blow-up)."""
+    data = _int_rows(m)
+    if len(data) != len(data[0]):
         raise DimensionMismatchError("determinant requires a square matrix")
-    return _bareiss(m.data, False)[0]
+    return _bareiss(data, False)[0]
 
 
 def _ext_gcd(a: int, b: int) -> tuple:
@@ -153,18 +107,20 @@ def _ext_gcd(a: int, b: int) -> tuple:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple:
-    """Column-style Hermite normal form.
+def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple:
+    """Column-style Hermite normal form of a matrix m given as integer rows.
 
-    Returns (H, U) with U unimodular (|det U| = 1) and ``m @ U == H``, so H
-    is obtained from m by integer column operations and generates the same
-    integer column span.  Convention: pivots are positive, sit on the
-    leading columns, entries to the left of each pivot are reduced into
-    [0, pivot), and all-zero columns are pushed to the right.
+    Returns (H, U), each a tuple of row tuples, with U unimodular
+    (|det U| = 1) and m·U = H, so H is obtained from m by integer column
+    operations and generates the same integer column span.  Convention:
+    pivots are positive, sit on the leading columns, entries to the left of
+    each pivot are reduced into [0, pivot), and all-zero columns are pushed
+    to the right.
     """
-    nrows, ncols = m.rows, m.cols
+    data = _int_rows(m)
+    nrows, ncols = len(data), len(data[0])
     # H's rows, then U's: every column operation acts on [H; U] at once
-    rows = [list(row) for row in m.data] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    rows = [list(row) for row in data] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     pivot = 0
     for i in range(nrows):
         if pivot >= ncols:
@@ -195,4 +151,4 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
                 for row in rows:
                     row[j] -= q * row[pivot]
         pivot += 1
-    return IntMatrix(rows[:nrows]), IntMatrix(rows[nrows:])
+    return tuple(map(tuple, rows[:nrows])), tuple(map(tuple, rows[nrows:]))

@@ -54,6 +54,7 @@ from .geometry import (
     lattice_points,
     normalized_volume,
     vec_dot,
+    vec_sub,
 )
 from .linalg import hermite_normal_form
 from .sumsets import idp_scan
@@ -74,14 +75,16 @@ def is_unimodular(s: LatticeSimplex) -> bool:
 
 
 def hnf_diagonal(s: LatticeSimplex) -> tuple:
-    """Diagonal of the Hermite form of the difference matrix.
+    """Diagonal of the Hermite form of the difference matrix, whose columns
+    are v_i - v_0.
 
     Diagnostic view of the difference subgroup: the product of the diagonal
     is the lattice index, and each entry shows the stretch along one basis
     direction (e.g. (1, 1, 2) for an index-2 subgroup).
     """
-    h, _ = hermite_normal_form(s.difference_matrix)
-    return h.diagonal()
+    base = s.vertices[0]
+    h, _ = hermite_normal_form(zip(*[vec_sub(v, base) for v in s.vertices[1:]]))
+    return tuple(h[i][i] for i in range(s.dim))
 
 
 @dataclass(frozen=True)

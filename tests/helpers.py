@@ -21,15 +21,17 @@ recursive call per coordinate, run bitsets from run ends and by pairwise
 merges, enumeration rows as the facet rows relaxed over the bounding box
 (box_rows), where the library eliminates the rows of each coordinate
 projection, placing with one elimination per new boundary facet, the adjugate
-as an IntMatrix off one Gauss-Jordan pass, where the library reads the
-pass's rows, exact solves (and the adjugate built from them) by rational
-Gauss-Jordan elimination, a cell's facet rows from one cofactor elimination
-per facet, whole placing triangulations in a given order, non-unimodular
-cells kept (placing_cover), where the library stops an order at its first
-non-unimodular cell, the general two-phase simplex method on the integer
-tableau (solve_min), where the library runs phase 2 alone from a known
-basis, and the simplex LP on a Fraction tableau, with the margin LP in its
-primal encoding.
+refused when singular, off one Gauss-Jordan pass, where the library reads
+the pass's rows as they come, exact solves (and the adjugate built from
+them) by rational Gauss-Jordan elimination, a cell's facet rows from one
+cofactor elimination per facet, whole placing triangulations in a given
+order, non-unimodular cells kept (placing_cover), where the library stops an
+order at its first non-unimodular cell, the general two-phase simplex method
+on the integer tableau (solve_min), where the library runs phase 2 alone
+from a known basis, and the simplex LP on a Fraction tableau, with the
+margin LP in its primal encoding.  Matrices are plain integer rows, as the
+library takes them; identity and matmul are the two matrix operations only
+the tests need.
 """
 
 import itertools
@@ -74,7 +76,7 @@ from latticeforge.geometry import (
     _primitive_row,
     vec_dot,
 )
-from latticeforge.linalg import IntMatrix, _bareiss, determinant
+from latticeforge.linalg import _bareiss, determinant
 from latticeforge.lp import OPTIMAL, UNBOUNDED, _minimize, _pivot
 
 
@@ -126,14 +128,28 @@ def _solve_unique(rows, rhs):
     return sol
 
 
+def identity(n):
+    """The n x n identity matrix, as rows."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    """The product a·b of two integer matrices given as rows, as rows."""
+    if len(a[0]) != len(b):
+        raise DimensionMismatchError("inner dimensions do not match")
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 def fraction_solve(m, b):
-    """The solution x of m @ x = b by rational Gauss-Jordan elimination: Fractions, lowest terms."""
-    if m.rows != m.cols:
+    """The solution x of m·x = b, m given as rows, by rational Gauss-Jordan
+    elimination: Fractions, lowest terms."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionMismatchError("solve requires a square matrix")
-    n = m.rows
     if len(b) != n:
         raise DimensionMismatchError("right-hand side length does not match")
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m.data, b)]
+    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m, b)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
@@ -150,30 +166,30 @@ def fraction_solve(m, b):
 
 
 def adjugate(m):
-    """adj(m) = det(m) * inverse(m) as an IntMatrix, off one fraction-free
+    """adj(m) = det(m) * inverse(m) as rows, off one fraction-free
     Gauss-Jordan pass (linalg._bareiss), whose (det, adj) the library reads
     directly; refuses non-square and singular matrices."""
-    if m.rows != m.cols:
+    if any(len(row) != len(m) for row in m):
         raise DimensionMismatchError("adjugate requires a square matrix")
-    d, adj = _bareiss(m.data, True)
+    d, adj = _bareiss(m, True)
     if not d:
         raise SingularMatrix("adjugate of a singular matrix is not supported here")
-    return IntMatrix(adj)
+    return adj
 
 
 def fraction_adjugate(m):
-    """adjugate as n rational solves: column j solves m @ x = det(m) * e_j."""
+    """adjugate as n rational solves: column j solves m·x = det(m) * e_j."""
     d = determinant(m)
     if d == 0:
         raise SingularMatrix("adjugate of a singular matrix is not supported here")
-    n = m.rows
+    n = len(m)
     cols = []
     for j in range(n):
         x = fraction_solve(m, [d if i == j else 0 for i in range(n)])
         if any(v.denominator != 1 for v in x):
             raise LatticeForgeError("adjugate column is not integral")
         cols.append(tuple(int(v) for v in x))
-    return IntMatrix.from_columns(cols)
+    return tuple(zip(*cols))
 
 
 def _facet_normal(points: Sequence[Point]) -> tuple:
@@ -480,7 +496,7 @@ def cofactor_facet_normal(points):
     normal = []
     for j in range(n):
         minor = [[row[t] for t in range(n) if t != j] for row in diffs]
-        d = determinant(IntMatrix(minor))
+        d = determinant(minor)
         normal.append(d if j % 2 == 0 else -d)
     return tuple(normal)
 

@@ -12,6 +12,7 @@ import time
 from helpers import fraction_affine_basis, multiset_decompositions, random_unimodular_simplex
 from latticeforge import (
     LatticePolytope,
+    LatticeSimplex,
     decompose,
     decompose_in_simplex,
     dilate,
@@ -49,7 +50,7 @@ def criterion(name, budget_s):
 def test_stretched_simplex_fixture():
     p = stretched_simplex()
     assert lattice_points(p) == ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (1, 0, 0))
-    s = p.as_simplex()
+    s = LatticeSimplex(p.vertices)
     assert lattice_index(s) == 2
     assert hnf_diagonal(s) == (1, 1, 2)
 
@@ -59,7 +60,7 @@ def test_reeve_simplex_fixture():
     p = reeve_simplex()
     assert lattice_points(p) == p.vertices
     assert set(lattice_points(p)) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)}
-    s = p.as_simplex()
+    s = LatticeSimplex(p.vertices)
     assert lattice_index(s) == 2
     assert not is_unimodular(s)
 
@@ -86,7 +87,7 @@ def test_unimodular_simplex_decomposition_exhaustive():
     for dim, spread, count in plan:
         for _ in range(count):
             s = random_unimodular_simplex(rng, dim, spread)
-            hull = s.hull()
+            hull = LatticePolytope(s.vertices)
             for h in range(1, 5):
                 enumerated = lattice_points(dilate(hull, h))
                 summed = set()
@@ -137,7 +138,7 @@ def test_decomposition_support_clause():
         dim = rng.choice((2, 3))
         s = random_unimodular_simplex(rng, dim, spread=5)
         for h in (1, 2, 3):
-            for point in lattice_points(dilate(s.hull(), h)):
+            for point in lattice_points(dilate(LatticePolytope(s.vertices), h)):
                 d = decompose_in_simplex(s, point, h)
                 support = [v for v, w in d.weights if w > 0]
                 assert fraction_affine_basis(support) == support

@@ -4,7 +4,6 @@ import importlib
 import pkgutil
 
 import latticeforge
-from latticeforge.linalg import IntMatrix
 
 # names the package exported once and removed, with no command or paper object needing them
 REMOVED = (
@@ -15,6 +14,8 @@ REMOVED = (
     "SingularMatrixError",
     "barycentric",
     "_adj_times",
+    "IntMatrix",
+    "vec_add",
 )
 
 
@@ -32,4 +33,14 @@ def test_public_surface():
     for module in modules:
         for name in REMOVED:
             assert not hasattr(module, name), (module.__name__, name)
-    assert not hasattr(IntMatrix, "mul_vector")
+    # linalg is integer kernels only: the rational coordinate types live in
+    # geometry, their one reader
+    assert not hasattr(latticeforge.linalg, "_RATIONAL") and not hasattr(latticeforge.linalg, "Fraction")
+    # the polytope helpers that nothing in the package called
+    for cls, name in (
+        (latticeforge.LatticeSimplex, "difference_matrix"),
+        (latticeforge.LatticeSimplex, "hull"),
+        (latticeforge.LatticePolytope, "as_simplex"),
+        (latticeforge.LatticePolytope, "translate"),
+    ):
+        assert not hasattr(cls, name), (cls.__name__, name)

@@ -10,10 +10,11 @@ from helpers import (
     fraction_affine_basis,
     fraction_rank_of_rows,
     fraction_solve,
+    identity,
+    matmul,
 )
 from latticeforge import (
     DimensionMismatchError,
-    IntMatrix,
     LatticeForgeError,
     determinant,
     hermite_normal_form,
@@ -24,60 +25,69 @@ from latticeforge.linalg import DIM_CAP
 from fractions import Fraction
 
 
-A1_DIFFS = IntMatrix.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 2)])
-A2_DIFFS = IntMatrix.from_columns([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+# the difference columns v_i - v_0 of a1 and a2, as rows
+A1_DIFFS = tuple(zip((1, 0, 0), (0, 1, 0), (0, 0, 2)))
+A2_DIFFS = tuple(zip((1, 0, 0), (0, 1, 0), (1, 1, 2)))
 
 
 def random_matrix(rng, n, bound=6):
-    return IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
-class TestIntMatrix:
-    def test_validation(self):
-        with pytest.raises(DimensionMismatchError):
-            IntMatrix([])
-        with pytest.raises(DimensionMismatchError):
-            IntMatrix([[1, 2], [3]])
-        with pytest.raises(TypeError):
-            IntMatrix([[1.0]])
-        with pytest.raises(TypeError):
-            IntMatrix([[True]])
-        with pytest.raises(DimensionMismatchError):
-            IntMatrix.identity(DIM_CAP + 1)
-        with pytest.raises(DimensionMismatchError):
-            IntMatrix([[0] * (DIM_CAP + 1)])
+class TestRowCheck:
+    """determinant and hermite_normal_form check their rows on entry, each
+    bad matrix refused by both with one exception type and message."""
 
-    def test_matmul_and_columns(self):
-        m = IntMatrix([[1, 2], [3, 4]])
-        assert m @ IntMatrix.identity(2) == m
-        assert m.column(1) == (2, 4)
-        assert m.transpose().data == ((1, 3), (2, 4))
+    CAP = f"matrix dimensions capped at {DIM_CAP}, got"
+    CASES = (
+        ([], DimensionMismatchError, "matrix dimensions must be at least 1x1"),
+        ([[]], DimensionMismatchError, "matrix dimensions must be at least 1x1"),
+        ([[1, 2], [3]], DimensionMismatchError, "ragged rows in matrix"),
+        ([[1.0]], TypeError, "matrix entries must be int, got 1.0"),
+        ([[True]], TypeError, "matrix entries must be int, got True"),
+        (identity(DIM_CAP + 1), DimensionMismatchError, f"{CAP} {DIM_CAP + 1}x{DIM_CAP + 1}"),
+        ([[0] * (DIM_CAP + 1)], DimensionMismatchError, f"{CAP} 1x{DIM_CAP + 1}"),
+        ([[0]] * (DIM_CAP + 1), DimensionMismatchError, f"{CAP} {DIM_CAP + 1}x1"),
+    )
+
+    def test_refusals(self):
+        for rows, error, message in self.CASES:
+            for call in (determinant, hermite_normal_form):
+                with pytest.raises(error) as caught:
+                    call(rows)
+                assert type(caught.value) is error and str(caught.value) == message, (call, rows)
+
+    def test_any_sequence_of_rows(self):
+        # lists, tuples and one-pass iterators of rows read alike
+        m = [[2, 3], [1, 2]]
+        for rows in (m, tuple(map(tuple, m)), iter(m), (iter(r) for r in m)):
+            assert determinant(rows) == 1
+        assert hermite_normal_form(iter(m)) == hermite_normal_form(m)
 
 
 class TestDeterminant:
     def test_identity(self):
-        assert determinant(IntMatrix.identity(3)) == 1
+        assert determinant(identity(3)) == 1
 
     def test_diagonal(self):
-        assert determinant(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) == 2
+        assert determinant([[1, 0, 0], [0, 1, 0], [0, 0, 2]]) == 2
 
     def test_2x2(self):
-        assert determinant(IntMatrix([[2, 3], [1, 2]])) == 1
+        assert determinant([[2, 3], [1, 2]]) == 1
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+        with pytest.raises(DimensionMismatchError, match="determinant requires a square matrix"):
+            determinant([[1, 2, 3], [4, 5, 6]])
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(2024)
         for _ in range(300):
             n = rng.randint(1, 4)
             m = random_matrix(rng, n)
-            assert determinant(m) == cofactor_determinant([list(r) for r in m.data])
+            assert determinant(m) == cofactor_determinant(m)
 
     def test_singular_with_zero_pivot_column(self):
-        m = IntMatrix([[0, 0], [0, 5]])
-        assert determinant(m) == 0
+        assert determinant([[0, 0], [0, 5]]) == 0
 
 
 class TestSolveRational:
@@ -86,10 +96,10 @@ class TestSolveRational:
     hand-solved systems."""
 
     def test_identity(self):
-        assert fraction_solve(IntMatrix.identity(3), (1, 2, 3)) == (1, 2, 3)
+        assert fraction_solve(identity(3), (1, 2, 3)) == (1, 2, 3)
 
     def test_diagonal(self):
-        x = fraction_solve(IntMatrix([[2, 0], [0, 2]]), (1, 1))
+        x = fraction_solve([[2, 0], [0, 2]], (1, 1))
         assert x == (Fraction(1, 2), Fraction(1, 2))
 
     def test_reeve_difference_columns(self):
@@ -99,7 +109,7 @@ class TestSolveRational:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            fraction_solve(IntMatrix([[1, 1], [2, 2]]), (1, 1))
+            fraction_solve([[1, 1], [2, 2]], (1, 1))
 
     def test_exact_recombination(self):
         rng = random.Random(99)
@@ -111,7 +121,7 @@ class TestSolveRational:
                 continue
             b = tuple(rng.randint(-9, 9) for _ in range(n))
             x = fraction_solve(m, b)
-            assert tuple(sum(a * v for a, v in zip(row, x)) for row in m.data) == b
+            assert tuple(sum(a * v for a, v in zip(row, x)) for row in m) == b
             done += 1
 
 
@@ -121,7 +131,7 @@ class TestAdjugateKernelAgainstFraction:
     one in four singular by construction, one in four with entries near
     10**30.  Values and exception types must agree.  The adjugate oracle (n
     rational solves) is run on every tenth matrix; every adjugate is checked
-    as m @ adj = det * I."""
+    as m·adj = det * I."""
 
     @staticmethod
     def _outcome(f, *args):
@@ -129,7 +139,7 @@ class TestAdjugateKernelAgainstFraction:
             result = f(*args)
         except LatticeForgeError as e:
             return type(e)
-        return result.data if isinstance(result, IntMatrix) else result
+        return result
 
     @staticmethod
     def _case(rng, k):
@@ -139,7 +149,7 @@ class TestAdjugateKernelAgainstFraction:
         if k % 4 == 3:
             rows = [[rng.choice((-1, 1)) * 10**30 + rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             [rng.randint(-(10**30), 10**30) for _ in range(n)]
-            return IntMatrix(rows)
+            return rows
         bound = rng.choice((1, 2, 6))
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if k % 4 == 1:
@@ -153,7 +163,7 @@ class TestAdjugateKernelAgainstFraction:
             [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(n)]
         else:
             [rng.randint(-9, 9) for _ in range(n)]
-        return IntMatrix(rows)
+        return rows
 
     def test_seeded_matrices(self):
         rng = random.Random(1968)
@@ -163,8 +173,7 @@ class TestAdjugateKernelAgainstFraction:
             d = determinant(m)
             adj = self._outcome(adjugate, m)
             if d:
-                n = m.rows
-                assert m @ IntMatrix(adj) == IntMatrix([[d * (i == j) for j in range(n)] for i in range(n)])
+                assert matmul(m, adj) == tuple(tuple(d * x for x in row) for row in identity(len(m)))
             else:
                 assert adj is SingularMatrix
             if k % 10 == 0:
@@ -174,27 +183,27 @@ class TestAdjugateKernelAgainstFraction:
 
     def test_shape_errors(self):
         with pytest.raises(DimensionMismatchError):
-            fraction_solve(IntMatrix([[1, 2]]), (1,))
+            fraction_solve([[1, 2]], (1,))
         with pytest.raises(DimensionMismatchError):
-            fraction_solve(IntMatrix.identity(2), (1, 2, 3))
+            fraction_solve(identity(2), (1, 2, 3))
         with pytest.raises(DimensionMismatchError):
-            adjugate(IntMatrix([[1, 2]]))
+            adjugate([[1, 2]])
 
 
 class TestHermiteNormalForm:
     def test_identity_is_canonical(self):
-        h, u = hermite_normal_form(IntMatrix.identity(3))
-        assert h == IntMatrix.identity(3)
+        h, u = hermite_normal_form(identity(3))
+        assert h == identity(3)
         assert abs(determinant(u)) == 1
 
     def test_stretched_simplex_columns(self):
         h, _ = hermite_normal_form(A1_DIFFS)
-        assert h.diagonal() == (1, 1, 2)
+        assert tuple(h[i][i] for i in range(3)) == (1, 1, 2)
 
     def test_reeve_simplex_columns_same_span(self):
         # Both difference sets generate the same index-2 subgroup.
         h, _ = hermite_normal_form(A2_DIFFS)
-        assert h == IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        assert h == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
 
     def test_factorization_and_unimodularity(self):
         rng = random.Random(17)
@@ -202,7 +211,7 @@ class TestHermiteNormalForm:
             n = rng.randint(1, 5)
             m = random_matrix(rng, n)
             h, u = hermite_normal_form(m)
-            assert m @ u == h
+            assert matmul(m, u) == h
             assert abs(determinant(u)) == 1
 
     def test_column_convention(self):
@@ -215,12 +224,12 @@ class TestHermiteNormalForm:
                 continue
             h, _ = hermite_normal_form(m)
             for i in range(n):
-                assert h.data[i][i] > 0
+                assert h[i][i] > 0
                 for j in range(n):
                     if j > i:
-                        assert h.data[i][j] == 0
+                        assert h[i][j] == 0
                     elif j < i:
-                        assert 0 <= h.data[i][j] < h.data[i][i]
+                        assert 0 <= h[i][j] < h[i][i]
             done += 1
 
     def test_determinant_is_diagonal_product_up_to_sign(self):
@@ -234,8 +243,8 @@ class TestHermiteNormalForm:
                 continue
             h, _ = hermite_normal_form(m)
             prod = 1
-            for x in h.diagonal():
-                prod *= x
+            for i in range(n):
+                prod *= h[i][i]
             assert abs(d) == prod
             done += 1
 
@@ -251,20 +260,20 @@ class TestHermiteNormalForm:
                 continue
             h, _ = hermite_normal_form(m)
             for _ in range(5):
-                v = IntMatrix.from_columns([[rng.randint(-4, 4) for _ in range(n)]])
+                v = [[rng.randint(-4, 4)] for _ in range(n)]  # one column
                 for a, b in ((h, m), (m, h)):
-                    x = fraction_solve(a, (b @ v).column(0))  # a @ x = b @ v
+                    x = fraction_solve(a, [r[0] for r in matmul(b, v)])  # a·x = b·v
                     assert all(t.denominator == 1 for t in x), (a, b, v)
-                    assert a @ IntMatrix.from_columns([[int(t) for t in x]]) == b @ v
+                    assert matmul(a, [[int(t)] for t in x]) == matmul(b, v)
             done += 1
 
     def test_rectangular_and_rank_deficient(self):
-        m = IntMatrix([[2, 4, 6], [1, 2, 3]])
+        m = [[2, 4, 6], [1, 2, 3]]
         h, u = hermite_normal_form(m)
-        assert m @ u == h
+        assert matmul(m, u) == h
         assert abs(determinant(u)) == 1
         # rank 1: a single pivot column, the rest zero
-        assert all(h.data[i][j] == 0 for i in range(2) for j in range(1, 3))
+        assert all(h[i][j] == 0 for i in range(2) for j in range(1, 3))
 
 
 class TestHelpers:
@@ -278,9 +287,16 @@ class TestHelpers:
             if d == 0:
                 continue
             adj = adjugate(m)
-            prod = m @ adj
-            assert prod == IntMatrix([[d if i == j else 0 for j in range(n)] for i in range(n)])
+            assert matmul(m, adj) == tuple(tuple(d * x for x in row) for row in identity(n))
             done += 1
+
+    def test_matmul_and_identity(self):
+        m = ((1, 2), (3, 4))
+        assert matmul(m, identity(2)) == matmul(identity(2), m) == m
+        assert matmul(m, ((1,), (1,))) == ((3,), (7,))
+        assert matmul(((1, 2, 3),), ((1,), (0,), (2,))) == ((7,),)
+        with pytest.raises(DimensionMismatchError, match="inner dimensions do not match"):
+            matmul(m, ((1, 2),))
 
 
 class TestAffineBasisAgainstFraction:
@@ -350,8 +366,7 @@ class TestAffineBasisAgainstFraction:
             assert start == fraction_affine_basis(points), points
             assert start[-1] == points[-1] and list(it) == tail
             assert sorted(start + skipped) == sorted(points)
-            diffs = IntMatrix([[x - y for x, y in zip(q, start[0])] for q in start[1:]])
-            det = determinant(diffs)
+            det = determinant([[x - y for x, y in zip(q, start[0])] for q in start[1:]])
             assert det and pivot in (det, -det), (points, pivot, det)
             signs.add(pivot == det)
         assert signs == {True, False}

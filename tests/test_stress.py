@@ -6,6 +6,7 @@ from fractions import Fraction
 from helpers import (
     _hull_feasible,
     caratheodory_contains,
+    matmul,
     placing_cover,
     random_polytope,
     random_rational_point,
@@ -13,7 +14,6 @@ from helpers import (
     triangle_overlap_area2,
 )
 from latticeforge import (
-    IntMatrix,
     LatticePolytope,
     LatticeSimplex,
     contains,
@@ -176,22 +176,22 @@ class TestPlacingTriangulationStress:
 class TestArbitraryPrecision:
     def test_huge_entries_stay_exact(self):
         big = 10**30
-        m = IntMatrix([[big, 1], [0, big]])
+        m = [[big, 1], [0, big]]
         assert determinant(m) == big * big
         h, u = hermite_normal_form(m)
-        assert m @ u == h
+        assert matmul(m, u) == h
         assert abs(determinant(u)) == 1
         # gcd of the first row is 1, so the column lattice reduces to
         # pivot 1 with the full determinant pushed onto the second pivot
-        assert h.diagonal() == (1, big * big)
-        assert 0 <= h.data[1][0] < big * big
+        assert (h[0][0], h[1][1]) == (1, big * big)
+        assert 0 <= h[1][0] < big * big
 
     def test_huge_simplex_index(self):
         s = LatticeSimplex([(0, 0), (10**20, 0), (0, 10**20)])
         assert lattice_index(s) == 10**40
 
     def test_adjugate_with_huge_values(self):
-        m = IntMatrix([[10**15, 0], [0, 10**15]])
-        det, adj = _bareiss(m.data, True)
+        m = ((10**15, 0), (0, 10**15))
+        det, adj = _bareiss(m, True)
         assert det == 10**30
-        assert IntMatrix(adj) @ m == IntMatrix([[det, 0], [0, det]])
+        assert matmul(adj, m) == ((det, 0), (0, det))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from operator import add
 
 import pytest
 
@@ -40,7 +41,7 @@ from latticeforge.fixtures import (
     unit_cube,
     unit_square,
 )
-from latticeforge.geometry import _projection_rows, contains, vec_add, vec_scale
+from latticeforge.geometry import _projection_rows, contains, vec_scale
 from latticeforge.sumsets import _bit_indices, find_sum_decomposition
 
 
@@ -69,7 +70,7 @@ class TestSumset:
     def test_reeve_vertices_pairwise(self):
         got = sumset(REEVE_VERTICES, REEVE_VERTICES)
         # independent oracle: enumerate all 16 ordered pairs directly
-        expected = sorted({vec_add(a, b) for a in REEVE_VERTICES for b in REEVE_VERTICES})
+        expected = sorted({tuple(map(add, a, b)) for a in REEVE_VERTICES for b in REEVE_VERTICES})
         assert list(got) == expected
         assert len(got) == 10
 
@@ -114,7 +115,7 @@ class TestHfoldSumset:
         doubled = hfold_sumset(pts, 2)
         # (0,0,1) + (0,0,2) computed by direct pair enumeration
         assert (0, 0, 3) in doubled
-        assert set(doubled) == {vec_add(a, b) for a in pts for b in pts}
+        assert set(doubled) == {tuple(map(add, a, b)) for a in pts for b in pts}
 
     def test_doubling_matches_naive_iteration(self):
         rng = random.Random(31)
@@ -327,7 +328,6 @@ class TestBitsetWidth:
             for slot in ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim"):
                 assert getattr(a, slot) == getattr(b, slot), (n, slot)
             assert _projection_rows(a) == _projection_rows(b), n
-            assert a.as_simplex() == b.as_simplex(), n
             assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
 
     def test_pair_cap_before_the_box_cap(self, monkeypatch):
@@ -590,12 +590,12 @@ class TestTranslationInvariance:
             dim = rng.choice((2, 3))
             p = random_polytope(rng, dim, bound=2, max_points=5)
             shift = tuple(rng.randint(-4, 4) for _ in range(dim))
-            q = p.translate(shift)
+            q = LatticePolytope([tuple(map(add, v, shift)) for v in p.vertices])
             for h in (1, 2, 3):
                 a = idp_check(p, h)
                 b = idp_check(q, h)
                 assert a.holds == b.holds
-                translated = tuple(sorted(vec_add(w, vec_scale(shift, h)) for w in a.witnesses))
+                translated = tuple(sorted(tuple(map(add, w, vec_scale(shift, h))) for w in a.witnesses))
                 assert translated == b.witnesses
 
 

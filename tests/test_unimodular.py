@@ -47,15 +47,9 @@ from latticeforge.geometry import vec_scale, vec_sub
 from latticeforge.unimodular import _draw, _facets_match, _interiors_intersect, _placing_search
 
 
-def simplex_of(p: LatticePolytope) -> LatticeSimplex:
-    s = p.as_simplex()
-    assert s is not None
-    return s
-
-
-STD3 = simplex_of(std_simplex(3))
-A1 = simplex_of(stretched_simplex())
-A2 = simplex_of(reeve_simplex())
+STD3 = LatticeSimplex(std_simplex(3).vertices)
+A1 = LatticeSimplex(stretched_simplex().vertices)
+A2 = LatticeSimplex(reeve_simplex().vertices)
 
 
 class TestLatticeIndex:
@@ -82,6 +76,21 @@ class TestLatticeIndex:
             assert lattice_index(LatticeSimplex(perm)) == lattice_index(s)
         scrambled = LatticeSimplex([A1.vertices[i] for i in (2, 0, 3, 1)])
         assert lattice_index(scrambled) == 2
+
+    def test_hnf_diagonal_product_is_the_index(self):
+        # seeded simplices in dims 1-6, coordinates in [-3, 3], degenerate
+        # draws skipped: one positive pivot per dimension, multiplying to
+        # |det|, the index read off LatticeSimplex's own elimination
+        rng = random.Random(2027)
+        indices = set()
+        for dim in range(1, 7):
+            for _ in range(30):
+                s = random_simplex(rng, dim, bound=3)
+                diagonal = hnf_diagonal(s)
+                assert len(diagonal) == dim and min(diagonal) > 0, (s, diagonal)
+                assert math.prod(diagonal) == lattice_index(s), (s, diagonal)
+                indices.add(lattice_index(s))
+        assert 1 in indices and len(indices) >= 20
 
 
 class TestDecomposeInSimplex:
@@ -120,11 +129,13 @@ class TestDecomposeInSimplex:
             for cell in (s, LatticeSimplex(perm)):
                 signs.add(cell.det)
                 h = rng.randint(1, 3)
-                inside = lattice_points(dilate(cell.hull(), h))
-                lo, hi = dilate(cell.hull(), h).bounding_box()
+                dilated = dilate(LatticePolytope(cell.vertices), h)
+                inside = lattice_points(dilated)
+                lo, hi = dilated.bounding_box()
                 box = [tuple(rng.randint(a, b) for a, b in zip(lo, hi)) for _ in range(5)]
                 for p in rng.sample(inside, min(5, len(inside))) + box:
-                    tail = fraction_solve(cell.difference_matrix, vec_sub(p, vec_scale(cell.vertices[0], h)))
+                    diffs = [vec_sub(v, cell.vertices[0]) for v in cell.vertices[1:]]
+                    tail = fraction_solve(list(zip(*diffs)), vec_sub(p, vec_scale(cell.vertices[0], h)))
                     expected = [h - sum(tail), *tail]
                     if min(expected) < 0:
                         with pytest.raises(PointOutsideError):
@@ -150,7 +161,7 @@ class TestDecomposeInSimplex:
         for _ in range(15):
             s = random_unimodular_simplex(rng, rng.choice((2, 3)), spread=5)
             h = rng.randint(1, 3)
-            pts = lattice_points(dilate(s.hull(), h))
+            pts = lattice_points(dilate(LatticePolytope(s.vertices), h))
             p = rng.choice(pts)
             d1 = decompose_in_simplex(s, p, h)
             perm = list(s.vertices)
@@ -165,7 +176,7 @@ class TestDecomposeInSimplex:
             dim = rng.choice((2, 3))
             s = random_unimodular_simplex(rng, dim, spread=5)
             for h in (1, 2, 3):
-                enumerated = set(lattice_points(dilate(s.hull(), h)))
+                enumerated = set(lattice_points(dilate(LatticePolytope(s.vertices), h)))
                 summed = set()
                 for combo in itertools.combinations_with_replacement(s.vertices, h):
                     summed.add(tuple(sum(c) for c in zip(*combo)))
