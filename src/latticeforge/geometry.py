@@ -39,6 +39,11 @@ A polytope keeps its derived data, each computed on first read: its lattice
 points, its projection rows and its normalized volume.  A dilate keeps a
 link to its undilated base and reads the base's rows and volume, computed
 once, scaled to h*P's.
+
+A thin polytope, whose box holds more than ``FRAME_RATIO`` cells per
+lattice point, has a frame (``_frame``) for the IDP scan (``sumsets``):
+its image under the unimodular basis that integral LLL picks for its
+width form, in a smaller box, built from its parts as a dilate is.
 """
 
 from __future__ import annotations
@@ -46,12 +51,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import and_, mul, or_, sub
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
-from .linalg import DIM_CAP, _bareiss
+from .linalg import DIM_CAP, _bareiss, _lll_reduce
 
 Point = tuple  # tuple[int, ...]
 RatPoint = tuple  # a tuple of ints and Fractions
@@ -633,19 +638,115 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     return scaled
 
 
+#: A full-dimensional polytope gets a frame (_frame) when its bounding box
+#: holds more than this many cells per lattice point.  The box is what the
+#: IDP scan's bitsets span, the lattice points what they hold.  Measured: the
+#: needle conv{0, e1, e2, (7,7,6), (8,7,6)} has 63 (8 points in 504 cells);
+#: cubes, their dilates and grids have 1, 3*a2 4.7, and the Reeve simplex
+#: a2 = conv{0, e1, e2, (1,1,2)} and its dilates h*a2, h = 1..5, 3 to 5.2.
+#: So only thin inputs are framed, and a box the scan fills is not reduced.
+#: Without this gate a2's box shrinks from 12 cells to 8 and it is framed:
+#: the benchmark's `probe` workload then took 33% longer and `bruteforce`
+#: 6% (`wall_s` medians, 6 alternating pairs of 8 s runs, 2-vCPU Xeon).
+FRAME_RATIO = 8
+
+
+def _frame(p: LatticePolytope):
+    """(U*P, U^-1) for a thin full-dimensional p, None for any other.
+
+    p is thin when its bounding box holds more than FRAME_RATIO cells per
+    lattice point (a box of at most FRAME_RATIO cells per vertex needs no
+    count).  U's rows are an LLL-reduced basis of the integer linear forms
+    under p's width form: with m vertices v_i and s their sum,
+    G = sum_i (m v_i - s)(m v_i - s)^T, so a G a^T is m^2 times the sum of
+    the squared deviations of a.x from its mean over the vertices, and a
+    short form varies little over p.  U is used only when the box of U*P
+    is smaller than p's at every dilation (_box_shrinks).  x -> Ux is a
+    lattice isomorphism, so U*P has the lattice points U*L(P), the
+    normalized volume and the sumsets of P, and P has the IDP at h iff U*P
+    has.  U^-1 is det(U) adj(U), det(U) = +-1.
+
+    The image is built from p's parts, as dilate builds h*P: the vertices
+    U*v, sorted; p's primitive rows (a, b) as (a U^-1, b), primitive too,
+    sorted, each with its tight mask over the sorted image vertices; U*L(P),
+    sorted, as its lattice points (so L(P) is read in p, under p's own box
+    cap); and p's normalized volume.  It equals LatticePolytope of U*P's
+    vertices slot for slot, and saves the scan that hull pass and a volume
+    of its own: on the benchmark's `bruteforce` workload, whose slowest
+    request scans the needle, a fresh hull took the median `query_p90_ms`
+    from 1.94 to 2.02 ms (10 alternating pairs of 20 s runs, 2-vCPU Xeon).
+    """
+    if not p.is_full_dimensional():
+        return None
+    mins, maxs = p.bounding_box()
+    cells = _box_cells(mins, maxs)
+    if cells <= FRAME_RATIO * len(p.vertices) or cells <= FRAME_RATIO * len(lattice_points(p)):
+        return None
+    m, total = len(p.vertices), [sum(col) for col in zip(*p.vertices)]
+    cols = list(zip(*[[m * x - t for x, t in zip(v, total)] for v in p.vertices]))
+    u = _lll_reduce([[vec_dot(a, b) for b in cols] for a in cols])
+
+    def image(x):
+        return tuple(vec_dot(row, x) for row in u)
+
+    verts = [image(v) for v in p.vertices]
+    coords = list(zip(*verts))
+    if not _box_shrinks((mins, maxs), ([min(c) for c in coords], [max(c) for c in coords])):
+        return None
+    det, adj = _bareiss(u, True)
+    inverse = tuple(tuple(det * x for x in row) for row in adj)
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    at = {old: new for new, old in enumerate(order)}
+    cols = list(zip(*inverse))
+    rows = {
+        (tuple(vec_dot(a, c) for c in cols), b): sum(1 << at[i] for i in _bits(z))
+        for (a, b), z in zip(p._facets, p._masks)
+    }
+    framed = LatticePolytope.__new__(LatticePolytope)
+    framed.generators = framed.vertices = tuple(verts[i] for i in order)
+    framed.dim = p.dim
+    framed._facets = tuple(sorted(rows))
+    framed._masks = tuple(rows[row] for row in framed._facets)
+    framed._hull_dim = p._hull_dim
+    framed._points = tuple(sorted(map(image, lattice_points(p))))
+    framed._volume = normalized_volume(p)
+    framed._projections = framed._base = None
+    return framed, inverse
+
+
+def _box_shrinks(box: tuple, image: tuple) -> bool:
+    """Whether no elementary symmetric sum e_k of image's widths is larger
+    than box's and one is smaller, each box a pair (mins, maxs).
+
+    With widths w, h*box has prod_i (h w_i + 1) = sum_k e_k(w) h^k cells,
+    so then h*image has fewer cells than h*box at every h >= 1 (a box
+    below at every h may still fail: widths (1, 6) against (3, 3)).  One
+    h is not enough: widths (1, 1, 7) give 32 cells against 27 for
+    (2, 2, 2) at h = 1, but 725 against 729 at h = 4.
+    """
+    def terms(mins, maxs):
+        out = [1]
+        for lo, hi in zip(mins, maxs):
+            out = [a + (hi - lo) * b for a, b in zip(out + [0], [0] + out)]
+        return out
+
+    old, new = terms(*box), terms(*image)
+    return new != old and all(b <= a for a, b in zip(old, new))
+
+
 def _scale_rows(rows: Sequence, h: int) -> tuple:
     """The rows (a, h*b) of h*P, in order, from P's rows (a, b)."""
     return tuple((a, h * b) for a, b in rows)
 
 
+def _box_cells(mins: Sequence[int], maxs: Sequence[int]) -> int:
+    """The number of integer cells of the box mins..maxs."""
+    return prod(hi - lo + 1 for lo, hi in zip(mins, maxs))
+
+
 def _box_fits(mins: Sequence[int], maxs: Sequence[int]) -> bool:
     """Whether the integer box mins..maxs has at most BOX_CAP cells."""
-    volume = 1
-    for lo, hi in zip(mins, maxs):
-        volume *= hi - lo + 1
-        if volume > BOX_CAP:
-            return False
-    return True
+    return _box_cells(mins, maxs) <= BOX_CAP
 
 
 def _check_box(mins: Sequence[int], maxs: Sequence[int]) -> None:

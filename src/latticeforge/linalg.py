@@ -7,13 +7,16 @@ simplex (``geometry``), where one more row-by-row Bareiss elimination
 (``geometry._affine_basis``) picks a point sequence's affine basis and the
 coordinates its hull projects onto.  The public entry points, the
 determinant and the Hermite normal form, take any sequence of integer rows
-and check them on entry.
+and check them on entry.  One integral LLL reduction (``_lll_reduce``)
+reduces the integer lattice under an integer Gram matrix; ``geometry``
+runs it on a polytope's width form to pick a frame for thin inputs.
 There is deliberately no floating point anywhere: every predicate downstream
 (membership, unimodularity, volumes) reduces to the exact operations here.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -152,3 +155,72 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple:
                     row[j] -= q * row[pivot]
         pivot += 1
     return tuple(map(tuple, rows[:nrows])), tuple(map(tuple, rows[nrows:]))
+
+
+def _lll_reduce(gram: Sequence[Sequence[int]]) -> tuple:
+    """Unimodular integer rows U, an LLL-reduced basis of Z^n under the
+    positive definite integer Gram matrix G (n x n): row k of U is b_k, and
+    b_j.b_k = b_j G b_k^T.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7; Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) with
+    delta = 3/4, on integers only.  With b*_k the Gram-Schmidt vectors, it
+    keeps d_k = prod_{i<=k} |b*_i|^2 (d_0 = 1) and lam[k][j] = d_j mu_kj,
+    both integers, every division exact.  On return |2 lam[k][j]| <= d_j
+    for j < k (size-reduced) and 4 d_k d_{k-2} >= 3 d_{k-1}^2 - 4 lam[k][k-1]^2
+    (Lovasz's condition), the indices here 1-based.  The decisions read
+    only the ratios mu and |b*_k|^2 / |b*_{k-1}|^2, so c^2 G gives the same
+    U for every integer c >= 1.
+    """
+    n = len(gram)
+    rows = [None] + [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])  # the nearest integer to mu_kl
+            rows[k] = [x - q * y for x, y in zip(rows[k], rows[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+        for i in range(k + 1, top + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+            lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k]
+        d[k - 1] = b
+
+    k, top = 1, 0
+    while k <= n:
+        if k > top:
+            # Gram-Schmidt for b_k, still the unit vector e_k
+            top = k
+            for j in range(1, k + 1):
+                u = sum(map(mul, gram[k - 1], rows[j]))
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("the Gram matrix is not positive definite")
+                else:
+                    d[k] = u
+        if k == 1:
+            k = 2
+            continue
+        reduce(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+            continue
+        for l in range(k - 2, 0, -1):
+            reduce(k, l)
+        k += 1
+    return tuple(map(tuple, rows[1:]))

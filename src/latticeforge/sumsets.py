@@ -25,10 +25,21 @@ when h - 1 >= d - 1 (Bruns, Gubeladze and Trung, J. reine angew. Math. 485,
 L((h-1)P), both shift-ORs read the same int, so the sumset just built is
 the dilate and the step shifts once.  The built set is then
 checked against the Ehrhart count |L(hP)|, which it can only match by
-being all of L(hP).  The dilate's size and the guard that no sum escapes
-it (S_h & ~dilate) are one int operation each; the witnesses
-(dilate & ~S_h) are read from that int's non-zero bytes, low byte first,
-which is lexicographic order.
+being all of L(hP).  Each set is counted once per h; the guard that no
+sum escapes the dilate (S_h & ~dilate) is one int operation, and when the
+counts differ the witnesses (dilate & ~S_h) are read from that int's
+non-zero bytes, low byte first, which is lexicographic order.
+
+Every bitset spans the box of h_top*P.  A thin P, whose box holds more
+than geometry.FRAME_RATIO cells per lattice point, is scanned in its frame
+(geometry._frame): the image U*P under a unimodular U, LLL-reduced under
+P's width form, whose box is smaller at every h.  U is a lattice
+isomorphism, so the sizes and verdicts are P's; each witness y is unpacked
+and mapped to x = U^-1 y, and the witnesses are then sorted, so the
+reports are those of the scan in P's own coordinates.  The box cap applies
+to the frame's box, so an h the scan in P's box reached is reached in the
+frame too; P's lattice points are still enumerated in P's own box, under
+its cap.
 """
 from __future__ import annotations
 
@@ -46,12 +57,14 @@ from .geometry import (
     _check_box,
     _check_positive,
     _check_uniform,
+    _frame,
     _lattice_runs,
     _projection_rows,
     _scale_rows,
     as_point,
     lattice_points,
     normalized_volume,
+    vec_dot,
     vec_scale,
 )
 
@@ -203,12 +216,14 @@ def _shift_or(x: int, packed: Sequence[int]) -> int:
     return out
 
 
-def _next_sum(summed: int, packed: Sequence[int]) -> int:
-    """S_h from S_{h-1} and the packed points of S_1, under both caps."""
-    _check_pairs(summed.bit_count(), len(packed))
+def _next_sum(summed: int, size: int, packed: Sequence[int]) -> tuple:
+    """(S_h, |S_h|) from S_{h-1}, its size and the packed points of S_1,
+    under both caps, S_h counted once."""
+    _check_pairs(size, len(packed))
     out = _shift_or(summed, packed)
-    _check_points(out.bit_count())
-    return out
+    count = out.bit_count()
+    _check_points(count)
+    return out, count
 
 
 def _ehrhart_counts(sizes: Sequence[int], volume: int):
@@ -233,8 +248,13 @@ def _ehrhart_counts(sizes: Sequence[int], volume: int):
         yield table[0]
 
 
-def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
+def _idp_reports(p: LatticePolytope, h_max: int, every: bool, framed):
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
+
+    `framed` is _frame(p): (U*P, U^-1) for a thin p, or None.  With a frame
+    every set below is that of U*P, in its smaller box, and each witness y
+    is mapped back to x = U^-1 y once unpacked, the witnesses then sorted;
+    sizes and verdicts are P's, as U is a lattice isomorphism.
 
     h*p is enumerated over the rows of p's coordinate projections
     (_projection_rows, the rows its own enumeration read), each scaled to
@@ -251,10 +271,14 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
     volume); a mismatch means the scan is broken, and raises.  When the
     sums at h - 1 equal the dilate there, that shift is the one _next_sum
     has just made, under the sums' caps, and its result is taken as it is;
-    the count check and the escape guard still run on it.
+    the count check and the escape guard still run on it.  Each bitset is
+    counted once per h: the sums in _next_sum, the dilate where it is built
+    (not at all when it is the sums), and witnesses are read only when the
+    counts differ.
     """
-    base = lattice_points(p)
-    mins, maxs = p.bounding_box()
+    q, inverse = framed or (p, None)
+    base = lattice_points(q)
+    mins, maxs = q.bounding_box()
 
     def box(h):
         return [h * a for a in mins], [h * b for b in maxs]
@@ -262,15 +286,16 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
     h_top = 1
     while h_top < h_max and _box_fits(*box(h_top + 1)):
         h_top += 1
-    # lo, the least coordinates of the lattice points, is p's box corner `mins`
+    # lo, the least coordinates of the lattice points, is q's box corner `mins`
     radix, lo = _hfold_radix(base, h_top)
     packed = radix.pack(base, lo)
-    # the packed points of h*p lie in [0, h * span], span that of p's top corner
+    # the packed points of h*q lie in [0, h * span], span that of q's top corner
     (span,) = radix.pack([maxs], lo)
     bits = bytearray(span // 8 + 1)
     for v in packed:
         bits[v >> 3] |= 1 << (v & 7)
     summed = dilated = int.from_bytes(bits, "little")
+    sum_size = dilate_size = len(base)
     # the dilate sizes below shift_from (one point at h = 0) seed the
     # Ehrhart counts that each dilate from shift_from on must match
     shift_from = p.dim if every and p.is_full_dimensional() else h_max + 1
@@ -279,51 +304,58 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
         # S_{h-1} is all of L((h-1)P): the shift-OR below builds L(hP) too
         caught_up = summed == dilated
         if h > 1:
-            summed = _next_sum(summed, packed)
+            summed, sum_size = _next_sum(summed, sum_size, packed)
         if not every and h < h_max:
             continue
-        offset = [h * a for a in lo]
+        if 1 < h < shift_from:
+            rows = [_scale_rows(r, h) for r in _projection_rows(q)]
+            dilated = _lattice_runs(rows, *box(h), radix.weights)
+            dilate_size = dilated.bit_count()
+        elif h > 1:
+            dilated = summed if caught_up else _shift_or(dilated, packed)
+            dilate_size = sum_size if caught_up else dilated.bit_count()
         if h < shift_from:
-            if h > 1:
-                rows = [_scale_rows(r, h) for r in _projection_rows(p)]
-                dilated = _lattice_runs(rows, *box(h), radix.weights)
-            sizes.append(dilated.bit_count())
+            sizes.append(dilate_size)
         else:
-            if h > 1:
-                dilated = summed if caught_up else _shift_or(dilated, packed)
             if counts is None:
-                counts = _ehrhart_counts(sizes, normalized_volume(p))
+                counts = _ehrhart_counts(sizes, normalized_volume(q))
             count = next(counts)
-            if dilated.bit_count() != count:
+            if dilate_size != count:
                 raise LatticeForgeError(
-                    f"dilate at h={h} has {dilated.bit_count()} lattice points, "
+                    f"dilate at h={h} has {dilate_size} lattice points, "
                     f"its Ehrhart count is {count}: implementation bug"
                 )
         if summed & ~dilated:
             # A sum of lattice points always lies in the dilated hull; reaching
             # here means enumeration or summation is broken, not mathematics.
             raise LatticeForgeError("sumset escaped the dilated hull: implementation bug")
-        # packing keeps lexicographic order, so the witnesses come out sorted
-        witnesses = radix.unpack(_bit_indices(dilated & ~summed), offset)
+        # the sums lie in the dilate, so they fill it iff the counts agree
+        missing = _bit_indices(dilated & ~summed) if sum_size < dilate_size else ()
+        # packing keeps lexicographic order, so the witnesses come out sorted;
+        # a frame's are mapped back to P's coordinates and sorted there
+        witnesses = radix.unpack(missing, [h * a for a in lo])
+        if inverse is not None:
+            witnesses = tuple(sorted(tuple(vec_dot(row, y) for row in inverse) for y in witnesses))
         yield IdpReport(
             h=h,
             holds=not witnesses,
             witnesses=witnesses,
-            sum_size=summed.bit_count(),
-            dilate_size=dilated.bit_count(),
+            sum_size=sum_size,
+            dilate_size=dilate_size,
         )
     if h_top < h_max:
-        _check_pairs(summed.bit_count(), len(packed))
+        _check_pairs(sum_size, len(packed))
         _check_box(*box(h_top + 1))
 
 
 def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     """Brute-force comparison of h * (lattice points) against the h-dilate."""
     _check_positive(h, "number of summands")
-    # refused at once when h*p's box is over the cap: no bitset would fit
-    mins, maxs = p.bounding_box()
+    framed = _frame(p)
+    # refused at once when the box of h*p (in its frame) is over the cap: no bitset would fit
+    mins, maxs = (framed[0] if framed else p).bounding_box()
     _check_box(vec_scale(mins, h), vec_scale(maxs, h))
-    (report,) = _idp_reports(p, h, every=False)
+    (report,) = _idp_reports(p, h, every=False, framed=framed)
     return report
 
 
@@ -334,7 +366,7 @@ def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     _check_positive(h_max, "h_max")
     reports = []
     try:
-        for report in _idp_reports(p, h_max, every=True):
+        for report in _idp_reports(p, h_max, every=True, framed=_frame(p)):
             reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1

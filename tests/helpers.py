@@ -29,7 +29,9 @@ order, non-unimodular cells kept (placing_cover), where the library stops an
 order at its first non-unimodular cell, the general two-phase simplex method
 on the integer tableau (solve_min), where the library runs phase 2 alone
 from a known basis, and the simplex LP on a Fraction tableau, with the
-margin LP in its primal encoding.  Matrices are plain integer rows, as the
+margin LP in its primal encoding, and the LLL conditions by rational
+Gram-Schmidt (fraction_lll_defects), where the library keeps integral
+Gram-Schmidt data as it reduces.  Matrices are plain integer rows, as the
 library takes them; identity and matmul are the two matrix operations only
 the tests need.
 """
@@ -1052,3 +1054,45 @@ def elimination_placing_cells(points, dim):
             add_facets(cell, [s for s in range(dim) if ridges[key - {fpts[s]}] == 1])
         yield from new_cells
     return list(boundary.values())
+
+
+def width_form(vertices):
+    """P's width form sum_i (m v_i - s)(m v_i - s)^T over its m vertices, s their sum."""
+    m, total = len(vertices), [sum(col) for col in zip(*vertices)]
+    deviations = [[m * x - t for x, t in zip(v, total)] for v in vertices]
+    n = len(total)
+    return [[sum(d[i] * d[j] for d in deviations) for j in range(n)] for i in range(n)]
+
+
+def fraction_lll_defects(rows, gram):
+    """The LLL conditions (delta = 3/4) that the basis `rows` fails under the
+    Gram matrix `gram`, by Gram-Schmidt on Fractions: ("size", k, j) for
+    |mu_kj| > 1/2, ("lovasz", k) for |b*_k|^2 < (3/4 - mu_k,k-1^2) |b*_{k-1}|^2."""
+    def dot(x, y):
+        return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
+
+    stars, norms, defects = [], [], []
+    for k, row in enumerate(rows):
+        star = [Fraction(x) for x in row]
+        mu = []
+        for s, n in zip(stars, norms):
+            mu.append(dot(row, s) / n)
+            star = [x - mu[-1] * y for x, y in zip(star, s)]
+        defects += [("size", k, j) for j, m in enumerate(mu) if abs(m) > Fraction(1, 2)]
+        norm = dot(star, star)
+        if k and norm < (Fraction(3, 4) - mu[-1] ** 2) * norms[-1]:
+            defects.append(("lovasz", k))
+        stars.append(star)
+        norms.append(norm)
+    return defects
+
+
+def random_shear(rng, dim, steps, reach=2):
+    """A unimodular integer matrix, as rows: the identity after `steps`
+    random row additions row_i += c * row_j, 1 <= |c| <= reach."""
+    rows = [list(r) for r in identity(dim)]
+    for _ in range(steps if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice([c for c in range(-reach, reach + 1) if c])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))

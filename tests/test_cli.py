@@ -118,6 +118,18 @@ class TestIdpCheck:
         code, _, _ = run(capsys, "idp-check", "--example", "a2", "--h", "1", "--h-max", "2")
         assert code == 2
 
+    def test_thin_tetrahedron_decided(self, capsys, tmp_path):
+        # conv{0, e1, e2, (60,61,59)}: its dilate at h = 4 has a box of more
+        # than 10^7 cells, scanned in the frame's box of 150 * 4^3 cells
+        path = write(tmp_path, "thin.json", {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [60, 61, 59]]})
+        code, report, _ = run(capsys, "idp-check", path, "--h-max", "4")
+        assert code == 1
+        reports = report["result"]["reports"]
+        assert [r["dilate_size"] for r in reports] == [4, 68, 252, 615]
+        code, single, _ = run(capsys, "idp-check", path, "--h", "4")
+        assert code == 1
+        assert single["result"]["reports"] == reports[3:]
+
     def test_resource_cap_exit(self, capsys, tmp_path):
         path = write(tmp_path, "big.json", {"dim": 3, "vertices": [[0, 0, 0], [300, 300, 300]]})
         code, _, err = run(capsys, "idp-check", path, "--h", "2")

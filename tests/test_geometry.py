@@ -22,16 +22,20 @@ from helpers import (
     fraction_affine_basis,
     fraction_rank_of_rows,
     hull_projection_rows,
+    identity,
+    matmul,
     pairwise_bitset,
     placing_cover,
     random_point_set,
     random_polytope,
     random_rational_point,
     random_simplex,
+    random_shear,
     random_unimodular_simplex,
     recursive_lattice_runs,
     rehull_dilate,
     sorted_placing_hull,
+    width_form,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -46,11 +50,16 @@ from latticeforge import (
 from latticeforge import find_ell, find_unimodular_triangulation, geometry, linalg, lp, unimodular
 from latticeforge.errors import DegeneratePolytopeError
 from latticeforge.geometry import (
+    FRAME_RATIO,
+    _box_cells,
+    _box_shrinks,
+    _frame,
     _lattice_runs,
     _placing_cells,
     _primitive_row,
     _projection_rows,
     vec_dot,
+    vec_scale,
     vec_sub,
 )
 from latticeforge.fixtures import reeve_simplex, stretched_simplex, unit_cube, unit_square
@@ -488,6 +497,89 @@ class TestDilateOfDilate:
             for read in READERS.values():
                 read(once_known)
             assert calls == [], p
+
+
+NEEDLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 7, 6), (8, 7, 6))
+
+
+class TestFrame:
+    """_frame(P), for a thin full-dimensional P (more than FRAME_RATIO box
+    cells per lattice point), builds U*P from P's parts as dilate builds
+    h*P, U from LLL on P's width form: it equals a fresh hull of U*P's
+    vertices slot for slot, the derived data read through the functions
+    that fill them (so its kept lattice points U*L(P) meet an enumeration
+    in its own box); U^-1 inverts U, and U*P's box is smaller at every
+    dilation.  LLL on a dilate's width form h^2 G gives the same U."""
+
+    def test_sheared_polytopes(self):
+        rng = random.Random(2809)
+        framed = 0
+        for k in range(150):
+            dim = 2 + k % 4
+            grid = list(itertools.product(range(2), repeat=dim))
+            pts = rng.sample(grid, rng.randint(dim + 1, min(len(grid), dim + 3)))
+            shear = random_shear(rng, dim, rng.randint(dim, 3 * dim))
+            p = LatticePolytope([tuple(vec_dot(row, q) for row in shear) for q in pts])
+            frame = _frame(p)
+            if frame is None:
+                continue
+            framed += 1
+            image, inverse = frame
+            u = linalg._lll_reduce(width_form(p.vertices))
+            assert matmul(u, inverse) == identity(dim)
+            assert image.vertices == tuple(sorted(tuple(vec_dot(row, v) for row in u) for v in p.vertices))
+            assert image._points == tuple(sorted(tuple(vec_dot(row, x) for row in u) for x in lattice_points(p)))
+            want = LatticePolytope(image.vertices)
+            for slot in LatticePolytope.__slots__:
+                assert read_slot(image, slot) == read_slot(want, slot), (p, slot)
+            (lo, hi), (flo, fhi) = p.bounding_box(), image.bounding_box()
+            for h in range(1, 9):
+                assert _box_cells(vec_scale(flo, h), vec_scale(fhi, h)) < _box_cells(vec_scale(lo, h), vec_scale(hi, h))
+            assert linalg._lll_reduce(width_form(dilate(p, 3).vertices)) == u
+        assert framed >= 100, framed
+
+    def test_selection(self):
+        # flat inputs, cubes, grids and the Reeve simplex's dilates are not thin
+        flat = LatticePolytope([(0, 0, 0, 0), (1, 0, 1, 2), (0, 1, 2, 1)])
+        grid = LatticePolytope(itertools.product(range(4), repeat=3))
+        unthin = [flat, unit_cube(4), dilate(unit_cube(3), 2), grid]
+        unthin += [dilate(reeve_simplex(), h) for h in range(1, 6)]
+        for p in unthin:
+            assert _frame(p) is None, p
+            ratio = _box_cells(*p.bounding_box()) / len(lattice_points(p))
+            assert not p.is_full_dimensional() or ratio <= FRAME_RATIO, p
+        # the needle: 8 lattice points in 504 box cells, 30 in its frame
+        image, inverse = _frame(LatticePolytope(NEEDLE))
+        assert image.bounding_box() == ((-1, -1, -3), (0, 1, 1))
+        assert len(lattice_points(image)) == 8
+        assert normalized_volume(image) == normalized_volume(LatticePolytope(NEEDLE)) == 12
+
+    def test_frame_only_when_smaller(self, monkeypatch):
+        # U is kept only when U*P's box is smaller than P's: the identity is not
+        monkeypatch.setattr(geometry, "_lll_reduce", lambda gram: identity(len(gram)))
+        assert _frame(LatticePolytope(NEEDLE)) is None
+
+    def test_box_shrinks_at_every_dilation(self):
+        # widths (1, 1, 7) against (2, 2, 2): 32 cells against 27 at h = 1,
+        # 725 against 729 at h = 4, so neither box shrinks into the other
+        cube, long = ((0, 0, 0), (2, 2, 2)), ((0, 0, 0), (1, 1, 7))
+        assert not _box_shrinks(cube, long) and not _box_shrinks(long, cube)
+        assert not _box_shrinks(cube, cube)
+        # the needle's box, widths (8, 7, 6), and its frame's, (1, 2, 4)
+        assert _box_shrinks(((0, 0, 0), (8, 7, 6)), ((-1, -1, -3), (0, 1, 1)))
+        # a shrinking box has fewer cells than the other at each h = 1..12
+        # (the test is sufficient: widths (1, 6) are below (3, 3) at every h)
+        assert not _box_shrinks(((0, 0), (3, 3)), ((0, 0), (1, 6)))
+        rng = random.Random(2810)
+        shrinks = 0
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            old, new = ([rng.randint(0, 6) for _ in range(dim)] for _ in range(2))
+            if _box_shrinks(((0,) * dim, old), ((0,) * dim, new)):
+                shrinks += 1
+                for h in range(1, 13):
+                    assert math.prod(h * w + 1 for w in new) < math.prod(h * w + 1 for w in old), (old, new, h)
+        assert shrinks >= 100, shrinks
 
 
 class TestDilateBuildCount:

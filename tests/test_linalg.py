@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,13 @@ from helpers import (
     cofactor_determinant,
     fraction_adjugate,
     fraction_affine_basis,
+    fraction_lll_defects,
     fraction_rank_of_rows,
     fraction_solve,
     identity,
     matmul,
+    random_shear,
+    width_form,
 )
 from latticeforge import (
     DimensionMismatchError,
@@ -20,7 +24,7 @@ from latticeforge import (
     hermite_normal_form,
 )
 from latticeforge.geometry import _affine_basis
-from latticeforge.linalg import DIM_CAP
+from latticeforge.linalg import DIM_CAP, _lll_reduce
 
 from fractions import Fraction
 
@@ -370,3 +374,46 @@ class TestAffineBasisAgainstFraction:
             assert det and pivot in (det, -det), (points, pivot, det)
             signs.add(pivot == det)
         assert signs == {True, False}
+
+
+class TestLLLReduce:
+    """The integral LLL reduction on the width forms of seeded sheared
+    simplices in dimensions 1-8: U is unimodular and LLL-reduced (size
+    reduction and Lovasz's condition at delta = 3/4), checked on Fractions,
+    and a form scaled by c^2, a dilate's, gives the same U."""
+
+    def test_sheared_simplices(self):
+        rng = random.Random(2607)
+        swaps = 0
+        for k in range(160):
+            dim = 1 + k % 8
+            shear = random_shear(rng, dim, rng.randint(dim, 3 * dim))
+            stretch = [rng.randint(1, 3) for _ in range(dim)]
+            verts = [(0,) * dim] + [tuple(c * x for x, c in zip(row, stretch)) for row in shear]
+            gram = width_form(verts)
+            u = _lll_reduce(gram)
+            assert abs(determinant(u)) == 1, gram
+            assert fraction_lll_defects(u, gram) == [], gram
+            # the identity fails Lovasz's condition on most sheared forms
+            swaps += bool(fraction_lll_defects(identity(dim), gram))
+            c = rng.randint(2, 9)
+            assert _lll_reduce([[c * c * x for x in row] for row in gram]) == u, gram
+        assert swaps >= 100
+
+    def test_reduced_form_is_kept(self):
+        # an LLL-reduced form gives the identity, a cube's diagonal one included
+        for n in range(1, DIM_CAP + 1):
+            cube = list(itertools.product((0, 1), repeat=n))
+            assert _lll_reduce(width_form(cube)) == identity(n)
+        assert _lll_reduce([[2, 1], [1, 2]]) == identity(2)
+
+    def test_short_vector_found(self):
+        # the form of the basis (1, 0), (100, 1): the reduced basis is e1 and e2 - 100 e1
+        gram = [[1, 100], [100, 10001]]
+        u = _lll_reduce(gram)
+        assert u == ((1, 0), (-100, 1))
+        assert fraction_lll_defects(u, gram) == [] and fraction_lll_defects(identity(2), gram) != []
+
+    def test_singular_form_refused(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            _lll_reduce([[1, 1], [1, 1]])

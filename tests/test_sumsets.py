@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from operator import add
 
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     per_h_idp_check,
     random_point_set,
     random_polytope,
+    random_shear,
     runs_bitset,
     runs_idp_scan,
 )
@@ -41,7 +43,7 @@ from latticeforge.fixtures import (
     unit_cube,
     unit_square,
 )
-from latticeforge.geometry import _projection_rows, contains, vec_scale
+from latticeforge.geometry import _box_cells, _frame, _projection_rows, contains, vec_dot, vec_scale
 from latticeforge.sumsets import _bit_indices, find_sum_decomposition
 
 
@@ -258,8 +260,10 @@ class TestIdpCheck:
         # (3, 3, 5), weights (15, 5, 1); (2, 2, 0) is in that box, not in 2*a2
         planted = 1 << (2 * 15 + 2 * 5)
 
-        def escaping(summed, packed):
-            return original(summed, packed) | planted
+        # the sums step returns S_h with its count: the planted bit is counted too
+        def escaping(summed, size, packed):
+            out, count = original(summed, size, packed)
+            return out | planted, count + 1
 
         monkeypatch.setattr(sumsets, "_next_sum", escaping)
         assert not contains(dilate(reeve_simplex(), 2), (2, 2, 0))
@@ -525,7 +529,8 @@ class TestCaughtUpSums:
     """From h = max(d, 2) on, once S_{h-1} is all of L((h-1)P), the dilate at
     h is the sumset just built, so the step shifts once (_shift_or, counted)
     instead of twice: 2*cube-3 and cube-4 catch up at h = 2, the needle
-    never does.  The reports stay those of the per-h check from scratch."""
+    (scanned in its frame) never does.  The reports stay those of the per-h
+    check from scratch."""
 
     @staticmethod
     def count_shifts(monkeypatch):
@@ -541,6 +546,7 @@ class TestCaughtUpSums:
 
     def test_shift_counts(self, monkeypatch):
         calls = self.count_shifts(monkeypatch)
+        assert _frame(LatticePolytope(NEEDLE)) is not None
         # h_max - 1 sums, and a dilate shift at each h >= d while S_{h-1} lags
         for p, h_max, shifts in (
             (dilate(unit_cube(3), 2), 8, 7),
@@ -569,6 +575,95 @@ class TestCaughtUpSums:
             assert len(calls) == h_max - 1 + lagging, p.generators
             outcomes[all(r.holds for r in reports)] += 1
         assert outcomes[True] >= 5 and outcomes[False] >= 3, outcomes
+
+
+#: the h_max of each dimension's thin polytopes
+THIN_H_MAX = {2: 4, 3: 4, 4: 4, 5: 3}
+
+
+def thin_polytopes(seed, count, bits=10**6):
+    """Seeded thin full-dimensional polytopes in dimensions 2-5: d + 1 to
+    d + 3 points of {0, 1}^d (of {0, 1, 2}^d for d <= 3, one time in three)
+    under a random unimodular shear, translated, with at most `bits` cells
+    in the box of THIN_H_MAX[d] * P."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = 2 + len(out) % 4
+        grid = list(itertools.product(range(3 if dim <= 3 and rng.random() < 1 / 3 else 2), repeat=dim))
+        pts = rng.sample(grid, rng.randint(dim + 1, min(len(grid), dim + 3)))
+        shear = random_shear(rng, dim, rng.randint(dim, 3 * dim))
+        shift = [rng.randint(-3, 3) for _ in range(dim)]
+        p = LatticePolytope([tuple(vec_dot(row, q) + t for row, t in zip(shear, shift)) for q in pts])
+        if p.is_full_dimensional() and _box_cells(*p.bounding_box()) * THIN_H_MAX[dim] ** dim <= bits:
+            out.append(p)
+    return out
+
+
+# conv{0, e1, e2, (60, 61, 59)}: 4 lattice points in a box of 226,920 cells,
+# whose dilate 4P has a box of more than 10^7
+THIN = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (60, 61, 59))
+
+
+def unframed(monkeypatch):
+    """Scan every polytope in its own box."""
+    monkeypatch.setattr(sumsets, "_frame", lambda p: None)
+
+
+class TestFrameScan:
+    """A thin full-dimensional P, with more than 8 box cells per lattice
+    point, is scanned in its frame U*P (geometry._frame), U unimodular from
+    integral LLL on P's width form.  Its reports are those of the scan in
+    P's own box, field by field, witness order included."""
+
+    def test_framed_against_unframed(self, monkeypatch):
+        rng = random.Random(2808)
+        framed = failing = 0
+        for p in thin_polytopes(2807, 200):
+            h_max = THIN_H_MAX[p.dim]
+            h = rng.randint(1, h_max)
+            got = idp_scan(p, h_max), idp_check(p, h)
+            frame = _frame(p)
+            with monkeypatch.context() as patch:
+                unframed(patch)
+                q = LatticePolytope(p.generators)
+                assert (idp_scan(q, h_max), idp_check(q, h)) == got, p.generators
+            if frame is not None:
+                framed += 1
+                # the frame's box is never the larger
+                assert _box_cells(*frame[0].bounding_box()) < _box_cells(*p.bounding_box())
+            failing += not all(r.holds for r in got[0])
+        assert framed >= 140 and failing >= 20, (framed, failing)
+
+    def test_thin_tetrahedron_decided(self, monkeypatch):
+        p = LatticePolytope(THIN)
+        reports = idp_scan(p, 4)
+        assert [r.dilate_size for r in reports] == [4, 68, 252, 615]
+        assert idp_check(p, 4) == reports[3]
+        # the per-h check from scratch (a box scan of each dilate, doubled
+        # sums) in the coordinates of the shear (x, y, z) -> (x - z, y - z, z),
+        # which sends the far vertex to (1, 2, 59), its witnesses sheared back
+        shear = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
+        back = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+        sheared = LatticePolytope([tuple(vec_dot(row, v) for row in shear) for v in THIN])
+        for h, report in enumerate(reports, start=1):
+            want = per_h_idp_check(sheared, h)
+            witnesses = tuple(sorted(tuple(vec_dot(row, w) for row in back) for w in want.witnesses))
+            assert report == replace(want, witnesses=witnesses), h
+        # in its own box the dilate at h = 4 is over the cap
+        unframed(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=4: bounding box exceeds"):
+            idp_scan(p, 4)
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds"):
+            idp_check(p, 4)
+
+    def test_lattice_points_keep_the_input_box_cap(self):
+        # 337 lattice points in a box of 10^9 cells: enumerated in P's own box, refused
+        p = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1000, 1000, 1001)])
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=1: bounding box exceeds"):
+            idp_scan(p, 2)
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds"):
+            idp_check(p, 1)
 
 
 class TestInclusionProperty:
