@@ -151,11 +151,11 @@ def _digest(data) -> str:
     return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _load_input(args, allow_cover: bool = False) -> tuple:
+def _load_input(args) -> tuple:
     """Resolve FILE / --example into (payload, file-dict, digest).
 
-    The payload is a LatticePolytope, or a validated cover dict when
-    `allow_cover` is set and the file carries a "cells" field.
+    The payload is a LatticePolytope, or a validated cover dict when the
+    command is unimodular-test and the file carries a "cells" field.
     """
     if args.example is not None and args.file is not None:
         raise PolytopeFileError("give either a polytope file or --example, not both")
@@ -166,7 +166,7 @@ def _load_input(args, allow_cover: bool = False) -> tuple:
     if args.file is None:
         raise PolytopeFileError("no input: give a polytope file or --example NAME")
     raw = parse_strict_json(_read_file(args.file))
-    if allow_cover and isinstance(raw, dict) and "cells" in raw:
+    if args.command == "unimodular-test" and isinstance(raw, dict) and "cells" in raw:
         data = parse_cover_data(raw)
         return data, data, _digest(data)
     data = parse_polytope_data(raw)
@@ -559,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     started = time.perf_counter()
     try:
-        inp, data, digest = _load_input(args, allow_cover=args.command == "unimodular-test")
+        inp, data, digest = _load_input(args)
         result, code, summary = args.handler(args, inp)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -36,9 +36,10 @@ and returns the last coordinate as runs, or sets their bits in a packed
 bitset.  No LP is involved.
 
 A polytope keeps its derived data, each computed on first read: its lattice
-points, its projection rows and its normalized volume.  A dilate keeps a
-link to its undilated base and reads the base's rows and volume, computed
-once, scaled to h*P's.
+points, its projection rows and its normalized volume.  One method fills
+every slot (``LatticePolytope._fill``), from the hull pass's parts or a
+known polytope's.  A dilate keeps a link to its undilated base and reads
+the base's rows and volume, computed once, scaled to h*P's.
 
 A thin polytope, whose box holds more than ``FRAME_RATIO`` cells per
 lattice point, has a frame (``_frame``) for the IDP scan (``sumsets``):
@@ -253,8 +254,9 @@ def _affine_basis(points: Iterable[Point]) -> tuple:
     return start, skipped, rows[-1][cols[-1]] if rows else 1, cols
 
 
-def _placing_cells(points: Iterable[Point], dim: int):
-    """Incremental (beneath-beyond) triangulation of conv(points).
+def _placing_cells(points: Iterable[Point]):
+    """Incremental (beneath-beyond) triangulation of conv(points) in Z^dim,
+    dim that of the first point.
 
     Points are inserted in the order they arrive from the iterable, read
     one at a time: an order drawn lazily (unimodular._draw) is drawn only as
@@ -312,7 +314,7 @@ def _placing_cells(points: Iterable[Point], dim: int):
     """
     points = iter(points)
     start, skipped, pivot, _ = _affine_basis(points)
-    if len(start) < dim + 1:
+    if len(start) <= len(start[0]):
         raise DegeneratePolytopeError("points do not span the ambient dimension")
     first = tuple(start)
     yield first, abs(pivot)
@@ -468,8 +470,7 @@ class LatticePolytope:
     """
 
     __slots__ = (
-        "generators", "vertices", "dim", "_facets", "_masks", "_hull_dim",
-        "_points", "_projections", "_volume", "_base",
+        "vertices", "dim", "_facets", "_masks", "_hull_dim", "_points", "_projections", "_volume", "_base",
     )
 
     def __init__(self, points: Iterable[Sequence[int]]):
@@ -479,8 +480,6 @@ class LatticePolytope:
         dim = _check_uniform(gens)
         if dim > DIM_CAP:
             raise ResourceLimitError(f"ambient dimension capped at {DIM_CAP}, got {dim}")
-        self.generators = tuple(gens)
-        self.dim = dim
 
         # The start simplex's elimination also gives `cols`, its sorted pivot
         # columns: the leftmost coordinates on which the affine hull projects
@@ -511,9 +510,7 @@ class LatticePolytope:
                     a, b = _primitive_row(normal, vec_dot(normal, start[0]))
                     equations.update({(a, b), (tuple(-x for x in a), -b)})
 
-        self._hull_dim = hull_dim
-        self._points = self._projections = self._volume = self._base = None
-        self.vertices = self.generators
+        vertices = gens
         tight = {}  # row -> the bitmask of the vertices tight on it
         if hull_dim:
             proj = [tuple(g[c] for c in cols) for g in gens]
@@ -522,14 +519,28 @@ class LatticePolytope:
             # is tight on, the face those facets cut out then being {g}
             meet = [reduce(and_, (z for z in masks if z >> i & 1), -1) for i in range(len(gens))]
             keep = [i for i in range(len(gens)) if meet[i] == 1 << i]
-            self.vertices = tuple(gens[i] for i in keep)
+            vertices = [gens[i] for i in keep]
             if len(keep) < len(gens):
                 masks = [sum(1 << t for t, i in enumerate(keep) if z >> i & 1) for z in masks]
             tight = {(tuple(lift(a, cols)), b): z for (a, b), z in zip(facets, masks)}
         # every vertex is tight on an equation of the affine hull
-        tight.update(dict.fromkeys(equations, (1 << len(self.vertices)) - 1))
+        tight.update(dict.fromkeys(equations, (1 << len(vertices)) - 1))
+        self._fill(tuple(vertices), tight, hull_dim)
+
+    def _fill(self, vertices: tuple, tight: dict, hull_dim: int, points=None, volume=None, base=None):
+        """Fill every slot and return self, from the sorted vertices, `tight`
+        (each primitive row mapped to its tight mask), the affine dimension
+        and, when known, the lattice points, volume and (base, h) link."""
+        self.vertices, self.dim, self._hull_dim = vertices, len(vertices[0]), hull_dim
         self._facets = tuple(sorted(tight))
         self._masks = tuple(tight[row] for row in self._facets)
+        self._points, self._projections, self._volume, self._base = points, None, volume, base
+        return self
+
+    @staticmethod
+    def _from_parts(*parts, **known) -> LatticePolytope:
+        """A polytope built from its parts (_fill), with no hull pass."""
+        return LatticePolytope.__new__(LatticePolytope)._fill(*parts, **known)
 
     def is_full_dimensional(self) -> bool:
         return self._hull_dim == self.dim
@@ -573,8 +584,7 @@ def normalized_volume(p: LatticePolytope) -> int:
         base, h = p._base
         p._volume = h**p.dim * normalized_volume(base)
     elif p._volume is None:
-        full = p.is_full_dimensional()
-        p._volume = sum(v for _, v in _placing_cells(p.vertices, p.dim)) if full else 0
+        p._volume = sum(v for _, v in _placing_cells(p.vertices)) if p.is_full_dimensional() else 0
     return p._volume
 
 
@@ -627,15 +637,9 @@ def dilate(p: LatticePolytope, h: int) -> LatticePolytope:
     _check_positive(h, "dilation factor")
     base, factor = p._base or (p, 1)
     factor *= h
-    scaled = LatticePolytope.__new__(LatticePolytope)
-    scaled.generators = scaled.vertices = tuple(vec_scale(v, factor) for v in base.vertices)
-    scaled.dim = base.dim
-    scaled._facets = _scale_rows(base._facets, factor)
-    scaled._masks = base._masks
-    scaled._hull_dim = base._hull_dim
-    scaled._points = scaled._projections = scaled._volume = None
-    scaled._base = base, factor
-    return scaled
+    vertices = tuple(vec_scale(v, factor) for v in base.vertices)
+    rows = dict(zip(_scale_rows(base._facets, factor), base._masks))
+    return LatticePolytope._from_parts(vertices, rows, base._hull_dim, base=(base, factor))
 
 
 #: A full-dimensional polytope gets a frame (_frame) when its bounding box
@@ -702,15 +706,10 @@ def _frame(p: LatticePolytope):
         (tuple(vec_dot(a, c) for c in cols), b): sum(1 << at[i] for i in _bits(z))
         for (a, b), z in zip(p._facets, p._masks)
     }
-    framed = LatticePolytope.__new__(LatticePolytope)
-    framed.generators = framed.vertices = tuple(verts[i] for i in order)
-    framed.dim = p.dim
-    framed._facets = tuple(sorted(rows))
-    framed._masks = tuple(rows[row] for row in framed._facets)
-    framed._hull_dim = p._hull_dim
-    framed._points = tuple(sorted(map(image, lattice_points(p))))
-    framed._volume = normalized_volume(p)
-    framed._projections = framed._base = None
+    points = tuple(sorted(map(image, lattice_points(p))))
+    framed = LatticePolytope._from_parts(
+        tuple(verts[i] for i in order), rows, p._hull_dim, points=points, volume=normalized_volume(p)
+    )
     return framed, inverse
 
 
@@ -744,13 +743,8 @@ def _box_cells(mins: Sequence[int], maxs: Sequence[int]) -> int:
     return prod(hi - lo + 1 for lo, hi in zip(mins, maxs))
 
 
-def _box_fits(mins: Sequence[int], maxs: Sequence[int]) -> bool:
-    """Whether the integer box mins..maxs has at most BOX_CAP cells."""
-    return _box_cells(mins, maxs) <= BOX_CAP
-
-
 def _check_box(mins: Sequence[int], maxs: Sequence[int]) -> None:
-    if not _box_fits(mins, maxs):
+    if _box_cells(mins, maxs) > BOX_CAP:
         raise ResourceLimitError(f"bounding box exceeds the enumeration cap of {BOX_CAP} cells")
 
 

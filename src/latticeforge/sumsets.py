@@ -30,16 +30,16 @@ sum escapes the dilate (S_h & ~dilate) is one int operation, and when the
 counts differ the witnesses (dilate & ~S_h) are read from that int's
 non-zero bytes, low byte first, which is lexicographic order.
 
-Every bitset spans the box of h_top*P.  A thin P, whose box holds more
-than geometry.FRAME_RATIO cells per lattice point, is scanned in its frame
-(geometry._frame): the image U*P under a unimodular U, LLL-reduced under
-P's width form, whose box is smaller at every h.  U is a lattice
-isomorphism, so the sizes and verdicts are P's; each witness y is unpacked
-and mapped to x = U^-1 y, and the witnesses are then sorted, so the
-reports are those of the scan in P's own coordinates.  The box cap applies
-to the frame's box, so an h the scan in P's box reached is reached in the
-frame too; P's lattice points are still enumerated in P's own box, under
-its cap.
+Every bitset spans the box of h_top*P.  The scan (_idp_reports) picks a
+thin P's frame itself (geometry._frame): the image U*P under a unimodular
+U, LLL-reduced under P's width form, whose box is smaller at every h.  U
+is a lattice isomorphism, so the sizes and verdicts are P's; each witness
+y is unpacked and mapped to x = U^-1 y, and the witnesses are then sorted,
+so the reports are those of the scan in P's own coordinates.  The box cap
+applies to the frame's box, so an h the scan in P's box reached is reached
+in the frame too; P's lattice points are still enumerated in P's own box,
+under its cap.  h is capped at isqrt(BOX_CAP) as well, a bound that binds
+only boxes growing in at most one coordinate.
 """
 from __future__ import annotations
 
@@ -49,11 +49,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from . import geometry
 from .errors import DimensionMismatchError, LatticeForgeError, ResourceLimitError
 from .geometry import (
     LatticePolytope,
     Point,
-    _box_fits,
+    _box_cells,
     _check_box,
     _check_positive,
     _check_uniform,
@@ -65,7 +66,6 @@ from .geometry import (
     lattice_points,
     normalized_volume,
     vec_dot,
-    vec_scale,
 )
 
 #: Intermediate point sets larger than this abort with a resource error.
@@ -248,26 +248,27 @@ def _ehrhart_counts(sizes: Sequence[int], volume: int):
         yield table[0]
 
 
-def _idp_reports(p: LatticePolytope, h_max: int, every: bool, framed):
+def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
     """IdpReports of p for h = 1..h_max (or only h_max when not `every`), in order.
 
-    `framed` is _frame(p): (U*P, U^-1) for a thin p, or None.  With a frame
-    every set below is that of U*P, in its smaller box, and each witness y
-    is mapped back to x = U^-1 y once unpacked, the witnesses then sorted;
-    sizes and verdicts are P's, as U is a lattice isomorphism.
+    The sets below are those of q, _frame(p)'s U*P for a thin p and p
+    otherwise; a frame's witnesses are mapped back to P's coordinates.
 
-    h*p is enumerated over the rows of p's coordinate projections
+    h*q is enumerated over the rows of q's coordinate projections
     (_projection_rows, the rows its own enumeration read), each scaled to
-    (a, h*b).  The radix is that of h_top*p, h_top the largest h <= h_max
-    whose box is within BOX_CAP, so no bitset is wider.  At h_top + 1 the
-    pair cap is checked and then the box cap raised, the h at which
-    enumerating that dilate would raise it.
+    (a, h*b).  The radix is that of h_top*q, h_top the largest h <= h_max
+    within BOX_CAP and at most isqrt(BOX_CAP), so no bitset is wider.  At
+    h_top + 1 the pair cap is checked, then the box cap and the bound on h
+    raised.  A box with two or more positive widths has (h+1)^2 cells or
+    more, so only boxes growing in at most one coordinate meet the bound.
+    A single h (not `every`) over either cap is refused at once, before
+    q's lattice points are read.
 
     With `every` and p full-dimensional, of dimension d, only h = 2..d-1 are
     enumerated.  From h = max(d, 2) on, the dilate is the previous one
-    shifted by p's points (_shift_or, under no cap but the box's, as the
+    shifted by q's points (_shift_or, under no cap but the box's, as the
     enumeration is), and from h = d on its size must equal the Ehrhart
-    count (_ehrhart_counts, from the sizes below d and p's normalized
+    count (_ehrhart_counts, from the sizes below d and q's normalized
     volume); a mismatch means the scan is broken, and raises.  When the
     sums at h - 1 equal the dilate there, that shift is the one _next_sum
     has just made, under the sums' caps, and its result is taken as it is;
@@ -276,15 +277,23 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool, framed):
     (not at all when it is the sums), and witnesses are read only when the
     counts differ.
     """
-    q, inverse = framed or (p, None)
-    base = lattice_points(q)
+    q, inverse = _frame(p) or (p, None)
     mins, maxs = q.bounding_box()
+    h_bound = math.isqrt(geometry.BOX_CAP)
 
     def box(h):
         return [h * a for a in mins], [h * b for b in maxs]
 
+    def refuse(h):
+        _check_box(*box(h))
+        if h > h_bound:
+            raise ResourceLimitError(f"h capped at {h_bound}, got {h}")
+
+    if not every:
+        refuse(h_max)
+    base = lattice_points(q)
     h_top = 1
-    while h_top < h_max and _box_fits(*box(h_top + 1)):
+    while h_top < min(h_max, h_bound) and _box_cells(*box(h_top + 1)) <= geometry.BOX_CAP:
         h_top += 1
     # lo, the least coordinates of the lattice points, is q's box corner `mins`
     radix, lo = _hfold_radix(base, h_top)
@@ -345,18 +354,13 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool, framed):
         )
     if h_top < h_max:
         _check_pairs(sum_size, len(packed))
-        _check_box(*box(h_top + 1))
+        refuse(h_top + 1)
 
 
 def idp_check(p: LatticePolytope, h: int) -> IdpReport:
     """Brute-force comparison of h * (lattice points) against the h-dilate."""
     _check_positive(h, "number of summands")
-    framed = _frame(p)
-    # refused at once when the box of h*p (in its frame) is over the cap: no bitset would fit
-    mins, maxs = (framed[0] if framed else p).bounding_box()
-    _check_box(vec_scale(mins, h), vec_scale(maxs, h))
-    (report,) = _idp_reports(p, h, every=False, framed=framed)
-    return report
+    return next(_idp_reports(p, h, every=False))
 
 
 def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
@@ -366,7 +370,7 @@ def idp_scan(p: LatticePolytope, h_max: int) -> tuple:
     _check_positive(h_max, "h_max")
     reports = []
     try:
-        for report in _idp_reports(p, h_max, every=True, framed=_frame(p)):
+        for report in _idp_reports(p, h_max, every=True):
             reports.append(report)
     except ResourceLimitError as exc:
         h = len(reports) + 1

@@ -368,7 +368,7 @@ def _placing_search(p: LatticePolytope, attempts: int, seed: int) -> tuple:
     for k in range(1 if forced else attempts):
         order = list(pts) if k else pts
         cells = []
-        for vertices, volume in _placing_cells(_draw(rng, order) if k else pts, p.dim):
+        for vertices, volume in _placing_cells(_draw(rng, order) if k else pts):
             if volume != 1:
                 break
             cells.append(vertices)

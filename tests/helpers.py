@@ -638,15 +638,10 @@ def assembled_unit_cube(n):
     n = 8; the parts are those vertices, the rows x_i <= 1 and -x_i <= 0
     with their tight vertices, and normalized volume n!.
     """
-    p = LatticePolytope.__new__(LatticePolytope)
-    p.generators = p.vertices = tuple(itertools.product((0, 1), repeat=n))
-    p.dim = p._hull_dim = n
+    vertices = tuple(itertools.product((0, 1), repeat=n))
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    p._facets = tuple(sorted([(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]))
-    p._masks = tight_masks(p)
-    p._points = p._projections = p._base = None
-    p._volume = math.factorial(n)
-    return p
+    rows = [(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]
+    return LatticePolytope._from_parts(vertices, tight_rows(vertices, rows), n, volume=math.factorial(n))
 
 
 def random_point_set(rng, dim, flat, bound=2):
@@ -780,7 +775,7 @@ def placing_cover(p, order=None):
     """The placing triangulation of p's lattice points in `order` (default:
     their lexicographic order) as an uncertified cover, every cell kept,
     non-unimodular ones included; DegeneratePolytopeError for a flat p."""
-    cells = _placing_cells(lattice_points(p) if order is None else order, p.dim)
+    cells = _placing_cells(lattice_points(p) if order is None else order)
     return SimplicialCover(target=p, cells=tuple(LatticeSimplex(c) for c, _ in cells))
 
 
@@ -879,9 +874,9 @@ def staircase_cells(dim):
     return cells
 
 
-def placing_boundary(points, dim):
+def placing_boundary(points):
     """The hull boundary facets that geometry._placing_cells returns once every point is placed."""
-    cells = _placing_cells(points, dim)
+    cells = _placing_cells(points)
     try:
         while True:
             next(cells)
@@ -909,9 +904,6 @@ def sorted_placing_hull(points, extremes=False):
     points first and only those on a boundary facet are vertex candidates."""
     gens = sorted(set(tuple(p) for p in points))
     dim = len(gens[0])
-    p = LatticePolytope.__new__(LatticePolytope)
-    p.generators = tuple(gens)
-    p.dim = dim
     start = _affine_basis(gens)[0]
     hull_dim = len(start) - 1
     diffs = [tuple(a - b for a, b in zip(q, start[0])) for q in start[1:]]
@@ -935,33 +927,29 @@ def sorted_placing_hull(points, extremes=False):
     candidates = gens
     if hull_dim:
         proj = [tuple(g[c] for c in cols) for g in gens]
-        boundary = placing_boundary(extremes_first(proj) if extremes else proj, hull_dim)
+        boundary = placing_boundary(extremes_first(proj) if extremes else proj)
         for _, normal, offset in boundary:
             volume += offset - vec_dot(normal, proj[0])
             rows.add(_primitive_row(lift(normal, cols), offset))
         if extremes:
             on_boundary = {q for fpts, _, _ in boundary for q in fpts}
             candidates = [g for g, q in zip(gens, proj) if q in on_boundary]
-    p._facets = tuple(sorted(rows))
-    p._hull_dim = hull_dim
-    p._volume = volume if hull_dim == dim else 0
 
     # g is a vertex iff it alone maximizes the sum of its tight facet normals
     def is_vertex(g):
-        tight = [a for a, b in p._facets if vec_dot(a, g) == b]
+        tight = [a for a, b in rows if vec_dot(a, g) == b]
         direction = [sum(col) for col in zip(*tight)] or [0] * dim
         top = vec_dot(direction, g)
         return all(vec_dot(direction, h) < top for h in candidates if h != g)
 
-    p.vertices = tuple(g for g in candidates if is_vertex(g))
-    p._masks = tight_masks(p)
-    p._points = p._projections = p._base = None
-    return p
+    vertices = tuple(g for g in candidates if is_vertex(g))
+    volume = volume if hull_dim == dim else 0
+    return LatticePolytope._from_parts(vertices, tight_rows(vertices, rows), hull_dim, volume=volume)
 
 
-def tight_masks(p):
-    """Per facet row of p, the bitmask of p's vertices on its hyperplane."""
-    return tuple(sum(1 << i for i, v in enumerate(p.vertices) if vec_dot(a, v) == b) for a, b in p._facets)
+def tight_rows(vertices, rows):
+    """Each row (a, b) mapped to the bitmask of the vertices on its hyperplane."""
+    return {(a, b): sum(1 << i for i, v in enumerate(vertices) if vec_dot(a, v) == b) for a, b in rows}
 
 
 def recursive_lattice_runs(levels, mins, maxs):
@@ -1018,10 +1006,11 @@ def pairwise_bitset(runs):
     return mask << start
 
 
-def elimination_placing_cells(points, dim):
+def elimination_placing_cells(points):
     """geometry._placing_cells with every boundary facet's row from its own
     elimination (_cell_facet), all of the first simplex's before its yield,
     and the horizon found by counting the ridges of the visible facets."""
+    dim = len(points[0])
     start = _affine_basis(points)[0]
     if len(start) < dim + 1:
         raise DegeneratePolytopeError("points do not span the ambient dimension")

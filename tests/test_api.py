@@ -42,5 +42,6 @@ def test_public_surface():
         (latticeforge.LatticeSimplex, "hull"),
         (latticeforge.LatticePolytope, "as_simplex"),
         (latticeforge.LatticePolytope, "translate"),
+        (latticeforge.LatticePolytope, "generators"),
     ):
         assert not hasattr(cls, name), (cls.__name__, name)

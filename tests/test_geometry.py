@@ -261,9 +261,10 @@ class TestContains:
         for k in range(200):
             dim = 1 + k % 8
             flat = k % 3 == 0
-            p = LatticePolytope(random_point_set(rng, dim, flat=flat))
+            gens = sorted(set(random_point_set(rng, dim, flat=flat)))
+            p = LatticePolytope(gens)
             points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(6)]
-            for q in points + list(p.generators):
+            for q in points + gens:
                 inside = contains(p, q)
                 assert inside == contains(p, tuple(map(Fraction, q))), (p, q)
                 if dim <= 3:
@@ -371,9 +372,9 @@ class TestHullKernelAgainstLP:
         flats = 0
         for k in range(60):
             dim = 1 + k % 5
-            p = LatticePolytope(random_point_set(rng, dim, flat=rng.random() < 1 / 3))
+            gens = tuple(sorted(set(random_point_set(rng, dim, flat=rng.random() < 1 / 3))))
+            p = LatticePolytope(gens)
             flats += not p.is_full_dimensional()
-            gens = p.generators
             oracle_vertices = tuple(
                 g for i, g in enumerate(gens)
                 if not _hull_feasible(gens[:i] + gens[i + 1 :], tuple(map(Fraction, g)), dim)
@@ -708,10 +709,10 @@ class TestLatticePointsAgainstBoxRows:
             bound = 2 if dim <= 3 else 1
             p = LatticePolytope(random_point_set(rng, dim, k % 3 == 0, bound))
             flats += not p.is_full_dimensional()
-            assert lattice_points(p) == box_rows_lattice_points(p), p.generators
+            assert lattice_points(p) == box_rows_lattice_points(p), p.vertices
             # 2P carries P's rows, read by the enumeration above
             q = dilate(p, 2)
-            assert lattice_points(q) == box_rows_lattice_points(q), p.generators
+            assert lattice_points(q) == box_rows_lattice_points(q), p.vertices
         assert flats >= 40, flats
 
     def test_high_dimensional_hulls(self):
@@ -736,7 +737,7 @@ class TestNestedEnumerationAgainstBoxScan:
             flats += not p.is_full_dimensional()
             for h in (1, 2, 3):
                 q = dilate(p, h)
-                assert lattice_points(q) == box_scan_lattice_points(q), (p.generators, h)
+                assert lattice_points(q) == box_scan_lattice_points(q), (p.vertices, h)
         assert flats >= 25
 
     def test_segments(self):
@@ -766,7 +767,7 @@ class TestProjectionRunsAgainstBoxRows:
         for k, (level, oracle) in enumerate(zip(levels, hull_projection_rows(p))):
             if LatticePolytope([v[: k + 1] for v in p.vertices]).is_full_dimensional():
                 full += 1
-                assert sorted(level) == sorted(oracle), (p.generators, k)
+                assert sorted(level) == sorted(oracle), (p.vertices, k)
         return levels, full
 
     @classmethod
@@ -776,7 +777,7 @@ class TestProjectionRunsAgainstBoxRows:
             q = dilate(p, h)
             mins, maxs = q.bounding_box()
             exact = _lattice_runs([[(a, h * b) for a, b in level] for level in levels], mins, maxs)
-            assert exact == _lattice_runs(box_rows(q), mins, maxs), (p.generators, h)
+            assert exact == _lattice_runs(box_rows(q), mins, maxs), (p.vertices, h)
             points = tuple(prefix + (x,) for prefix, lo, hi in exact for x in range(lo, hi + 1))
             assert points == lattice_points(q)
         return full
@@ -828,12 +829,12 @@ class TestEliminationMasks:
         for k in range(p.dim - 1, 0, -1):
             rows, dim = geometry._eliminate(rows, k, dim, full)
             shadow = [v[:k] for v in p.vertices]
-            assert dim == LatticePolytope(shadow)._hull_dim, (p.generators, k)
+            assert dim == LatticePolytope(shadow)._hull_dim, (p.vertices, k)
             for (a, b), mask in rows.items():
                 tight = sum(1 << i for i, v in enumerate(shadow) if vec_dot(a, v) == b)
-                assert mask == tight, (p.generators, k, a, b)
+                assert mask == tight, (p.vertices, k, a, b)
                 if (tuple(-x for x in a), -b) in rows:
-                    assert mask == full, (p.generators, k, a, b)
+                    assert mask == full, (p.vertices, k, a, b)
             checked += len(rows)
         return checked
 
@@ -917,7 +918,7 @@ class TestCombineAgainstRanks:
                     facets = sum(1 << i for i, z in enumerate(masks) if z != full)
                     got = geometry._combine(cut, masks, heights, dim, facets)
                     shadow = [v[: k + 1] for v in p.vertices]
-                    assert got == self.expected(cut, masks, heights, shadow, dim), (p.generators, k)
+                    assert got == self.expected(cut, masks, heights, shadow, dim), (p.vertices, k)
                     pairs += len(got)
                 rows, dim = geometry._eliminate(rows, k, dim, full)
         assert pairs >= 500, pairs
@@ -959,7 +960,7 @@ class TestPlacingCellVolumes:
                 continue
             pts = list(lattice_points(p))
             for order in (pts, rng.sample(pts, len(pts)), list(p.vertices)):
-                cells = list(geometry._placing_cells(order, dim))
+                cells = list(geometry._placing_cells(order))
                 volumes = [volume for _, volume in cells]
                 assert volumes == [abs(LatticeSimplex(c).det) for c, _ in cells], order
                 assert sum(volumes) == normalized_volume(p), order
@@ -990,11 +991,11 @@ class TestPlacingRowUpdatesAgainstElimination:
     dependent inputs."""
 
     @staticmethod
-    def assert_same_placing(points, dim, rng):
+    def assert_same_placing(points, rng):
         for order in (sorted(points), rng.sample(points, len(points)), extremes_first(points)):
-            expected = _drain(elimination_placing_cells(order, dim))
-            assert _drain(_placing_cells(order, dim)) == expected, order
-            assert _drain(_placing_cells((q for q in order), dim)) == expected, order
+            expected = _drain(elimination_placing_cells(order))
+            assert _drain(_placing_cells(order)) == expected, order
+            assert _drain(_placing_cells((q for q in order))) == expected, order
 
     def test_random_point_sets(self):
         rng = random.Random(909)
@@ -1004,19 +1005,19 @@ class TestPlacingRowUpdatesAgainstElimination:
             spread = rng.choice((1, 2, 3))
             size = rng.randint(dim + 1, dim + 10)
             points = sorted({tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(size)})
-            full += isinstance(_drain(_placing_cells(points, dim)), tuple)
-            self.assert_same_placing(points, dim, rng)
+            full += isinstance(_drain(_placing_cells(points)), tuple)
+            self.assert_same_placing(points, rng)
         assert full >= 300
 
     def test_coplanar_neighbours(self):
         # grids and cubes: many boundary facets share a hyperplane with a neighbour
         rng = random.Random(910)
         for n in (1, 2, 3, 4, 5):
-            self.assert_same_placing(list(itertools.product((0, 1), repeat=n)), n, rng)
-        self.assert_same_placing(list(itertools.product(range(4), repeat=3)), 3, rng)
-        self.assert_same_placing(list(itertools.product(range(3), repeat=4)), 4, rng)
+            self.assert_same_placing(list(itertools.product((0, 1), repeat=n)), rng)
+        self.assert_same_placing(list(itertools.product(range(4), repeat=3)), rng)
+        self.assert_same_placing(list(itertools.product(range(3), repeat=4)), rng)
         for ell in (1, 2, 3, 4):
-            self.assert_same_placing(list(lattice_points(dilate(reeve_simplex(), ell))), 3, rng)
+            self.assert_same_placing(list(lattice_points(dilate(reeve_simplex(), ell))), rng)
 
     def test_past_64_points(self):
         # facet and ridge keys are bitmasks of point indices: here they span
@@ -1026,7 +1027,7 @@ class TestPlacingRowUpdatesAgainstElimination:
         reeve = list(lattice_points(dilate(reeve_simplex(), 5)))
         assert (len(grid), len(reeve)) == (125, 76)
         for points in (grid, reeve):
-            self.assert_same_placing(points, 3, rng)
+            self.assert_same_placing(points, rng)
 
     def test_high_dimensions(self):
         # dims 7 and 8, a few points past the first simplex, repeats among them
@@ -1035,7 +1036,7 @@ class TestPlacingRowUpdatesAgainstElimination:
             dim = 7 + k % 2
             points = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 4)]
             points += rng.sample(points, 2)
-            self.assert_same_placing(points, dim, rng)
+            self.assert_same_placing(points, rng)
 
     def test_reads_as_it_places(self):
         # a point is read only when the cells before it are taken: up to the
@@ -1049,7 +1050,7 @@ class TestPlacingRowUpdatesAgainstElimination:
                 continue
             order = rng.sample(lattice_points(p), len(lattice_points(p)))
             read = []
-            cells = _placing_cells((read.append(q) or q for q in order), dim)
+            cells = _placing_cells((read.append(q) or q for q in order))
             first, _ = next(cells)
             ready = max(order.index(v) for v in first)
             assert read == order[: ready + 1], order
@@ -1061,15 +1062,15 @@ class TestPlacingRowUpdatesAgainstElimination:
     def test_dependent_inputs(self):
         rng = random.Random(911)
         cases = [
-            ([(0,), (0,)], 1),
-            ([(0, 0), (1, 1), (2, 2), (-3, -3)], 2),
-            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)], 3),
-            ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)], 4),
+            [(0,), (0,)],
+            [(0, 0), (1, 1), (2, 2), (-3, -3)],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)],
         ]
-        for points, dim in cases:
-            expected = _drain(elimination_placing_cells(points, dim))
+        for points in cases:
+            expected = _drain(elimination_placing_cells(points))
             assert expected == "points do not span the ambient dimension"
-            self.assert_same_placing(points, dim, rng)
+            self.assert_same_placing(points, rng)
 
 
 class TestStartRowsAgainstCofactors:
@@ -1090,7 +1091,7 @@ class TestStartRowsAgainstCofactors:
                 det = LatticeSimplex(first).det
                 signs[det > 0] += 1
                 facets = [_cell_facet(first, skip) for skip in range(dim + 1)]
-                yielded, boundary = _drain(_placing_cells(list(first), dim))
+                yielded, boundary = _drain(_placing_cells(list(first)))
                 assert yielded == [(first, abs(det))]
                 assert boundary == facets, first
                 start_adj = geometry._difference_adjugate(first)
@@ -1132,7 +1133,7 @@ class TestPlacingEliminationCount:
         calls = self._count(monkeypatch)
         for points in sets:
             calls.clear()
-            cells = _placing_cells(points, len(points[0]))
+            cells = _placing_cells(points)
             next(cells)
             cells.close()
             assert calls == [], points
@@ -1143,7 +1144,7 @@ class TestPlacingEliminationCount:
         for points in sets:
             dim = len(points[0])
             calls.clear()
-            yielded, boundary = _drain(_placing_cells(points, dim))
+            yielded, boundary = _drain(_placing_cells(points))
             assert len(yielded) > 1 and calls == [(dim, True)], points
 
     def test_search_totals(self, monkeypatch):
@@ -1212,7 +1213,7 @@ class TestRunsAgainstRecursiveLift:
                 mins, maxs = q.bounding_box()
                 for rows in (box_rows(q), [[(a, h * b) for a, b in level] for level in levels]):
                     expected = recursive_lattice_runs(rows, mins, maxs)
-                    assert _lattice_runs(rows, mins, maxs) == expected, (p.generators, h)
+                    assert _lattice_runs(rows, mins, maxs) == expected, (p.vertices, h)
 
     def test_packed_bits(self):
         # given packing weights, the bits of the runs' points, set as the
@@ -1234,7 +1235,7 @@ class TestRunsAgainstRecursiveLift:
                         for prefix, lo, hi in recursive_lattice_runs(rows, mins, maxs)
                     ]
                     bits = _lattice_runs(rows, mins, maxs, weights)
-                    assert bits == pairwise_bitset(packed), (p.generators, h)
+                    assert bits == pairwise_bitset(packed), (p.vertices, h)
                 assert bits.bit_count() == len(lattice_points(q))
 
     def test_empty_and_point_boxes(self):
@@ -1314,7 +1315,7 @@ class TestHullAgainstSortedPlacing:
                         p = LatticePolytope(points)
                         if p._hull_dim == k:
                             break
-                    seen[k, len(p.generators)] += 1
+                    seen[k, len(set(points))] += 1
                     self.assert_same_hull(points)
         assert sum(seen[0, size] for size in range(9)) == seen[0, 1] == 3 * 6 + 2
         assert seen[1, 2] >= 3
@@ -1406,9 +1407,9 @@ class TestLazyVolume:
         passes = []
         original = geometry._placing_cells
 
-        def counting(points, dim):
+        def counting(points):
             passes.append(list(points))
-            return original(points, dim)
+            return original(points)
 
         monkeypatch.setattr(geometry, "_placing_cells", counting)
         assert normalized_volume(p) == normalized_volume(p) == 24
@@ -1436,7 +1437,7 @@ class TestVertexExtraction:
     def test_interior_generator_dropped(self):
         p = LatticePolytope([(0, 0), (2, 0), (0, 2), (1, 1), (0, 1)])
         assert p.vertices == ((0, 0), (0, 2), (2, 0))
-        assert set(p.vertices) <= set(p.generators)
+        assert set(p.vertices) <= {(0, 0), (2, 0), (0, 2), (1, 1), (0, 1)}
 
     def test_single_point(self):
         p = LatticePolytope([(5, -2)])
@@ -1445,13 +1446,15 @@ class TestVertexExtraction:
 
     def test_duplicates_collapse(self):
         p = LatticePolytope([(0, 0), (0, 0), (1, 0)])
-        assert p.generators == ((0, 0), (1, 0))
+        assert p.vertices == ((0, 0), (1, 0))
 
     def test_all_generators_in_hull(self):
         rng = random.Random(13)
         for _ in range(30):
-            p = random_polytope(rng, rng.choice((2, 3)))
-            for g in p.generators:
+            dim = rng.choice((2, 3))
+            gens = {tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(2, 8))}
+            p = LatticePolytope(gens)
+            for g in gens:
                 assert contains(p, g)
 
 

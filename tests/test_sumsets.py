@@ -329,7 +329,7 @@ class TestBitsetWidth:
         # unit_cube computes its volume on first use, so it is compared there
         for n in range(2, 7):
             a, b = assembled_unit_cube(n), unit_cube(n)
-            for slot in ("generators", "vertices", "dim", "_facets", "_masks", "_hull_dim"):
+            for slot in ("vertices", "dim", "_facets", "_masks", "_hull_dim"):
                 assert getattr(a, slot) == getattr(b, slot), (n, slot)
             assert _projection_rows(a) == _projection_rows(b), n
             assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
@@ -374,6 +374,46 @@ class TestBitsetWidth:
             idp_check(dilate(unit_cube(3), 2), 6)
 
 
+class TestStepBound:
+    """h is capped at isqrt(BOX_CAP): a box with two or more positive widths
+    has (h+1)^2 cells or more, so the box cap refuses it by that h, and the
+    bound binds only boxes that grow in at most one coordinate.  With
+    BOX_CAP = 100 the bound is 10."""
+
+    LINES = (((0, 0),), ((0, 0), (1, 0)), ((0,), (1,)))  # a point, conv{0, e1} in Z^2, [0, 1] in Z^1
+
+    def test_decided_at_the_bound_refused_past_it(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BOX_CAP", 100)
+        for points in self.LINES:
+            p = LatticePolytope(points)
+            reports = idp_scan(p, 10)
+            assert [r.h for r in reports] == list(range(1, 11)) and all(r.holds for r in reports), points
+            assert idp_check(p, 10) == reports[-1], points
+            with pytest.raises(ResourceLimitError, match="^resource cap hit at h=11: h capped at 10, got 11$"):
+                idp_scan(p, 11)
+            with pytest.raises(ResourceLimitError, match="^resource cap hit at h=11: h capped at 10, got 11$"):
+                idp_scan(p, 10**9)
+
+    def test_check_past_the_bound_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BOX_CAP", 100)
+        monkeypatch.setattr(sumsets, "_next_sum", lambda *args: pytest.fail("summed"))
+        for points in self.LINES:
+            with pytest.raises(ResourceLimitError, match="^h capped at 10, got 11$"):
+                idp_check(LatticePolytope(points), 11)
+        # a point's box never grows: only the bound refuses it
+        with pytest.raises(ResourceLimitError, match="^h capped at 10, got 1000000000$"):
+            idp_check(LatticePolytope([(0, 0)]), 10**9)
+
+    def test_square_refused_by_its_box_cap(self, monkeypatch):
+        # (h+1)^2 cells: 100 at h = 9, 121 at h = 10, the bound
+        monkeypatch.setattr(geometry, "BOX_CAP", 100)
+        assert [r.h for r in idp_scan(unit_square(), 9)] == list(range(1, 10))
+        with pytest.raises(ResourceLimitError, match="^resource cap hit at h=10: bounding box exceeds the enumeration cap of 100 cells$"):
+            idp_scan(unit_square(), 50)
+        with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap of 100 cells$"):
+            idp_check(unit_square(), 10)
+
+
 class TestIdpScanAgainstPerH:
     """idp_scan, one sumset per h carried across h, against the per-h check
     from scratch (box-scanned points, doubled tuple sums), field by field."""
@@ -386,7 +426,7 @@ class TestIdpScanAgainstPerH:
             bound = 2 if dim <= 3 else 1
             p = LatticePolytope(random_point_set(rng, dim, rng.random() < 1 / 3, bound))
             reports = idp_scan(p, 4)
-            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, 5)), p.generators
+            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, 5)), p.vertices
             failing += not all(r.holds for r in reports)
         assert failing >= 3
 
@@ -451,8 +491,8 @@ class TestShiftedDilates:
             calls.clear()
             reports = idp_scan(p, d + 3)
             # h = 2..d-1 enumerated, as runs over the d projection levels
-            assert calls == [d] * max(0, d - 2), p.generators
-            assert reports == runs_idp_scan(p, d + 3), p.generators
+            assert calls == [d] * max(0, d - 2), p.vertices
+            assert reports == runs_idp_scan(p, d + 3), p.vertices
             failing[d] += not all(r.holds for r in reports)
         assert all(failing[d] for d in (3, 4, 5)), failing
 
@@ -466,8 +506,8 @@ class TestShiftedDilates:
                 flats.append(p)
         for p in flats:
             calls.clear()
-            assert idp_scan(p, 5) == runs_idp_scan(p, 5), p.generators
-            assert len(calls) == 4, p.generators
+            assert idp_scan(p, 5) == runs_idp_scan(p, 5), p.vertices
+            assert len(calls) == 4, p.vertices
 
     def test_enumerations_below_the_box_cap(self, monkeypatch):
         # h_top, the largest h whose box is within BOX_CAP, bounds the
@@ -555,7 +595,7 @@ class TestCaughtUpSums:
         ):
             calls.clear()
             idp_scan(p, h_max)
-            assert len(calls) == shifts, p.generators
+            assert len(calls) == shifts, p.vertices
 
     def test_against_per_h(self, monkeypatch):
         calls = self.count_shifts(monkeypatch)
@@ -570,9 +610,9 @@ class TestCaughtUpSums:
             h_max = d + 1
             calls.clear()
             reports = idp_scan(p, h_max)
-            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, h_max + 1)), p.generators
+            assert reports == tuple(per_h_idp_check(p, h) for h in range(1, h_max + 1)), p.vertices
             lagging = sum(not reports[h - 2].holds for h in range(max(d, 2), h_max + 1))
-            assert len(calls) == h_max - 1 + lagging, p.generators
+            assert len(calls) == h_max - 1 + lagging, p.vertices
             outcomes[all(r.holds for r in reports)] += 1
         assert outcomes[True] >= 5 and outcomes[False] >= 3, outcomes
 
@@ -626,8 +666,8 @@ class TestFrameScan:
             frame = _frame(p)
             with monkeypatch.context() as patch:
                 unframed(patch)
-                q = LatticePolytope(p.generators)
-                assert (idp_scan(q, h_max), idp_check(q, h)) == got, p.generators
+                q = LatticePolytope(p.vertices)
+                assert (idp_scan(q, h_max), idp_check(q, h)) == got, p.vertices
             if frame is not None:
                 framed += 1
                 # the frame's box is never the larger

@@ -431,9 +431,9 @@ class TestSimplexSearchOneOrder:
         calls = []
         original = unimodular._placing_cells
 
-        def counting(points, dim):
+        def counting(points):
             calls.append(len(points) if isinstance(points, (list, tuple)) else None)
-            return original(points, dim)
+            return original(points)
 
         monkeypatch.setattr(unimodular, "_placing_cells", counting)
         return calls
@@ -520,7 +520,7 @@ class TestDrawnOrders:
             # the search's own pass stops where placing stops reading
             replay.setstate(state)
             read = []
-            cells = unimodular._placing_cells((read.append(q) or q for q in _draw(replay, pts[:])), 3)
+            cells = unimodular._placing_cells((read.append(q) or q for q in _draw(replay, pts[:])))
             first, volume = next(cells)
             assert read == full[: len(read)] and len(read) >= 4
             rng.setstate(after)
@@ -623,9 +623,9 @@ class TestSearchVolume:
         calls = []
         original = geometry._placing_cells
 
-        def counting(points, dim):
+        def counting(points):
             calls.append(list(points))
-            return original(points, dim)
+            return original(points)
 
         monkeypatch.setattr(geometry, "_placing_cells", counting)
         monkeypatch.setattr(unimodular, "_placing_cells", counting)
@@ -1044,9 +1044,9 @@ class TestFindEll:
         passes = []
         original = geometry._placing_cells
 
-        def counting(points, dim):  # normalized_volume's pass; the search imports its own name
+        def counting(points):  # normalized_volume's pass; the search imports its own name
             passes.append(points)
-            return original(points, dim)
+            return original(points)
 
         monkeypatch.setattr(geometry, "_placing_cells", counting)
         for h_max in (2, 3):
