@@ -106,7 +106,7 @@ def parse_polytope_data(data) -> dict:
     if not isinstance(rows, list) or not rows:
         raise PolytopeFileError("'vertices' must be a non-empty list")
     vertices = [_check_vector(row, dim, "vertex") for row in rows]
-    out = {"dim": dim, "vertices": [list(v) for v in vertices]}
+    out = {"dim": dim, "vertices": _Points(map(list, vertices))}
     if "name" in data:
         out["name"] = _check_name(data["name"])
     return out
@@ -135,7 +135,7 @@ def parse_cover_data(data) -> dict:
         raise PolytopeFileError(f"cover kind must be triangulation or general-cover, got {kind!r}")
     if "name" in data:
         _check_name(data["name"])
-    return {"dim": dim, "cells": cells, "kind": kind}
+    return {"dim": dim, "cells": _Points(cells), "kind": kind}
 
 
 def _read_file(path: str) -> str:
@@ -161,7 +161,7 @@ def _load_input(args) -> tuple:
         raise PolytopeFileError("give either a polytope file or --example, not both")
     if args.example is not None:
         poly = example(args.example)
-        data = {"dim": poly.dim, "vertices": [list(v) for v in poly.vertices], "name": args.example}
+        data = {"dim": poly.dim, "vertices": _Points(poly.vertices), "name": args.example}
         return poly, data, _digest(data)
     if args.file is None:
         raise PolytopeFileError("no input: give a polytope file or --example NAME")
@@ -201,15 +201,19 @@ def _positive(args_value: int, flag: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _points_json(points) -> list:
-    return [list(p) for p in points]
+class _Points(list):
+    """A report's list of points, or of lists of points, each point a
+    sequence of ints kept as it is (no copy): _encode writes it in one C
+    pass."""
+
+    __slots__ = ()
 
 
 def _idp_json(report: IdpReport) -> dict:
     return {
         "h": report.h,
         "holds": report.holds,
-        "witnesses": _points_json(report.witnesses),
+        "witnesses": _Points(report.witnesses),
         "sum_size": report.sum_size,
         "dilate_size": report.dilate_size,
     }
@@ -219,9 +223,9 @@ def _decomposition_json(d: Decomposition) -> dict:
     return {
         "h": d.h,
         "point": list(d.point()),
-        "parts": _points_json(d.parts),
+        "parts": _Points(d.parts),
         "weights": [{"vertex": list(v), "weight": w} for v, w in d.weights],
-        "cell": _points_json(d.cell.vertices),
+        "cell": _Points(d.cell.vertices),
     }
 
 
@@ -230,7 +234,7 @@ def _cover_json(cover: SimplicialCover) -> dict:
         "dim": cover.target.dim,
         "kind": cover.kind,
         "certified": cover.certified,
-        "cells": [_points_json(c.vertices) for c in cover.cells],
+        "cells": _Points(c.vertices for c in cover.cells),
     }
 
 
@@ -363,7 +367,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         "mode": "direct-search",
         "cover": cover_source,
         "decomposition_exists": parts is not None,
-        "parts": _points_json(parts) if parts is not None else None,
+        "parts": _Points(parts) if parts is not None else None,
     }
     if parts is None:
         summary = [
@@ -533,13 +537,54 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
+#: json's C encoder with the separators "," and ":", built once
+_compact = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+
+@functools.cache
+def _point_layout(indent: str, depth: int) -> tuple:
+    """(head, tail, ((compact, indented), ...)) that turn the compact text
+    of a point list of depth `depth`, its outer brackets cut, into _encode's.
+
+    Every leaf list sits at the depth of the first, so a run of k ']', a
+    ',' and k '[' ends k lists and starts k; the leaves' ',' are replaced
+    first, the longest runs next."""
+    breaks = [indent + "  " * k for k in range(depth + 1)]
+    opens = ["[" + b for b in breaks[1:]]
+    closes = [b + "]" for b in reversed(breaks[:-1])]
+    steps = [(",", "," + breaks[depth])]
+    for k in range(depth - 1, 0, -1):
+        run = "]" * k + "," + breaks[depth] + "[" * k
+        steps.append((run, "".join(closes[:k]) + "," + breaks[depth - k] + "".join(opens[depth - k:])))
+    return "".join(opens), "".join(closes), tuple(steps)
+
+
+def _encode_points(value: _Points, indent: str) -> str:
+    """_encode of a nonempty point list: its compact C text, re-indented; one
+    holding an empty list takes the path of every other list."""
+    text = "".join(_compact(value, 0))
+    if "[]" in text:
+        return _encode(list(value), indent)
+    depth = len(text) - len(text.lstrip("["))
+    head, tail, steps = _point_layout(indent, depth)
+    text = text[depth:-depth]
+    for compact, indented in steps:
+        text = text.replace(compact, indented)
+    return head + text + tail
+
+
 def _encode(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) for string keys, without its
-    pure-Python encoder; `indent` is the line break before a closing bracket."""
+    pure-Python encoder; `indent` is the line break before a closing bracket.
+    A point list (_Points) is written by _encode_points."""
     if type(value) is int:
         return repr(value)
     if isinstance(value, str):
         return json.encoder.encode_basestring_ascii(value)
+    if type(value) is _Points:
+        return _encode_points(value, indent) if value else "[]"
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{_encode(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]

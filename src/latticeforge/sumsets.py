@@ -33,20 +33,21 @@ non-zero bytes, low byte first, which is lexicographic order.
 Every bitset spans the box of h_top*P.  The scan (_idp_reports) picks a
 thin P's frame itself (geometry._frame): the image U*P under a unimodular
 U, LLL-reduced under P's width form, whose box is smaller at every h.  U
-is a lattice isomorphism, so the sizes and verdicts are P's; each witness
-y is unpacked and mapped to x = U^-1 y, and the witnesses are then sorted,
-so the reports are those of the scan in P's own coordinates.  The box cap
-applies to the frame's box, so an h the scan in P's box reached is reached
-in the frame too; P's lattice points are still enumerated in P's own box,
-under its cap.  h is capped at isqrt(BOX_CAP) as well, a bound that binds
-only boxes growing in at most one coordinate.
+is a lattice isomorphism, so the sizes and verdicts are P's.  Witnesses
+are unpacked a coordinate at a time, one list per coordinate; a frame's
+are mapped to x = U^-1 y one row of U^-1 at a time on those lists and then
+sorted, so the reports are those of the scan in P's own coordinates.  The
+box cap applies to the frame's box, so an h the scan in P's box reached is
+reached in the frame too; P's lattice points are still enumerated in P's
+own box, under its cap.  h is capped at isqrt(BOX_CAP) as well, a bound
+that binds only boxes growing in at most one coordinate.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from . import geometry
@@ -65,7 +66,6 @@ from .geometry import (
     as_point,
     lattice_points,
     normalized_volume,
-    vec_dot,
 )
 
 #: Intermediate point sets larger than this abort with a resource error.
@@ -101,9 +101,27 @@ class _Radix:
         shift = sum(map(mul, offset, weights))
         return [sum(map(mul, x, weights)) - shift for x in points]
 
-    def unpack(self, values: Iterable[int], offset: Sequence[int]) -> tuple:
-        digits = list(zip(self.weights, self.radices, offset))
-        return tuple(tuple(v // w % r + o for w, r, o in digits) for v in values)
+    def columns(self, values: Sequence[int], offset: Sequence[int]) -> list:
+        """Coordinate j of the points packed as `values`, one list per j."""
+        return [[v // w % r + o for v in values] for w, r, o in zip(self.weights, self.radices, offset)]
+
+    def unpack(self, values: Sequence[int], offset: Sequence[int]) -> tuple:
+        return tuple(zip(*self.columns(values, offset)))
+
+
+def _map_columns(rows: Sequence[Sequence[int]], columns: Sequence[list]) -> list:
+    """The coordinate lists of rows * y, for the points y whose coordinate
+    lists are `columns`: one row at a time, zero entries skipped; no row of
+    an invertible matrix is all zero."""
+    out = []
+    for row in rows:
+        acc = None
+        for c, col in zip(row, columns):
+            if c:
+                term = col if c == 1 else list(map(c.__mul__, col))
+                acc = term if acc is None else list(map(add, acc, term))
+        out.append(acc)
+    return out
 
 
 def _bounds(points: Sequence[Point]) -> tuple:
@@ -339,12 +357,15 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
             # here means enumeration or summation is broken, not mathematics.
             raise LatticeForgeError("sumset escaped the dilated hull: implementation bug")
         # the sums lie in the dilate, so they fill it iff the counts agree
-        missing = _bit_indices(dilated & ~summed) if sum_size < dilate_size else ()
-        # packing keeps lexicographic order, so the witnesses come out sorted;
-        # a frame's are mapped back to P's coordinates and sorted there
-        witnesses = radix.unpack(missing, [h * a for a in lo])
-        if inverse is not None:
-            witnesses = tuple(sorted(tuple(vec_dot(row, y) for row in inverse) for y in witnesses))
+        witnesses = ()
+        if sum_size < dilate_size:
+            columns = radix.columns(_bit_indices(dilated & ~summed), [h * a for a in lo])
+            # packing keeps lexicographic order, so the witnesses come out
+            # sorted; a frame's are mapped back to P's coordinates and sorted there
+            if inverse is None:
+                witnesses = tuple(zip(*columns))
+            else:
+                witnesses = tuple(sorted(zip(*_map_columns(inverse, columns))))
         yield IdpReport(
             h=h,
             holds=not witnesses,

@@ -31,9 +31,11 @@ on the integer tableau (solve_min), where the library runs phase 2 alone
 from a known basis, and the simplex LP on a Fraction tableau, with the
 margin LP in its primal encoding, and the LLL conditions by rational
 Gram-Schmidt (fraction_lll_defects), where the library keeps integral
-Gram-Schmidt data as it reduces.  Matrices are plain integer rows, as the
-library takes them; identity and matmul are the two matrix operations only
-the tests need.
+Gram-Schmidt data as it reduces, and packed points unpacked and framed
+witnesses mapped back one point at a time (per_point_unpack,
+per_point_map_back), where the library works a coordinate at a time.
+Matrices are plain integer rows, as the library takes them; identity and
+matmul are the two matrix operations only the tests need.
 """
 
 import itertools
@@ -560,6 +562,18 @@ def doubling_hfold_sumset(s, h):
         if h:
             power = doubling_sumset(power, power)
     return result
+
+
+def per_point_unpack(radix, values, offset):
+    """sumsets._Radix.unpack one point at a time: each value's digits plus
+    the offset, coordinate 0 the most significant."""
+    digits = list(zip(radix.weights, radix.radices, offset))
+    return tuple(tuple(v // w % r + o for w, r, o in digits) for v in values)
+
+
+def per_point_map_back(rows, points):
+    """The points rows * y for y in `points`, one point at a time, sorted."""
+    return tuple(sorted(tuple(vec_dot(row, y) for row in rows) for y in points))
 
 
 def per_h_idp_check(p, h):

@@ -536,8 +536,9 @@ class TestRoundTripAndDeterminism:
 
 class TestEncode:
     """cli._encode, which joins the entries of a list of ints with no call
-    per entry, prints what json.dumps(value, indent=2, sort_keys=True)
-    prints, byte for byte."""
+    per entry, and writes a point list (cli._Points) from one pass of the
+    compact C encoder, prints what json.dumps(value, indent=2,
+    sort_keys=True) prints, byte for byte."""
 
     VALUES = (
         {},
@@ -558,9 +559,30 @@ class TestEncode:
         [[True], [1], [-1, True]],
     )
 
+    # point lists, depth 2 (points) and 3 (cells), alone and nested
+    POINTS = (
+        [],
+        [(0, -1, 10**40), (2, 3, -4)],
+        [(0,), (-5,), (10**40,)],
+        [(1, 2)],
+        [[0, 0], [1, 0]],
+        [((0, 0), (1, 0), (0, 1))],
+        [((0, 0, 0), (1, 0, 0)), ((-1, 2, 3), (10**40, 0, -7))],
+        [[(0,), (1,)], [(1,), (2,)]],
+        [[]],
+        [[], [(1, 2)]],
+        [(), (3,)],
+    )
+
     def test_values(self):
         for value in self.VALUES:
             assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+    def test_point_lists(self):
+        for points in self.POINTS:
+            marked = cli._Points(points)
+            for value in (marked, {"b": {"a": marked, "c": [marked, 1]}}, [[marked]]):
+                assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True), value
 
     @pytest.mark.parametrize(
         "argv",
@@ -570,10 +592,15 @@ class TestEncode:
             ("idp-check", "--example", "a2", "--h-max", "3"),
             ("decompose", "--example", "cube-3", "--point", "1,2,-0", "--h", "2"),
             ("unimodular-test", "--example", "a1"),
+            # framed witnesses, and the echo of a polytope file
+            ("idp-check", {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [60, 61, 59]]}, "--h-max", "4"),
+            # 48 cells, each a list of points
+            ("triangulate", {"dim": 3, "vertices": [list(v) for v in itertools.product((0, 2), repeat=3)]}),
+            ("decompose", "--example", "cube-3", "--point", "1,2,1", "--h", "2"),
         ],
     )
-    def test_reports(self, capsys, argv):
-        main(list(argv))
+    def test_reports(self, capsys, tmp_path, argv):
+        main([write(tmp_path, "p.json", a) if isinstance(a, dict) else a for a in argv])
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 

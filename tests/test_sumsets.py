@@ -15,6 +15,8 @@ from helpers import (
     naive_hfold,
     pairwise_bitset,
     per_h_idp_check,
+    per_point_map_back,
+    per_point_unpack,
     random_point_set,
     random_polytope,
     random_shear,
@@ -168,6 +170,32 @@ class TestPackedAgainstDoubling:
         assert sumset((), ((1, 2),)) == ()
         assert sumset(((1, 2),), ()) == ()
         assert hfold_sumset((), 3) == ()
+
+
+class TestColumns:
+    """_Radix.unpack and the framed map-back (_map_columns) work a coordinate
+    at a time: against the per-point oracles, in 1 to 6 coordinates."""
+
+    def test_unpack_against_per_point(self):
+        rng = random.Random(3001)
+        for dim in range(1, 7):
+            for _ in range(20):
+                radix = sumsets._Radix([rng.randint(1, 9) for _ in range(dim)])
+                offset = [rng.randint(-5, 5) for _ in range(dim)]
+                top = math.prod(radix.radices)
+                values = sorted(rng.sample(range(top), rng.randint(0, min(top, 30))))
+                assert radix.unpack(values, offset) == per_point_unpack(radix, values, offset)
+            assert radix.unpack([], offset) == per_point_unpack(radix, [], offset) == ()
+
+    def test_map_back_against_per_point(self):
+        rng = random.Random(3002)
+        for dim in range(1, 7):
+            for _ in range(20):
+                rows = random_shear(rng, dim, rng.randint(0, 3 * dim), reach=3)
+                points = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(rng.randint(1, 20))]
+                columns = [list(c) for c in zip(*points)]
+                got = tuple(sorted(zip(*sumsets._map_columns(rows, columns))))
+                assert got == per_point_map_back(rows, points), rows
 
 
 class TestBitIndices:
@@ -667,7 +695,10 @@ class TestFrameScan:
             with monkeypatch.context() as patch:
                 unframed(patch)
                 q = LatticePolytope(p.vertices)
-                assert (idp_scan(q, h_max), idp_check(q, h)) == got, p.vertices
+                want = idp_scan(q, h_max), idp_check(q, h)
+            # field by field, each witness tuple and their order included
+            assert want == got, p.vertices
+            assert all(type(x) is int for r in (*got[0], got[1]) for w in r.witnesses for x in w)
             if frame is not None:
                 framed += 1
                 # the frame's box is never the larger
