@@ -349,7 +349,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
     else:
         attempts = _positive(args.attempts, "--attempts")
         certificate, cover = _placing_search(poly, attempts, args.seed)
-        cover_source = {"path": None, "search": "found" if certificate == "certified" else "not-found"}
+        cover_source = {"path": None, "search": certificate}
 
     if cover is not None:
         dec = decompose(poly, cover, point, h)
@@ -537,10 +537,13 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
-#: json's C encoder with the separators "," and ":", built once
-_compact = json.encoder.c_make_encoder(
-    None, None, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
-)
+#: json's C encoder with the separators "," and ":", built once; where json
+#: has no C accelerator, its pure-Python iterencode, which writes the same text
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).iterencode
+if json.encoder.c_make_encoder is not None:
+    _compact = json.encoder.c_make_encoder(
+        None, None, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+    )
 
 
 @functools.cache

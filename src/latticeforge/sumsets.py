@@ -55,6 +55,7 @@ from .errors import DimensionMismatchError, LatticeForgeError, ResourceLimitErro
 from .geometry import (
     LatticePolytope,
     Point,
+    _bounds,
     _box_cells,
     _check_box,
     _check_positive,
@@ -124,12 +125,6 @@ def _map_columns(rows: Sequence[Sequence[int]], columns: Sequence[list]) -> list
     return out
 
 
-def _bounds(points: Sequence[Point]) -> tuple:
-    """Per-coordinate (minima, maxima) of a nonempty point set."""
-    cols = list(zip(*points))
-    return [min(c) for c in cols], [max(c) for c in cols]
-
-
 def _check_pairs(m: int, n: int) -> None:
     if m * n > PAIR_CAP:
         raise ResourceLimitError("sumset would evaluate too many pairs")
@@ -151,14 +146,10 @@ def _add(s, t) -> set:
     return out
 
 
-def _hfold_radix(base: Sequence[Point], h_max: int) -> tuple:
-    """(radix, lo) for sums of up to h_max points of the nonempty set `base`.
-
-    With lo and hi the per-coordinate bounds of `base`, a sum of h points
-    less h*lo has digit j in [0, h_max*(hi_j - lo_j)], below its radix.
-    """
-    lo, hi = _bounds(base)
-    return _Radix([h_max * (b - a) + 1 for a, b in zip(lo, hi)]), lo
+def _hfold_radix(lo: Sequence[int], hi: Sequence[int], h_max: int) -> _Radix:
+    """The radix for sums of up to h_max points in the box [lo, hi]: a sum of
+    h of them less h*lo has digit j in [0, h_max*(hi_j - lo_j)], below R_j."""
+    return _Radix([h_max * (b - a) + 1 for a, b in zip(lo, hi)])
 
 
 def sumset(s: Sequence[Point], t: Sequence[Point]) -> tuple:
@@ -180,7 +171,8 @@ def hfold_sumset(s: Sequence[Point], h: int) -> tuple:
     base = point_set(s)
     if not base:
         return ()
-    radix, lo = _hfold_radix(base, h)
+    lo, hi = _bounds(base)
+    radix = _hfold_radix(lo, hi, h)
     packed = radix.pack(base, lo)
     summed = set(packed)
     for _ in range(h - 1):
@@ -214,7 +206,9 @@ def _bit_indices(x: int) -> list:
     """Positions of the set bits of x >= 0, lowest first.
 
     Read from x's little-endian bytes, lowest byte first: translate marks
-    the non-zero bytes and find jumps from one to the next.
+    the non-zero bytes and find jumps from one to the next, at a cost that
+    grows with x's width, not its bits set; geometry._bits, for short masks,
+    gives the timings of both.
     """
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
     marks = data.translate(_NONZERO)
@@ -313,11 +307,10 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
     h_top = 1
     while h_top < min(h_max, h_bound) and _box_cells(*box(h_top + 1)) <= geometry.BOX_CAP:
         h_top += 1
-    # lo, the least coordinates of the lattice points, is q's box corner `mins`
-    radix, lo = _hfold_radix(base, h_top)
-    packed = radix.pack(base, lo)
+    radix = _hfold_radix(mins, maxs, h_top)
+    packed = radix.pack(base, mins)
     # the packed points of h*q lie in [0, h * span], span that of q's top corner
-    (span,) = radix.pack([maxs], lo)
+    (span,) = radix.pack([maxs], mins)
     bits = bytearray(span // 8 + 1)
     for v in packed:
         bits[v >> 3] |= 1 << (v & 7)
@@ -359,7 +352,7 @@ def _idp_reports(p: LatticePolytope, h_max: int, every: bool):
         # the sums lie in the dilate, so they fill it iff the counts agree
         witnesses = ()
         if sum_size < dilate_size:
-            columns = radix.columns(_bit_indices(dilated & ~summed), [h * a for a in lo])
+            columns = radix.columns(_bit_indices(dilated & ~summed), [h * a for a in mins])
             # packing keeps lexicographic order, so the witnesses come out
             # sorted; a frame's are mapped back to P's coordinates and sorted there
             if inverse is None:

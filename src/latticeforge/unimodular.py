@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 from typing import Optional, Sequence
 
 from . import lp
@@ -45,6 +46,7 @@ from .geometry import (
     LatticePolytope,
     LatticeSimplex,
     Point,
+    _bounds,
     _check_positive,
     _placing_cells,
     _record_volume,
@@ -171,18 +173,13 @@ def _interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     read the cells' cached facet rows (a, b), a.x >= b on the cell and
     strict on its interior.
     """
-    dim = a.dim
-    for j in range(dim):
-        a_lo = min(v[j] for v in a.vertices)
-        a_hi = max(v[j] for v in a.vertices)
-        b_lo = min(v[j] for v in b.vertices)
-        b_hi = max(v[j] for v in b.vertices)
-        if a_hi <= b_lo or b_hi <= a_lo:
-            return False
+    (a_lo, a_hi), (b_lo, b_hi) = _bounds(a.vertices), _bounds(b.vertices)
+    if any(map(le, a_hi, b_lo)) or any(map(le, b_hi, a_lo)):
+        return False
     rows_a, rows_b = a._weight_rows(), b._weight_rows()
     if _separates(rows_a, b.vertices) or _separates(rows_b, a.vertices):
         return False
-    return lp.max_min_margin(rows_a + rows_b, dim) > 0
+    return lp.max_min_margin(rows_a + rows_b, a.dim) > 0
 
 
 def _facets_match(cells, target: LatticePolytope) -> bool:

@@ -2,6 +2,9 @@ import argparse
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,11 @@ from latticeforge.cli import (
 )
 from latticeforge.errors import PolytopeFileError
 from latticeforge.fixtures import example
+
+
+#: 2*a2 = conv{0, 2e1, 2e2, (2,2,4)}: no placing order certifies it, and its
+#: lattice points are more than its vertices, so the verdict is not-found
+A2_DOUBLED = {"dim": 3, "vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 4]]}
 
 
 def run(capsys, *argv):
@@ -214,6 +222,34 @@ class TestDecompose:
         assert result["mode"] == "direct-search"
         assert result["decomposition_exists"] is True
 
+    def test_point_of_the_wrong_dimension(self, capsys):
+        code, report, err = run(capsys, "decompose", "--example", "cube-2", "--point", "1,1,1", "--h", "2")
+        assert (code, report) == (2, None)
+        assert err == "error: --point has dimension 3, polytope has 2\n"
+
+    @pytest.mark.parametrize("argv,search,mode", [
+        (("--example", "a2", "--point", "1,1,1"), "impossible", "direct-search"),
+        (("--example", "cube-3", "--point", "1,2,1"), "certified", "certified-cover"),
+        ((A2_DOUBLED, "--point", "2,2,2"), "not-found", "direct-search"),
+    ], ids=["a2", "cube-3", "2a2"])
+    def test_search_verdict(self, capsys, tmp_path, argv, search, mode):
+        # the searched cover's block carries the placing search's verdict as it is
+        argv = [write(tmp_path, "p.json", a) if isinstance(a, dict) else a for a in argv]
+        code, report, _ = run(capsys, "decompose", *argv, "--h", "2")
+        result = report["result"]
+        assert result["cover"] == {"path": None, "search": search}
+        assert (code, result["mode"]) == ((0 if search == "certified" else 1), mode)
+
+    @pytest.mark.parametrize("target,point", [
+        ("a1", "0,0,1"), ("a2", "1,1,1"), ("std-simplex-3", "1,0,1"), ("cube-3", "1,2,1"), (A2_DOUBLED, "2,2,2"),
+    ], ids=["a1", "a2", "std-simplex-3", "cube-3", "2a2"])
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_search_verdict_is_triangulate_certificate(self, capsys, tmp_path, target, point, seed):
+        source = [write(tmp_path, "p.json", target)] if isinstance(target, dict) else ["--example", target]
+        _, decomposed, _ = run(capsys, "decompose", *source, "--point", point, "--h", "2", "--seed", seed)
+        _, triangulated, _ = run(capsys, "triangulate", *source, "--seed", seed)
+        assert decomposed["result"]["cover"]["search"] == triangulated["result"]["certificate"]
+
 
 class TestTriangulate:
     def test_cube_certified(self, capsys):
@@ -229,6 +265,13 @@ class TestTriangulate:
         assert code == 1
         assert report["result"]["certificate"] == "impossible"
         assert "unique" in err
+
+    def test_doubled_reeve_simplex_not_found(self, capsys, tmp_path):
+        code, report, err = run(capsys, "triangulate", write(tmp_path, "a2x2.json", A2_DOUBLED))
+        assert code == 1
+        assert report["result"]["certificate"] == "not-found"
+        assert report["result"]["cover"] is None
+        assert err == "no unimodular triangulation found (existence unknown)\n"
 
     def test_lattice_points_enumerated_once(self, capsys, monkeypatch):
         # the search's certificate decides "impossible" and the direct search
@@ -386,6 +429,31 @@ class TestInputHandling:
         code, _, err = run(capsys, "unimodular-test", str(path))
         assert code == 2
         assert "unknown" in err
+
+    @pytest.mark.parametrize("payload,command,message", [
+        ([[0, 0], [1, 0]], "idp-check", "polytope file must be a JSON object"),
+        ({"dim": 2}, "idp-check", "polytope file needs 'dim' and 'vertices' fields"),
+        ({"vertices": [[0, 0]]}, "idp-check", "polytope file needs 'dim' and 'vertices' fields"),
+        ({"dim": 2, "cells": []}, "unimodular-test", "'cells' must be a non-empty list of vertex lists"),
+        ({"dim": 2, "cells": {"a": 1}}, "unimodular-test", "'cells' must be a non-empty list of vertex lists"),
+        ({"dim": 2, "cells": [[[0, 0], [1, 0], [0, 1]], 5]}, "unimodular-test",
+         "every cell must be a list of vertices"),
+    ], ids=["not-an-object", "no-vertices", "no-dim", "no-cells", "cells-not-a-list", "cell-not-a-list"])
+    def test_file_shape_errors(self, capsys, tmp_path, payload, command, message):
+        args = ("--h", "1") if command == "idp-check" else ()
+        code, report, err = run(capsys, command, write(tmp_path, "f.json", payload), *args)
+        assert (code, report) == (2, None)
+        assert err == f"error: {message}\n"
+
+    def test_cover_of_another_dimension(self, capsys, tmp_path):
+        cover = write(tmp_path, "cover.json", {"dim": 3, "cells": [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]]})
+        for argv in (
+            ("triangulate", "--example", "cube-2", "--verify-cover", cover),
+            ("decompose", "--example", "cube-2", "--point", "1,1", "--h", "2", "--cover", cover),
+        ):
+            code, report, err = run(capsys, *argv)
+            assert (code, report) == (2, None), argv
+            assert err == "error: cover dimension does not match the polytope\n", argv
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "unimodular-test", "/nonexistent/path.json")
@@ -603,6 +671,39 @@ class TestEncode:
         main([write(tmp_path, "p.json", a) if isinstance(a, dict) else a for a in argv])
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestEncodeWithoutCAccelerator:
+    """Where json has no C accelerator (json.encoder.c_make_encoder is None,
+    as on PyPy or a CPython built without _json), the CLI imports and writes
+    its point lists with json's pure-Python encoder, byte for byte as
+    json.dumps(value, indent=2, sort_keys=True)."""
+
+    SCRIPT = """
+import json.encoder
+json.encoder.c_make_encoder = None
+import contextlib, io, json, sys
+from latticeforge import cli
+assert cli._compact.__self__.__class__ is json.JSONEncoder
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+text = out.getvalue()
+assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\\n"
+print(code)
+"""
+
+    @pytest.mark.parametrize("argv,code", [
+        (("idp-check", {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [60, 61, 59]]}, "--h-max", "4"), 1),
+        (("triangulate", "--example", "cube-4"), 0),
+    ], ids=["idp-check-thin", "triangulate-cube-4"])
+    def test_reports(self, tmp_path, argv, code):
+        # a fresh interpreter, so that cli is imported with the C encoder gone
+        argv = [write(tmp_path, "p.json", a) if isinstance(a, dict) else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{code}\n"
 
 
 class TestStrictParsing:

@@ -98,6 +98,11 @@ class TestSimplex:
         with pytest.raises(DimensionMismatchError):
             LatticeSimplex([(0, 0), (1, 0)])
 
+    def test_empty_point_rejected(self):
+        for build in (LatticeSimplex, LatticePolytope):
+            with pytest.raises(DimensionMismatchError, match="^points must have dimension >= 1$"):
+                build([()])
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePolytopeError):
             LatticeSimplex([(0, 0), (1, 0), (2, 0)])
@@ -1443,6 +1448,11 @@ class TestVertexExtraction:
         p = LatticePolytope([(5, -2)])
         assert p.vertices == ((5, -2),)
         assert lattice_points(p) == ((5, -2),)
+
+    def test_no_point(self):
+        for points in ([], (), iter([])):
+            with pytest.raises(DimensionMismatchError, match="^a polytope needs at least one point$"):
+                LatticePolytope(points)
 
     def test_duplicates_collapse(self):
         p = LatticePolytope([(0, 0), (0, 0), (1, 0)])

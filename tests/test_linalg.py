@@ -271,6 +271,18 @@ class TestHermiteNormalForm:
                     assert matmul(a, [[int(t)] for t in x]) == matmul(b, v)
             done += 1
 
+    def test_more_rows_than_columns(self):
+        # the pivots fill both columns by row 1, so row 2 is left as the
+        # column operations made it
+        m = [[2, 1], [1, 3], [5, 7]]
+        h, u = hermite_normal_form(m)
+        assert matmul(m, u) == h
+        assert abs(determinant(u)) == 1
+        assert h == ((1, 0), (3, 5), (7, 9))
+        # pivots positive on the leading columns, entries left of each reduced
+        assert h[0][0] > 0 and h[0][1] == 0
+        assert h[1][1] > 0 and 0 <= h[1][0] < h[1][1]
+
     def test_rectangular_and_rank_deficient(self):
         m = [[2, 4, 6], [1, 2, 3]]
         h, u = hermite_normal_form(m)

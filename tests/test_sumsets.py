@@ -345,10 +345,10 @@ class TestBitsetWidth:
         widths = []
         original = sumsets._hfold_radix
 
-        def recording(base, h_max):
-            radix, lo = original(base, h_max)
+        def recording(lo, hi, h_max):
+            radix = original(lo, hi, h_max)
             widths.append(math.prod(radix.radices))
-            return radix, lo
+            return radix
 
         monkeypatch.setattr(sumsets, "_hfold_radix", recording)
         return widths
@@ -774,6 +774,14 @@ class TestFindSumDecomposition:
     def test_none_when_impossible(self):
         pts = lattice_points(reeve_simplex())
         assert find_sum_decomposition(pts, (1, 1, 1), 2) is None
+
+    def test_multiset_cap(self):
+        # 100 points: C(102, 3) = 171,700 multisets are searched, C(103, 4) =
+        # 4,421,275 are over the cap and refused before the first
+        pts = [(x,) for x in range(100)]
+        assert find_sum_decomposition(pts, (0,), 3) == ((0,),) * 3
+        with pytest.raises(ResourceLimitError, match="^multiset search space exceeds the desk-scale cap$"):
+            find_sum_decomposition(pts, (0,), 4)
 
     def test_target_dimension_mismatch_raises(self):
         # None would claim that no decomposition exists

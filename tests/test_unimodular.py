@@ -271,6 +271,16 @@ class TestVerifyCover:
         cert = verify_cover(SimplicialCover(target=unit_square(), cells=()))
         assert cert.status == "uncertified"
 
+    def test_unknown_kind(self):
+        # the cells would certify as a triangulation; the kind alone fails
+        cells = (
+            LatticeSimplex([(0, 0), (1, 0), (0, 1)]),
+            LatticeSimplex([(1, 0), (0, 1), (1, 1)]),
+        )
+        cert = verify_cover(SimplicialCover(target=unit_square(), cells=cells, kind="tiling"))
+        assert cert.status == "uncertified"
+        assert cert.problems == ("unknown cover kind 'tiling'",)
+
 
 class TestPlacingTriangulation:
     """Whole placing triangulations (helpers.placing_cover over
@@ -883,6 +893,13 @@ class TestDecompose:
         cover = find_unimodular_triangulation(p)
         with pytest.raises(PointOutsideError):
             decompose(p, cover, (7, 0), 2)
+
+    def test_point_of_the_wrong_dimension(self):
+        p = unit_square()
+        cover = find_unimodular_triangulation(p)
+        for point in ((1,), (1, 1, 0)):
+            with pytest.raises(DimensionMismatchError, match="^point dimension does not match the polytope$"):
+                decompose(p, cover, point, 2)
 
     def test_uncertified_cover_rejected(self):
         p = unit_square()
