@@ -1,11 +1,17 @@
-"""Built-in example polytopes used by the CLI and the test suite."""
+"""Built-in example polytopes used by the CLI and the test suite.
+
+The unit cubes are built from their known parts, as ``geometry.dilate``
+builds a dilate; the others are hulls of their vertex lists.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import PolytopeFileError
 from .geometry import LatticePolytope
+from .linalg import DIM_CAP
 
 
 def std_simplex(n: int) -> LatticePolytope:
@@ -15,7 +21,20 @@ def std_simplex(n: int) -> LatticePolytope:
 
 
 def unit_cube(n: int) -> LatticePolytope:
-    return LatticePolytope(list(itertools.product((0, 1), repeat=n)))
+    """[0, 1]^n from its parts, equal to LatticePolytope of its vertices
+    slot for slot: the 2^n sorted vertices, which are its lattice points;
+    the rows x_i <= 1 and -x_i <= 0 with their tight vertices; and its
+    normalized volume n!.  That constructor refuses an n outside 1..DIM_CAP."""
+    vertices = tuple(itertools.product((0, 1), repeat=n))
+    if not 1 <= n <= DIM_CAP:
+        return LatticePolytope(vertices)
+    tight = {}
+    for i in range(n):
+        ones = sum(1 << t for t, v in enumerate(vertices) if v[i])
+        unit = tuple(int(j == i) for j in range(n))
+        tight[unit, 1] = ones
+        tight[tuple(-x for x in unit), 0] = ((1 << len(vertices)) - 1) ^ ones
+    return LatticePolytope._from_parts(vertices, tight, n, points=vertices, volume=math.factorial(n))
 
 
 def unit_square() -> LatticePolytope:

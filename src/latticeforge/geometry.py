@@ -129,9 +129,10 @@ class LatticeSimplex:
     """n+1 affinely independent lattice points in Z^n, in a fixed order.
 
     det is the determinant of the differences v_i - v_0, from one Bareiss
-    elimination on them as rows (a matrix and its transpose share it).
-    Its facet rows (_simplex_facets), built on first read and kept, are its
-    weight rows: row i at x is |det| times x's barycentric weight t_i.
+    elimination on them as rows (a matrix and its transpose share it),
+    which _from_checked runs too.  Its facet rows (_simplex_facets), built
+    on first read and kept, are its weight rows: row i at x is |det| times
+    x's barycentric weight t_i.
     """
 
     __slots__ = ("vertices", "dim", "det", "_rows")
@@ -147,14 +148,22 @@ class LatticeSimplex:
             )
         if len(set(verts)) != len(verts):
             raise DegeneratePolytopeError("simplex vertices must be distinct")
-        base = verts[0]
-        det = _bareiss([[a - b for a, b in zip(v, base)] for v in verts[1:]], False)[0]
-        if det == 0:
+        if self._fill(verts).det == 0:
             raise DegeneratePolytopeError("simplex vertices are affinely dependent")
-        self.vertices = verts
-        self.dim = dim
-        self.det = det
-        self._rows = None
+
+    def _fill(self, verts: tuple) -> LatticeSimplex:
+        """Fill every slot and return self, det by its own elimination."""
+        base = verts[0]
+        self.vertices, self.dim, self._rows = verts, len(base), None
+        self.det = _bareiss([[a - b for a, b in zip(v, base)] for v in verts[1:]], False)[0]
+        return self
+
+    @staticmethod
+    def _from_checked(verts: tuple) -> LatticeSimplex:
+        """The simplex on `verts`, d + 1 distinct lattice points in Z^d,
+        d <= DIM_CAP, as a tuple the caller has checked (a placing pass's
+        cell): __init__'s checks are skipped, not the elimination."""
+        return LatticeSimplex.__new__(LatticeSimplex)._fill(verts)
 
     def _weight_rows(self) -> list:
         """The facet rows (a_i, b_i), a_i.x - b_i = |det| * t_i(x), kept after the first read."""

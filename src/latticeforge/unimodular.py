@@ -8,12 +8,14 @@ solve.  Covers extend this to polytopes: a certified unimodular
 triangulation yields a decomposition of any lattice point of the dilate by
 locating a containing cell.
 
-Placing triangulations come from the integer placing kernel in ``geometry``.
+Placing triangulations come from the integer placing kernel in ``geometry``,
+and the search builds their cells without re-checking the placed points.
 Certification is exact throughout: volumes are compared as integers
 (normalized volume = |det|), and a triangulation is first certified by
-facet matching: every cell facet is either shared by exactly two cells on
-opposite sides of it or lies on a facet of the target, which with the volume
-sum proves that the cells tile the target.  Only a cover that fails the
+facet matching: every cell facet, keyed by the bitmask of its vertices'
+int indices, is either shared by exactly two cells on opposite sides of it
+or lies on a facet of the target, which with the volume sum proves that the
+cells tile the target.  Only a cover that fails the
 matching or another check (one that is not face to face, or not a tiling)
 goes to the pairwise interior-disjointness test, decided by bounding-box and
 separating-facet tests on integer data (each cell's cached facet rows,
@@ -30,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from operator import le
+from itertools import combinations, starmap
+from operator import gt, le
 from typing import Optional, Sequence
 
 from . import lp
@@ -185,51 +187,44 @@ def _interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
 def _facets_match(cells, target: LatticePolytope) -> bool:
     """Do the cells glue face to face, with every unshared facet on the target's boundary?
 
-    Each facet of each cell is keyed by its sorted vertex tuple.  A key may
-    occur at most twice; a key that occurs twice must have the two apexes
-    strictly on opposite sides of it; a key that occurs once must be tight on
-    one row of target.facets().  For full-dimensional cells inside the
-    target, this makes the covering multiplicity constant on the target's
-    interior: crossing a shared facet it changes by +1 and -1, and an
-    unshared facet lies on a supporting hyperplane, which misses the
+    Each distinct vertex gets an int index when it is first met, and each
+    facet of each cell is keyed by the bitmask of its vertex indices.  A key
+    may occur at most twice; a key that occurs twice must have the two
+    apexes strictly on opposite sides of it; a key that occurs once must be
+    tight on one row of target.facets().  For full-dimensional cells inside
+    the target, this makes the covering multiplicity constant on the
+    target's interior: crossing a shared facet it changes by +1 and -1, and
+    an unshared facet lies on a supporting hyperplane, which misses the
     interior.  Volumes that sum to the target's then make it 1, so the cells
     tile the target (De Loera, Rambau, Santos, Triangulations, ch. 4).
 
     The side needs no normal.  The orientation det(v_1 - v_0, ..., v_n - v_0)
-    alternates under vertex permutations, so in the sorted order w it is the
-    cell's det times the parity of the sort, and the apex w_k sits on the
-    side of its facet (w without w_k, in order) given by that sign times
-    (-1)^k.
+    alternates under vertex permutations, so with the vertices w in index
+    order it is the cell's det times the parity of that sort, and the apex
+    w_k sits on the side of its facet (w without w_k, in order) given by
+    that sign times (-1)^k.  Any one order of all the vertices gives each
+    shared facet one orientation in both its cells, so the verdict does not
+    depend on the order the indices follow.
     """
-    unshared = {}  # facet key seen once -> side bit of its apex
-    shared = set()
+    sides = {}  # facet key -> side bit of its apex, 2 once two cells share it
+    index = {}  # vertex -> its int index, in the order first met
     for cell in cells:
-        verts = cell.vertices
-        flip = (cell.det < 0) ^ (sum(a > b for a, b in combinations(verts, 2)) & 1)
-        ordered = tuple(sorted(verts))
-        for k in range(len(ordered)):
-            key = ordered[:k] + ordered[k + 1 :]
+        ids = [index.setdefault(v, len(index)) for v in cell.vertices]
+        flip = (cell.det < 0) ^ (sum(starmap(gt, combinations(ids, 2))) & 1)
+        full = sum(map((1).__lshift__, ids))
+        for k, i in enumerate(sorted(ids)):
+            key = full ^ (1 << i)
             side = flip ^ (k & 1)
-            if key in shared:
-                return False
-            first = unshared.pop(key, None)
+            first = sides.get(key)
             if first is None:
-                unshared[key] = side
-            elif first == side:
-                return False
+                sides[key] = side
+            elif first == side ^ 1:
+                sides[key] = 2
             else:
-                shared.add(key)
-    rows = target.facets()
-    tight = {}  # vertex -> bit mask of the target rows tight at it
-    for key in unshared:
-        mask = -1
-        for v in key:
-            if v not in tight:
-                tight[v] = sum(1 << r for r, (a, b) in enumerate(rows) if vec_dot(a, v) == b)
-            mask &= tight[v]
-        if not mask:
-            return False
-    return True
+                return False  # a third cell, or two apexes on one side
+    # per target row, the bit mask of the vertex indices tight on it
+    tight = [sum(1 << i for i, v in enumerate(index) if vec_dot(a, v) == b) for a, b in target.facets()]
+    return all(any(key & z == key for z in tight) for key, side in sides.items() if side != 2)
 
 
 def verify_cover(cover: SimplicialCover) -> Certification:
@@ -304,8 +299,11 @@ def find_unimodular_triangulation(
     yields each point's cells before it updates the hull boundary, so an
     order abandoned at its first cell pays for no facet row.
     Each cell's normalized volume comes with it from the placing routine,
-    so simplices are built only for an order whose cells all have volume 1.
-    When the lattice points are the vertices (a 0/1 cube), the
+    so simplices are built only for an order whose cells all have volume 1,
+    by LatticeSimplex._from_checked: d + 1 lattice points of p per cell,
+    each cell's det eliminated afresh for verify_cover.  When the
+    lattice points are the vertices and p's volume is not yet known (a 0/1
+    cube read from a polytope file; the built-in cube-n comes with n!), the
     lexicographic pass is the pass normalized_volume runs, so its cell count
     is kept as the target's volume and certifying places no second time.
     Returns the first certified cover, or None.  None is a proof of
@@ -373,7 +371,7 @@ def _placing_search(p: LatticePolytope, attempts: int, seed: int) -> tuple:
             # each cell has volume 1, and the draw is complete; an order that
             # is p's vertices gives p's volume
             _record_volume(p, order, len(cells))
-            cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex, cells)))
+            cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex._from_checked, cells)))
             if verify_cover(cover).status == "certified":
                 return "certified", replace(cover, certified="certified")
     return ("impossible" if forced else "not-found"), None

@@ -13,7 +13,9 @@ a facet's cofactor normal by one fraction-free elimination per facet
 (_facet_normal, and _cell_facet orienting it against the opposite vertex),
 where the library reads all of a simplex's facet rows off one adjugate,
 ranks and affine bases by rational elimination, dilates by a fresh hull
-pass, cover certification by testing every pair of cells, hulls read off a
+pass, cover certification by testing every pair of cells, facet matching with
+facets keyed by sorted vertex tuples (tuple_keyed_facets_match), where the
+library keys them by bitmasks of vertex indices, hulls read off a
 placing triangulation (in sorted order with every generator a vertex
 candidate, or extreme points first with the boundary points as candidates,
 the affine-hull equations from _facet_normal), run enumeration by one
@@ -39,7 +41,6 @@ matmul are the two matrix operations only the tests need.
 """
 
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -645,17 +646,11 @@ def runs_idp_scan(p, h_max):
     return tuple(reports)
 
 
-def assembled_unit_cube(n):
-    """unit_cube(n), n >= 2, assembled from its known parts with no hull pass.
-
-    The placing pass over the 2^n vertices makes n! cells, about 16 s for
-    n = 8; the parts are those vertices, the rows x_i <= 1 and -x_i <= 0
-    with their tight vertices, and normalized volume n!.
-    """
-    vertices = tuple(itertools.product((0, 1), repeat=n))
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rows = [(e, 1) for e in unit] + [(tuple(-x for x in e), 0) for e in unit]
-    return LatticePolytope._from_parts(vertices, tight_rows(vertices, rows), n, volume=math.factorial(n))
+def hull_unit_cube(n):
+    """[0,1]^n as the hull of its vertex list: double description, lattice-point
+    enumeration and a volume pass on first use, where fixtures.unit_cube
+    comes with its facets, points and volume."""
+    return LatticePolytope(list(itertools.product((0, 1), repeat=n)))
 
 
 def random_point_set(rng, dim, flat, bound=2):
@@ -873,6 +868,34 @@ def pairwise_verify_cover(cover):
                     problems.append(f"cells {i} and {j} share an interior point")
     status = "certified" if not problems else "uncertified"
     return Certification(status=status, problems=tuple(problems))
+
+
+def tuple_keyed_facets_match(cells, target):
+    """unimodular._facets_match with each facet keyed by its sorted vertex
+    tuple and each side read in lexicographic vertex order, where the
+    library keys a facet by the bitmask of its vertex indices and reads the
+    side in index order."""
+    unshared, shared = {}, set()
+    for cell in cells:
+        verts = cell.vertices
+        flip = (cell.det < 0) ^ (sum(a > b for a, b in itertools.combinations(verts, 2)) & 1)
+        ordered = tuple(sorted(verts))
+        for k in range(len(ordered)):
+            key = ordered[:k] + ordered[k + 1 :]
+            side = flip ^ (k & 1)
+            if key in shared:
+                return False
+            first = unshared.pop(key, None)
+            if first is None:
+                unshared[key] = side
+            elif first == side:
+                return False
+            else:
+                shared.add(key)
+    rows = target.facets()
+    return all(
+        any(all(vec_dot(a, v) == b for v in key) for a, b in rows) for key in unshared
+    )
 
 
 def staircase_cells(dim):

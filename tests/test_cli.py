@@ -438,12 +438,26 @@ class TestInputHandling:
         ({"dim": 2, "cells": {"a": 1}}, "unimodular-test", "'cells' must be a non-empty list of vertex lists"),
         ({"dim": 2, "cells": [[[0, 0], [1, 0], [0, 1]], 5]}, "unimodular-test",
          "every cell must be a list of vertices"),
-    ], ids=["not-an-object", "no-vertices", "no-dim", "no-cells", "cells-not-a-list", "cell-not-a-list"])
+        ({"dim": 2, "cells": [[[0, 0], [True, 0], [0, 1]]]}, "unimodular-test",
+         "coordinate of cell vertex must be an integer, got True"),
+        ({"dim": 2, "cells": [[[0, 0], [1, 0], [0, 0]]]}, "unimodular-test", "simplex vertices must be distinct"),
+        ({"dim": 2, "cells": [[[0, 0], [1, 0]]]}, "unimodular-test",
+         "a simplex in dimension 2 needs 3 vertices, got 2"),
+    ], ids=["not-an-object", "no-vertices", "no-dim", "no-cells", "cells-not-a-list", "cell-not-a-list",
+            "cell-bool", "cell-repeated-vertex", "cell-vertex-count"])
     def test_file_shape_errors(self, capsys, tmp_path, payload, command, message):
-        args = ("--h", "1") if command == "idp-check" else ()
-        code, report, err = run(capsys, command, write(tmp_path, "f.json", payload), *args)
-        assert (code, report) == (2, None)
-        assert err == f"error: {message}\n"
+        # a cover file is refused alike where a command verifies it
+        path = write(tmp_path, "f.json", payload)
+        runs = [(command, path, "--h", "1") if command == "idp-check" else (command, path)]
+        if "cells" in payload:
+            runs += [
+                ("triangulate", "--example", "cube-2", "--verify-cover", path),
+                ("decompose", "--example", "cube-2", "--point", "1,1", "--h", "2", "--cover", path),
+            ]
+        for argv in runs:
+            code, report, err = run(capsys, *argv)
+            assert (code, report) == (2, None), argv
+            assert err == f"error: {message}\n", argv
 
     def test_cover_of_another_dimension(self, capsys, tmp_path):
         cover = write(tmp_path, "cover.json", {"dim": 3, "cells": [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]]})

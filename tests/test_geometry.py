@@ -22,6 +22,7 @@ from helpers import (
     fraction_affine_basis,
     fraction_rank_of_rows,
     hull_projection_rows,
+    hull_unit_cube,
     identity,
     matmul,
     pairwise_bitset,
@@ -642,7 +643,7 @@ class TestLatticePoints:
         assert lattice_points(unit_square()) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_lexicographic_order(self):
-        pts = lattice_points(unit_cube(3))
+        pts = lattice_points(hull_unit_cube(3))
         assert list(pts) == sorted(pts)
 
     def test_degenerate_polytopes_enumerate(self):
@@ -802,7 +803,7 @@ class TestProjectionRunsAgainstBoxRows:
 
     def test_high_dimensions(self):
         for n in (6, 7, 8):
-            assert self.assert_oracle_rows(unit_cube(n))[1] == n
+            assert self.assert_oracle_rows(hull_unit_cube(n))[1] == n
         rng = random.Random(3)
         for dim in (6, 7, 8):
             p = LatticePolytope([tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(20)])
@@ -844,7 +845,7 @@ class TestEliminationMasks:
         return checked
 
     def test_cubes(self):
-        assert sum(self.check_levels(unit_cube(n)) for n in range(1, 8)) > 0
+        assert sum(self.check_levels(hull_unit_cube(n)) for n in range(1, 8)) > 0
 
     def test_random_point_sets(self):
         rng = random.Random(425)
@@ -904,7 +905,7 @@ class TestCombineAgainstRanks:
 
     def test_elimination_levels(self):
         rng = random.Random(427)
-        cases = [unit_cube(n) for n in range(2, 7)]
+        cases = [hull_unit_cube(n) for n in range(2, 7)]
         for k in range(120):
             dim = 2 + k % 4
             if k % 3 == 0:
@@ -1153,7 +1154,7 @@ class TestPlacingEliminationCount:
             assert len(yielded) > 1 and calls == [(dim, True)], points
 
     def test_search_totals(self, monkeypatch):
-        cube, reeve = unit_cube(4), reeve_simplex()
+        cube, reeve = hull_unit_cube(4), reeve_simplex()
         calls = self._count(monkeypatch)
         # the lexicographic order succeeds: one pass (its first simplex's
         # adjugate), then the 24 cells' determinants as
@@ -1407,7 +1408,7 @@ class TestLazyVolume:
     unknown one unknown, to be computed from its own vertices."""
 
     def test_computed_once(self, monkeypatch):
-        p = unit_cube(4)
+        p = hull_unit_cube(4)
         assert p._volume is None
         passes = []
         original = geometry._placing_cells
@@ -1436,6 +1437,22 @@ class TestLazyVolume:
                 m.setattr(geometry, "_placing_cells", None)  # no pass: the volume is scaled
                 for h in (1, 2, 3):
                     assert normalized_volume(dilate(p, h)) == h**dim * volume
+
+
+class TestUnitCubeFixture:
+    """fixtures.unit_cube, built from its known parts, is the hull of its
+    vertex list slot for slot, with the lattice points that hull's
+    enumeration finds and, up to n = 6, the volume its placing pass sums."""
+
+    def test_unit_cube_is_the_hull_of_its_vertices(self):
+        for n in range(1, 9):
+            cube, hull = unit_cube(n), hull_unit_cube(n)
+            for slot in ("vertices", "dim", "_facets", "_masks", "_hull_dim"):
+                assert getattr(cube, slot) == getattr(hull, slot), (n, slot)
+            assert _projection_rows(cube) == _projection_rows(hull), n
+            assert lattice_points(cube) == lattice_points(hull) == hull.vertices, n
+            if n <= 6:
+                assert normalized_volume(cube) == normalized_volume(hull) == math.factorial(n), n
 
 
 class TestVertexExtraction:

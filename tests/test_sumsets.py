@@ -8,7 +8,6 @@ from operator import add
 import pytest
 
 from helpers import (
-    assembled_unit_cube,
     doubling_hfold_sumset,
     doubling_sumset,
     multiset_decompositions,
@@ -45,7 +44,7 @@ from latticeforge.fixtures import (
     unit_cube,
     unit_square,
 )
-from latticeforge.geometry import _box_cells, _frame, _projection_rows, contains, vec_dot, vec_scale
+from latticeforge.geometry import _box_cells, _frame, contains, vec_dot, vec_scale
 from latticeforge.sumsets import _bit_indices, find_sum_decomposition
 
 
@@ -353,21 +352,12 @@ class TestBitsetWidth:
         monkeypatch.setattr(sumsets, "_hfold_radix", recording)
         return widths
 
-    def test_assembled_cube_is_the_cube(self):
-        # unit_cube computes its volume on first use, so it is compared there
-        for n in range(2, 7):
-            a, b = assembled_unit_cube(n), unit_cube(n)
-            for slot in ("vertices", "dim", "_facets", "_masks", "_hull_dim"):
-                assert getattr(a, slot) == getattr(b, slot), (n, slot)
-            assert _projection_rows(a) == _projection_rows(b), n
-            assert normalized_volume(a) == normalized_volume(b) == math.factorial(n), n
-
     def test_pair_cap_before_the_box_cap(self, monkeypatch):
         # (h+1)^8 <= 10^7 up to h_top = 6; |S_4| * |S_1| = 5^8 * 2^8 > PAIR_CAP.
         # A radix for h_max = 50 would need 51^8, about 4.6e13 bits.
         widths = self.record_radices(monkeypatch)
         with pytest.raises(ResourceLimitError, match="h=5: sumset would evaluate too many pairs"):
-            idp_scan(assembled_unit_cube(8), 50)
+            idp_scan(unit_cube(8), 50)
         assert widths == [7**8]
 
     def test_box_cap_first(self, monkeypatch):

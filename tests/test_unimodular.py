@@ -11,6 +11,7 @@ from helpers import (
     fraction_affine_basis,
     fraction_solve,
     full_placing_search,
+    hull_unit_cube,
     multiset_decompositions,
     pairwise_verify_cover,
     placing_cover,
@@ -18,6 +19,7 @@ from helpers import (
     random_simplex,
     random_unimodular_simplex,
     staircase_cells,
+    tuple_keyed_facets_match,
 )
 from latticeforge import (
     CoverageError,
@@ -383,6 +385,45 @@ class TestFindUnimodularTriangulation:
         with pytest.raises(DegeneratePolytopeError, match="full-dimensional"):
             find_unimodular_triangulation(LatticePolytope([(0, 0), (1, 1), (2, 2)]))
 
+    def test_search_cells_are_the_validated_simplices(self, monkeypatch):
+        # the search builds its cells from the placing pass's points with
+        # no checks; each is the simplex the validating constructor makes
+        built = []
+        original = LatticeSimplex._from_checked
+
+        def recording(verts):
+            built.append(original(verts))
+            return built[-1]
+
+        monkeypatch.setattr(LatticeSimplex, "_from_checked", staticmethod(recording))
+
+        def search(p, seed):
+            cover = find_unimodular_triangulation(p, attempts=4, seed=seed)
+            if cover is None:
+                return False
+            # the cover's cells are the last ones built
+            tail = built[-len(cover.cells) :]
+            assert len(tail) == len(cover.cells) and all(c is b for c, b in zip(cover.cells, tail))
+            return True
+
+        fixtures = [std_simplex(n) for n in (1, 2, 3, 4)] + [unit_cube(n) for n in (1, 2, 3, 4)]
+        fixtures += [stretched_simplex(), reeve_simplex()]
+        certified = sum(search(dilate(p, h) if h > 1 else p, h) for p in fixtures for h in (1, 2, 3))
+        assert certified == 27  # all but a2 = reeve_simplex() and its dilates
+        rng = random.Random(34)
+        drawn = 0
+        for k in range(200):
+            p = random_polytope(rng, 3, bound=2)
+            if p.is_full_dimensional() and search(p, k):
+                drawn += 1
+                if drawn == 20:
+                    break
+        assert drawn == 20
+        for s in built:
+            checked = LatticeSimplex(s.vertices)
+            assert (s.vertices, s.dim, s.det) == (checked.vertices, checked.dim, checked.det)
+            assert s._weight_rows() == checked._weight_rows()
+
 
 # Its lexicographic order and the first two drawn orders at seed 19 fail;
 # the third drawn order gives a unimodular triangulation.
@@ -624,9 +665,10 @@ class TestMarginLPCount:
 
 class TestSearchVolume:
     """The search's placing pass doubles as the volume pass exactly when the
-    lattice points are the vertices: cube-n is placed once and gets volume
-    n!; 2*cube-3 gets the search's pass over its 27 points and an
-    independent pass over the 8 vertices of its base, cube-3."""
+    lattice points are the vertices: cube-n, as the hull of its vertex
+    list, is placed once and gets volume n!; 2*cube-3 gets the search's
+    pass over its 27 points and an independent pass over the 8 vertices of
+    its base, cube-3."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -642,16 +684,18 @@ class TestSearchVolume:
         return calls
 
     def test_cubes_place_once(self, passes):
+        # the hull of the vertex list gets its volume from the search's
+        # pass; the fixture comes with n!, which that pass's cells must sum to
         for n in range(1, 7):
-            p = unit_cube(n)
-            passes.clear()
-            cover = find_unimodular_triangulation(p)
-            assert cover is not None and cover.certified == "certified"
-            assert passes == [list(p.vertices)]
-            assert p._volume == math.factorial(n) == len(cover.cells)
+            for p in (hull_unit_cube(n), unit_cube(n)):
+                passes.clear()
+                cover = find_unimodular_triangulation(p)
+                assert cover is not None and cover.certified == "certified"
+                assert passes == [list(p.vertices)]
+                assert p._volume == math.factorial(n) == len(cover.cells)
 
     def test_other_lattice_points_keep_the_vertex_pass(self, passes):
-        base = unit_cube(3)
+        base = hull_unit_cube(3)
         p = dilate(base, 2)
         cover = find_unimodular_triangulation(p)
         assert cover is not None and cover.certified == "certified"
@@ -660,7 +704,7 @@ class TestSearchVolume:
         assert base._volume == math.factorial(3)
 
     def test_only_the_vertex_sequence_is_recorded(self):
-        p = unit_cube(3)
+        p = hull_unit_cube(3)
         geometry._record_volume(p, list(reversed(p.vertices)), 6)
         geometry._record_volume(p, list(p.vertices)[:-1], 6)
         assert p._volume is None
@@ -670,7 +714,7 @@ class TestSearchVolume:
         assert p._volume == 6
 
     def test_a_dilates_pass_is_kept_by_its_base(self):
-        base = unit_cube(3)
+        base = hull_unit_cube(3)
         p = dilate(dilate(base, 2), 3)
         geometry._record_volume(p, list(p.vertices), 6**3 * 6)
         assert p._volume == 6**3 * 6 and base._volume == 6
@@ -833,6 +877,57 @@ class TestFacetMatchingAgainstPairwise:
         assert len(calls) == 66  # every pair of the 12 cells
         assert cert == pairwise_verify_cover(cover)
         assert cert.status == "certified"
+
+
+class TestFacetMatchingAgainstTupleKeys:
+    """_facets_match, each facet keyed by the bitmask of its vertex indices,
+    against the oracle that keys it by its sorted vertex tuple: the same
+    verdict on placing triangulations, on broken copies of them and on
+    covers that are not face to face; and the same verdict on a cover
+    whatever order each cell lists its vertices in."""
+
+    @staticmethod
+    def placing_covers():
+        """(target, cells): the lexicographic and five shuffled placing
+        triangulations of cube-2..6, 2*cube-3 and 2*a1."""
+        rng = random.Random(32)
+        targets = [unit_cube(n) for n in range(2, 7)] + [dilate(unit_cube(3), 2), dilate(stretched_simplex(), 2)]
+        for p in targets:
+            pts = list(lattice_points(p))
+            yield p, list(placing_cover(p).cells)
+            for _ in range(5):
+                rng.shuffle(pts)
+                yield p, list(placing_cover(p, pts).cells)
+
+    def test_placing_covers_and_their_mutants(self):
+        rng = random.Random(33)
+        verdicts = Counter()
+        for p, cells in self.placing_covers():
+            k = rng.randrange(len(cells))
+            verts = list(cells[k].vertices)
+            verts[0], verts[1] = verts[1], verts[0]
+            odd = cells[:k] + [LatticeSimplex(verts)] + cells[k + 1 :]
+            assert odd[k].det == -cells[k].det
+            for label, mutant in (
+                ("valid", cells),
+                ("oddly permuted", odd),
+                ("last is first", cells[:-1] + cells[:1]),
+                ("dropped", cells[:k] + cells[k + 1 :]),
+            ):
+                verdict = _facets_match(mutant, p)
+                assert verdict == tuple_keyed_facets_match(mutant, p), (label, p, mutant)
+                verdicts[label, verdict] += 1
+        assert verdicts["valid", True] == verdicts["oddly permuted", True] == 42
+        assert verdicts["last is first", False] == verdicts["dropped", False] == 42
+
+    def test_staircase_dissection_and_a_repeated_cell(self):
+        left = staircase_cells(3)
+        right = [[(x + 1, 1 - y, z) for x, y, z in c] for c in left]
+        box = LatticePolytope(itertools.product((0, 1, 2), (0, 1), (0, 1)))
+        for target, cover in ((box, left + right), (unit_cube(3), left + left[:1])):
+            cells = [LatticeSimplex(c) for c in cover]
+            assert not _facets_match(cells, target)
+            assert not tuple_keyed_facets_match(cells, target)
 
 
 def _count_pair_tests(monkeypatch):
