@@ -21,7 +21,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -329,7 +328,7 @@ def _verify_cover_file(path: str, poly: LatticePolytope) -> tuple:
     cells = tuple(LatticeSimplex(c) for c in cover_data["cells"])
     cover = SimplicialCover(target=poly, cells=cells, kind=cover_data["kind"])
     cert = verify_cover(cover)
-    return replace(cover, certified=cert.status), cert
+    return cover._replace(certified=cert.status), cert
 
 
 def _cmd_decompose(args, poly: LatticePolytope):

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import geometry
 from .errors import DimensionMismatchError, LatticeForgeError, ResourceLimitError
@@ -180,8 +179,7 @@ def hfold_sumset(s: Sequence[Point], h: int) -> tuple:
     return radix.unpack(sorted(summed), [h * a for a in lo])
 
 
-@dataclass(frozen=True)
-class IdpReport:
+class IdpReport(NamedTuple):
     """Per-h verdict: does the h-fold sumset of lattice points fill the dilate?
 
     `witnesses` lists every lattice point of the h-dilate that is not a sum

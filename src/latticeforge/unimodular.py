@@ -29,20 +29,22 @@ oracle).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
 from operator import gt, le
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from . import lp
+from . import geometry, lp
 from .errors import (
     CoverageError,
     DegeneratePolytopeError,
     DimensionMismatchError,
     NotUnimodularError,
     PointOutsideError,
+    ResourceLimitError,
 )
 from .geometry import (
     LatticePolytope,
@@ -91,6 +93,7 @@ def hnf_diagonal(s: LatticeSimplex) -> tuple:
     return tuple(h[i][i] for i in range(s.dim))
 
 
+# a dataclass, not a NamedTuple: bench/selfcheck.py plants a wrong answer with dataclasses.replace
 @dataclass(frozen=True)
 class Decomposition:
     """p written as a weighted sum of the vertices of one simplex cell.
@@ -143,8 +146,7 @@ def decompose_in_simplex(s: LatticeSimplex, p: Sequence[int], h: int) -> Decompo
     )
 
 
-@dataclass(frozen=True)
-class SimplicialCover:
+class SimplicialCover(NamedTuple):
     """A list of simplices claimed to cover a target polytope."""
 
     target: LatticePolytope
@@ -153,8 +155,7 @@ class SimplicialCover:
     certified: str = "uncertified"  # "certified" | "vertices-only" | "uncertified"
 
 
-@dataclass(frozen=True)
-class Certification:
+class Certification(NamedTuple):
     status: str
     problems: tuple = ()
 
@@ -373,7 +374,7 @@ def _placing_search(p: LatticePolytope, attempts: int, seed: int) -> tuple:
             _record_volume(p, order, len(cells))
             cover = SimplicialCover(target=p, cells=tuple(map(LatticeSimplex._from_checked, cells)))
             if verify_cover(cover).status == "certified":
-                return "certified", replace(cover, certified="certified")
+                return "certified", cover._replace(certified="certified")
     return ("impossible" if forced else "not-found"), None
 
 
@@ -405,8 +406,7 @@ def decompose(
     raise PointOutsideError(f"{pt} is not a point of the {h}-fold dilate")
 
 
-@dataclass(frozen=True)
-class EllProbe:
+class EllProbe(NamedTuple):
     """One row of the dilation search: certificate vs direct verdicts at ell."""
 
     ell: int
@@ -415,8 +415,7 @@ class EllProbe:
     idp: tuple
 
 
-@dataclass(frozen=True)
-class EllReport:
+class EllReport(NamedTuple):
     """Result of scanning dilation factors 1..ell_max."""
 
     ell: Optional[int]
@@ -434,11 +433,19 @@ def find_ell(
     row's dilate reads p's projection rows and normalized volume, which
     geometry computes once, in p, and enumerates its own lattice points once
     for the search and the scan.
+
+    ell_max is capped at isqrt(BOX_CAP), as the IDP scan caps h, before any
+    row runs: a box with two or more positive widths has (ell+1)^2 cells or
+    more, so the box cap refuses it by that ell anyway, and the bound binds
+    only boxes that grow in at most one coordinate.
     """
     _check_positive(ell_max, "ell_max")
     _check_positive(attempts, "attempts")
     _check_seed(seed)
     _check_positive(h_max, "h_max")
+    ell_bound = math.isqrt(geometry.BOX_CAP)
+    if ell_max > ell_bound:
+        raise ResourceLimitError(f"ell capped at {ell_bound}, got {ell_max}")
     rows = []
     found = None
     for ell in range(1, ell_max + 1):

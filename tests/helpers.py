@@ -43,7 +43,6 @@ matmul are the two matrix operations only the tests need.
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -812,7 +811,7 @@ def full_placing_search(p, attempts=20, seed=0):
         cover = placing_cover(p, order)
         if all(is_unimodular(c) for c in cover.cells):
             if verify_cover(cover).status == "certified":
-                return replace(cover, certified="certified")
+                return cover._replace(certified="certified")
         elif k:
             position = {q: i for i, q in enumerate(order)}
             read = max(position[v] for v in cover.cells[0].vertices)

@@ -370,6 +370,14 @@ class TestFindEll:
         if report["result"]["ell"] is None:
             assert code == 1
 
+    def test_ell_max_over_the_bound_exits_3(self, capsys, tmp_path):
+        # a segment's box grows in one coordinate only: the bound on ell,
+        # isqrt(10^7) = 3162, refuses it before any row runs
+        path = write(tmp_path, "segment.json", {"dim": 1, "vertices": [[0], [1]]})
+        code, report, err = run(capsys, "find-ell", path, "--ell-max", "1000000000")
+        assert code == 3 and report is None
+        assert err == "resource cap: ell capped at 3162, got 1000000000\n"
+
 
 class TestInputHandling:
     # a flat lattice triangle in Z^4: only idp-check runs; every command

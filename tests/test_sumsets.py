@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from operator import add
 
 import pytest
@@ -710,7 +709,7 @@ class TestFrameScan:
         for h, report in enumerate(reports, start=1):
             want = per_h_idp_check(sheared, h)
             witnesses = tuple(sorted(tuple(vec_dot(row, w) for row in back) for w in want.witnesses))
-            assert report == replace(want, witnesses=witnesses), h
+            assert report == want._replace(witnesses=witnesses), h
         # in its own box the dilate at h = 4 is over the cap
         unframed(monkeypatch)
         with pytest.raises(ResourceLimitError, match="^resource cap hit at h=4: bounding box exceeds"):

@@ -43,7 +43,7 @@ from latticeforge import (
     verify_cover,
 )
 from latticeforge import geometry, lp, sumsets, unimodular
-from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError
+from latticeforge.errors import DegeneratePolytopeError, DimensionMismatchError, ResourceLimitError
 from latticeforge.fixtures import reeve_simplex, std_simplex, stretched_simplex, unit_cube, unit_square
 from latticeforge.geometry import vec_scale, vec_sub
 from latticeforge.unimodular import _draw, _facets_match, _interiors_intersect, _placing_search
@@ -1109,6 +1109,29 @@ class TestFindEll:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_ell(unit_square(), ell_max=0, h_max=1)
+
+    def test_ell_capped_at_isqrt_box_cap(self, monkeypatch):
+        # as the IDP scan caps h: with BOX_CAP = 100 the bound is 10, and
+        # [0, 1] in Z^1, whose box grows in one coordinate only, runs at
+        # ell_max = 10 and is refused at 11 before any row runs
+        monkeypatch.setattr(geometry, "BOX_CAP", 100)
+        calls = []
+        original = unimodular._placing_search
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(unimodular, "_placing_search", counting)
+        segment = LatticePolytope([(0,), (1,)])
+        report = find_ell(segment, ell_max=10, h_max=2)
+        assert report.ell == 1 and [row.ell for row in report.per_ell] == list(range(1, 11))
+        assert [row.cell_count for row in report.per_ell] == list(range(1, 11)) and len(calls) == 10
+        calls.clear()
+        for ell_max in (11, 10**9):
+            with pytest.raises(ResourceLimitError, match=f"^ell capped at 10, got {ell_max}$"):
+                find_ell(segment, ell_max=ell_max, h_max=2)
+        assert calls == []
 
     def test_h_max_checked_before_the_search(self, monkeypatch):
         monkeypatch.setattr(unimodular, "_placing_search", None)
