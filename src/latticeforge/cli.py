@@ -1,8 +1,9 @@
 """Command-line front end: file I/O, subcommands, machine-readable reports.
 
-JSON reports go to stdout, a short human summary to stderr.  Exit codes
-partition outcomes: 0 success / property holds, 1 mathematically negative
-result, 2 input error, 3 resource cap exceeded.
+A report goes to stdout as one line of JSON, keys sorted and no whitespace
+(`_dumps`, the encoding `input_digest` hashes); a short human summary goes
+to stderr.  Exit codes partition outcomes: 0 success / property holds, 1
+mathematically negative result, 2 input error, 3 resource cap exceeded.
 
 Each command is declared once, in the `_COMMANDS` table: its name, help
 text, argument set-up and handler.  A run of a command builds the parser of
@@ -31,8 +32,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .fixtures import example
-from .geometry import LatticePolytope, LatticeSimplex, contains, dilate, lattice_points
-from .sumsets import IdpReport, find_sum_decomposition, idp_check, idp_scan
+from .geometry import LatticePolytope, LatticeSimplex, _check_positive, contains, dilate, lattice_points
+from .sumsets import find_sum_decomposition, idp_check, idp_scan
 from .unimodular import (
     Decomposition,
     EllReport,
@@ -104,8 +105,8 @@ def parse_polytope_data(data) -> dict:
     rows = data["vertices"]
     if not isinstance(rows, list) or not rows:
         raise PolytopeFileError("'vertices' must be a non-empty list")
-    vertices = [_check_vector(row, dim, "vertex") for row in rows]
-    out = {"dim": dim, "vertices": _Points(map(list, vertices))}
+    vertices = [list(_check_vector(row, dim, "vertex")) for row in rows]
+    out = {"dim": dim, "vertices": vertices}
     if "name" in data:
         out["name"] = _check_name(data["name"])
     return out
@@ -134,7 +135,7 @@ def parse_cover_data(data) -> dict:
         raise PolytopeFileError(f"cover kind must be triangulation or general-cover, got {kind!r}")
     if "name" in data:
         _check_name(data["name"])
-    return {"dim": dim, "cells": _Points(cells), "kind": kind}
+    return {"dim": dim, "cells": cells, "kind": kind}
 
 
 def _read_file(path: str) -> str:
@@ -145,9 +146,14 @@ def _read_file(path: str) -> str:
         raise PolytopeFileError(f"cannot read {path}: {exc}") from exc
 
 
+def _dumps(value) -> str:
+    """The compact JSON of `value`, keys sorted: a report as printed, and
+    the text whose hash is `input_digest`."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(data) -> str:
-    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return "sha256:" + hashlib.sha256(_dumps(data).encode("utf-8")).hexdigest()
 
 
 def _load_input(args) -> tuple:
@@ -160,7 +166,7 @@ def _load_input(args) -> tuple:
         raise PolytopeFileError("give either a polytope file or --example, not both")
     if args.example is not None:
         poly = example(args.example)
-        data = {"dim": poly.dim, "vertices": _Points(poly.vertices), "name": args.example}
+        data = {"dim": poly.dim, "vertices": poly.vertices, "name": args.example}
         return poly, data, _digest(data)
     if args.file is None:
         raise PolytopeFileError("no input: give a polytope file or --example NAME")
@@ -189,42 +195,18 @@ def _parse_point(text: str) -> tuple:
         raise PolytopeFileError(f"--point must be comma-separated integers, got {text!r}") from exc
 
 
-def _positive(args_value: int, flag: str) -> int:
-    if not isinstance(args_value, int) or args_value < 1:
-        raise PolytopeFileError(f"{flag} must be a positive integer, got {args_value!r}")
-    return args_value
-
-
 # ---------------------------------------------------------------------------
 # Result serialization.
 # ---------------------------------------------------------------------------
-
-
-class _Points(list):
-    """A report's list of points, or of lists of points, each point a
-    sequence of ints kept as it is (no copy): _encode writes it in one C
-    pass."""
-
-    __slots__ = ()
-
-
-def _idp_json(report: IdpReport) -> dict:
-    return {
-        "h": report.h,
-        "holds": report.holds,
-        "witnesses": _Points(report.witnesses),
-        "sum_size": report.sum_size,
-        "dilate_size": report.dilate_size,
-    }
 
 
 def _decomposition_json(d: Decomposition) -> dict:
     return {
         "h": d.h,
         "point": list(d.point()),
-        "parts": _Points(d.parts),
+        "parts": d.parts,
         "weights": [{"vertex": list(v), "weight": w} for v, w in d.weights],
-        "cell": _Points(d.cell.vertices),
+        "cell": d.cell.vertices,
     }
 
 
@@ -233,7 +215,7 @@ def _cover_json(cover: SimplicialCover) -> dict:
         "dim": cover.target.dim,
         "kind": cover.kind,
         "certified": cover.certified,
-        "cells": _Points(c.vertices for c in cover.cells),
+        "cells": [c.vertices for c in cover.cells],
     }
 
 
@@ -245,7 +227,7 @@ def _ell_json(report: EllReport) -> dict:
                 "ell": row.ell,
                 "certificate": row.certificate,
                 "cells": row.cell_count,
-                "idp": [_idp_json(r) for r in row.idp],
+                "idp": [r._asdict() for r in row.idp],
             }
             for row in report.per_ell
         ],
@@ -303,11 +285,11 @@ def _cmd_idp_check(args, poly: LatticePolytope):
     if (args.h is None) == (args.h_max is None):
         raise PolytopeFileError("give exactly one of --h or --h-max")
     if args.h is not None:
-        reports = (idp_check(poly, _positive(args.h, "--h")),)
+        reports = (idp_check(poly, _check_positive(args.h, "--h")),)
     else:
-        reports = idp_scan(poly, _positive(args.h_max, "--h-max"))
+        reports = idp_scan(poly, _check_positive(args.h_max, "--h-max"))
     all_hold = all(r.holds for r in reports)
-    result = {"reports": [_idp_json(r) for r in reports], "all_hold": all_hold}
+    result = {"reports": [r._asdict() for r in reports], "all_hold": all_hold}
     summary = []
     for r in reports:
         if r.holds:
@@ -333,7 +315,7 @@ def _verify_cover_file(path: str, poly: LatticePolytope) -> tuple:
 
 def _cmd_decompose(args, poly: LatticePolytope):
     point = _parse_point(args.point)
-    h = _positive(args.h, "--h")
+    h = _check_positive(args.h, "--h")
     if len(point) != poly.dim:
         raise PolytopeFileError(f"--point has dimension {len(point)}, polytope has {poly.dim}")
     if not contains(dilate(poly, h), point):
@@ -346,7 +328,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         if cert.status == "certified":
             cover = candidate
     else:
-        attempts = _positive(args.attempts, "--attempts")
+        attempts = _check_positive(args.attempts, "--attempts")
         certificate, cover = _placing_search(poly, attempts, args.seed)
         cover_source = {"path": None, "search": certificate}
 
@@ -366,7 +348,7 @@ def _cmd_decompose(args, poly: LatticePolytope):
         "mode": "direct-search",
         "cover": cover_source,
         "decomposition_exists": parts is not None,
-        "parts": _Points(parts) if parts is not None else None,
+        "parts": parts,
     }
     if parts is None:
         summary = [
@@ -391,7 +373,7 @@ def _cmd_triangulate(args, poly: LatticePolytope):
         ok = cert.status != "uncertified"
         return result, (EXIT_OK if ok else EXIT_NEGATIVE), [f"cover status: {cert.status}"]
 
-    attempts = _positive(args.attempts, "--attempts")
+    attempts = _check_positive(args.attempts, "--attempts")
     certificate, cover = _placing_search(poly, attempts, args.seed)
     result = {
         "mode": "search",
@@ -410,9 +392,9 @@ def _cmd_triangulate(args, poly: LatticePolytope):
 def _cmd_find_ell(args, poly: LatticePolytope):
     report = find_ell(
         poly,
-        ell_max=_positive(args.ell_max, "--ell-max"),
-        h_max=_positive(args.h_max, "--h-max"),
-        attempts=_positive(args.attempts, "--attempts"),
+        ell_max=_check_positive(args.ell_max, "--ell-max"),
+        h_max=_check_positive(args.h_max, "--h-max"),
+        attempts=_check_positive(args.attempts, "--attempts"),
         seed=args.seed,
     )
     result = _ell_json(report)
@@ -536,70 +518,6 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
-#: json's C encoder with the separators "," and ":", built once; where json
-#: has no C accelerator, its pure-Python iterencode, which writes the same text
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).iterencode
-if json.encoder.c_make_encoder is not None:
-    _compact = json.encoder.c_make_encoder(
-        None, None, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
-    )
-
-
-@functools.cache
-def _point_layout(indent: str, depth: int) -> tuple:
-    """(head, tail, ((compact, indented), ...)) that turn the compact text
-    of a point list of depth `depth`, its outer brackets cut, into _encode's.
-
-    Every leaf list sits at the depth of the first, so a run of k ']', a
-    ',' and k '[' ends k lists and starts k; the leaves' ',' are replaced
-    first, the longest runs next."""
-    breaks = [indent + "  " * k for k in range(depth + 1)]
-    opens = ["[" + b for b in breaks[1:]]
-    closes = [b + "]" for b in reversed(breaks[:-1])]
-    steps = [(",", "," + breaks[depth])]
-    for k in range(depth - 1, 0, -1):
-        run = "]" * k + "," + breaks[depth] + "[" * k
-        steps.append((run, "".join(closes[:k]) + "," + breaks[depth - k] + "".join(opens[depth - k:])))
-    return "".join(opens), "".join(closes), tuple(steps)
-
-
-def _encode_points(value: _Points, indent: str) -> str:
-    """_encode of a nonempty point list: its compact C text, re-indented; one
-    holding an empty list takes the path of every other list."""
-    text = "".join(_compact(value, 0))
-    if "[]" in text:
-        return _encode(list(value), indent)
-    depth = len(text) - len(text.lstrip("["))
-    head, tail, steps = _point_layout(indent, depth)
-    text = text[depth:-depth]
-    for compact, indented in steps:
-        text = text.replace(compact, indented)
-    return head + text + tail
-
-
-def _encode(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for string keys, without its
-    pure-Python encoder; `indent` is the line break before a closing bracket.
-    A point list (_Points) is written by _encode_points."""
-    if type(value) is int:
-        return repr(value)
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if type(value) is _Points:
-        return _encode_points(value, indent) if value else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{_encode(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + f",{inner}".join(items) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        # the entries of a point or a row join as they are, with no call each
-        items = [repr(v) if type(v) is int else _encode(v, inner) for v in value]
-        return "[" + inner + f",{inner}".join(items) + indent + "]"
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    return json.dumps(value)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -624,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "result": result,
     }
-    print(_encode(report))
+    print(_dumps(report))
     for line in summary:
         print(line, file=sys.stderr)
     return code

@@ -89,10 +89,11 @@ def as_rat_point(q: Sequence, dim: int) -> RatPoint:
     return qt
 
 
-def _check_positive(value, what: str) -> None:
-    """Refuse anything but an int >= 1 (bool included) as `what`."""
+def _check_positive(value, what: str) -> int:
+    """`value`, refusing anything but an int >= 1 (bool included) as `what`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 def _check_length(q: tuple, dim: int) -> None:

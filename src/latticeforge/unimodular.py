@@ -60,6 +60,7 @@ from .geometry import (
     lattice_points,
     normalized_volume,
     vec_dot,
+    vec_scale,
     vec_sub,
 )
 from .linalg import hermite_normal_form
@@ -437,7 +438,10 @@ def find_ell(
     ell_max is capped at isqrt(BOX_CAP), as the IDP scan caps h, before any
     row runs: a box with two or more positive widths has (ell+1)^2 cells or
     more, so the box cap refuses it by that ell anyway, and the bound binds
-    only boxes that grow in at most one coordinate.
+    only boxes that grow in at most one coordinate.  Then the box of
+    ell_max*P is checked against BOX_CAP, also before any row runs: a
+    dilate's box grows with ell, and the last row's lattice points would
+    refuse it.
     """
     _check_positive(ell_max, "ell_max")
     _check_positive(attempts, "attempts")
@@ -446,6 +450,8 @@ def find_ell(
     ell_bound = math.isqrt(geometry.BOX_CAP)
     if ell_max > ell_bound:
         raise ResourceLimitError(f"ell capped at {ell_bound}, got {ell_max}")
+    mins, maxs = p.bounding_box()
+    geometry._check_box(vec_scale(mins, ell_max), vec_scale(maxs, ell_max))
     rows = []
     found = None
     for ell in range(1, ell_max + 1):

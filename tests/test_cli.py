@@ -625,54 +625,8 @@ class TestRoundTripAndDeterminism:
 
 
 class TestEncode:
-    """cli._encode, which joins the entries of a list of ints with no call
-    per entry, and writes a point list (cli._Points) from one pass of the
-    compact C encoder, prints what json.dumps(value, indent=2,
-    sort_keys=True) prints, byte for byte."""
-
-    VALUES = (
-        {},
-        [],
-        (),
-        0,
-        -7,
-        10**40,
-        True,
-        None,
-        "caf\u00e9 \"q\"\n",
-        1.5,
-        [[], {}, [[]], [-1, 0, 1], (2, -3)],
-        [1, True, None, -2, "x", 0.25, [3, False]],
-        {"b": [[0, -1, 2], [3, 4, -5]], "a": {"ok": False, "empty": [], "none": None}},
-        {"cells": [[[0, 0], [1, 0], [0, 1]]], "idp": [{"h": 1, "holds": True, "witness": None}]},
-        [False, False],
-        [[True], [1], [-1, True]],
-    )
-
-    # point lists, depth 2 (points) and 3 (cells), alone and nested
-    POINTS = (
-        [],
-        [(0, -1, 10**40), (2, 3, -4)],
-        [(0,), (-5,), (10**40,)],
-        [(1, 2)],
-        [[0, 0], [1, 0]],
-        [((0, 0), (1, 0), (0, 1))],
-        [((0, 0, 0), (1, 0, 0)), ((-1, 2, 3), (10**40, 0, -7))],
-        [[(0,), (1,)], [(1,), (2,)]],
-        [[]],
-        [[], [(1, 2)]],
-        [(), (3,)],
-    )
-
-    def test_values(self):
-        for value in self.VALUES:
-            assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True), value
-
-    def test_point_lists(self):
-        for points in self.POINTS:
-            marked = cli._Points(points)
-            for value in (marked, {"b": {"a": marked, "c": [marked, 1]}}, [[marked]]):
-                assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True), value
+    """A report is printed as one line of compact JSON, keys sorted: the
+    encoding input_digest hashes."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -687,31 +641,31 @@ class TestEncode:
             # 48 cells, each a list of points
             ("triangulate", {"dim": 3, "vertices": [list(v) for v in itertools.product((0, 2), repeat=3)]}),
             ("decompose", "--example", "cube-3", "--point", "1,2,1", "--h", "2"),
+            # 720 cells
+            ("triangulate", "--example", "cube-6"),
         ],
     )
     def test_reports(self, capsys, tmp_path, argv):
         main([write(tmp_path, "p.json", a) if isinstance(a, dict) else a for a in argv])
         out = capsys.readouterr().out
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestEncodeWithoutCAccelerator:
     """Where json has no C accelerator (json.encoder.c_make_encoder is None,
     as on PyPy or a CPython built without _json), the CLI imports and writes
-    its point lists with json's pure-Python encoder, byte for byte as
-    json.dumps(value, indent=2, sort_keys=True)."""
+    its reports with json's pure-Python encoder, the same compact text."""
 
     SCRIPT = """
 import json.encoder
 json.encoder.c_make_encoder = None
 import contextlib, io, json, sys
 from latticeforge import cli
-assert cli._compact.__self__.__class__ is json.JSONEncoder
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
 text = out.getvalue()
-assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\\n"
+assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\\n"
 print(code)
 """
 

@@ -1133,6 +1133,28 @@ class TestFindEll:
                 find_ell(segment, ell_max=ell_max, h_max=2)
         assert calls == []
 
+    def test_ell_max_box_checked_before_any_row(self, monkeypatch):
+        # with BOX_CAP = 100 the unit square's box at ell has (ell+1)^2
+        # cells: ell_max = 9 runs every row, 10 is within the isqrt bound
+        # but its box is refused before any search
+        monkeypatch.setattr(geometry, "BOX_CAP", 100)
+        report = find_ell(unit_square(), ell_max=9, h_max=1)
+        assert [row.ell for row in report.per_ell] == list(range(1, 10))
+        assert all(row.certificate == "certified" for row in report.per_ell)
+        # a flat triangle's box grows in two coordinates as well; within the
+        # cap the placing search refuses it
+        flat = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        with pytest.raises(DegeneratePolytopeError):
+            find_ell(flat, ell_max=9, h_max=1)
+
+        def failing(*args):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(unimodular, "_placing_search", failing)
+        for p in (unit_square(), flat):
+            with pytest.raises(ResourceLimitError, match="^bounding box exceeds the enumeration cap of 100 cells$"):
+                find_ell(p, ell_max=10, h_max=1)
+
     def test_h_max_checked_before_the_search(self, monkeypatch):
         monkeypatch.setattr(unimodular, "_placing_search", None)
         for h_max in (0, True, 2.0):
